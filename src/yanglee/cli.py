@@ -225,11 +225,7 @@ def _cmd_xxz_ee(args):
 def _cmd_xxz_gap(args):
     rows = []
     for length in _parse_int_list(args.L_list):
-        p = xxz.XXZParams(J=args.J, delta_aniso=1.0 + args.delta_re, L=length)
-        vals = np.concatenate([v for _, v in xxz.full_spectrum(p)])
-        re = np.sort(vals.real)
-        above = re[re > re[0] + 1e-12]
-        gap = float(above[0] - re[0])
+        gap = xxz.ed_gap(length, args.J, args.delta_re)
         pred = xxz.magnon_energy_and_gap(length, length // 2, args.J,
                                          args.delta_re).gap_gapless
         rows.append((length, args.delta_re, gap, pred, abs(gap - pred) / pred))

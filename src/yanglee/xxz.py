@@ -7,7 +7,11 @@ with J > 0, periodic boundaries, and the bond sum running literally over
 i = 1..L (for L = 2 the single bond is counted twice; that convention is
 what makes the first-order multiplet energies below exact at L = 2).
 Total S^z is conserved, so the Hamiltonian blocks by the number M of
-flipped spins (magnons) and each sector is diagonalized densely.
+flipped spins (magnons); translation commutes with H for every complex
+Delta, so each sector blocks further by lattice momentum k.  The spectra
+and partition sums come from the (M, k) blocks, built once per (L, J) as
+A + Delta diag(d); the M sectors in the plain spin basis remain as the
+reference they are tested against.
 
 Near the ferromagnetic point Delta = 1 the (L+1)-fold degenerate ground
 multiplet splits at first order in delta = Delta - 1 as
@@ -31,11 +35,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg  # not called here; perfbench's span recorder wraps xxz.scipy
 
 from .errors import DomainError, YangLeeError
 from .numerics.eig import dense_eig
@@ -103,17 +108,114 @@ def build_sector_hamiltonian(p: XXZParams, sector: MagnonSector) -> np.ndarray:
     return h
 
 
-def full_spectrum(p: XXZParams) -> list[tuple[int, np.ndarray]]:
-    """All 2^L eigenvalues, sector by sector, each block sorted by (Re, Im)."""
-    if p.L > 14:
+@dataclass(frozen=True, eq=False)
+class SectorBlocks:
+    """Every (M, k) block of H(Delta) = A + Delta diag(d), stacked by block size.
+
+    ``stacks[i] = (A, d, m)``: A has shape (count, n, n), d (count, n),
+    and m holds the magnon number of each of the count blocks.
+    ``magnons`` gives the M of every column that ``eigvals`` returns.
+    """
+
+    stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    magnons: np.ndarray
+
+    def eigvals(self, aniso) -> np.ndarray:
+        """All 2^L eigenvalues at each anisotropy: shape aniso.shape + (2^L,).
+
+        One ``np.linalg.eigvals`` call per block size serves every
+        anisotropy in ``aniso`` at once.
+        """
+        aniso = np.asarray(aniso, dtype=complex)
+        out = []
+        for a, d, _ in self.stacks:
+            count, n, _ = a.shape
+            h = np.empty(aniso.shape + a.shape, dtype=complex)
+            h[...] = a
+            # A has a diagonal of its own: add Delta d to it
+            h.reshape(aniso.shape + (count, n * n))[..., :: n + 1] += (
+                aniso[..., None, None] * d)
+            out.append(np.linalg.eigvals(h).reshape(aniso.shape + (-1,)))
+        return np.concatenate(out, axis=-1)
+
+
+@lru_cache(maxsize=4)
+def sector_blocks(L: int, J: float) -> SectorBlocks:
+    """Momentum-state blocks of every magnon sector (Sandvik, arXiv:1101.3281, sec. 4).
+
+    T shifts every spin one site along the chain.  Each translation orbit
+    is represented by its least word a, of period R_a; the state
+    |a, k> = R_a^(-1/2) sum_{r < R_a} e^(-ikr) T^r |a> exists when k R_a
+    is a multiple of 2 pi.  The zz energy d is the same on the whole
+    orbit, so it stays diagonal.  A hop from a to c = T^(-l) b, with b the
+    representative of c, adds -J/2 e^(-ikl) sqrt(R_a / R_b) to
+    <b, k|A|a, k>.  Such a hop can land in a's own orbit, so A carries a
+    diagonal of its own.
+    """
+    if J <= 0:
+        raise DomainError("J must be positive")
+    if L < 2:
+        raise DomainError("L must be at least 2")
+    if L > 14:
         raise DomainError("dense diagonalization capped at L = 14")
+    n = 1 << L
+    words = np.arange(n, dtype=np.int64)
+    rot = [words]  # rot[r] = T^r applied to every word
+    for _ in range(L - 1):
+        rot.append(((rot[-1] << 1) | (rot[-1] >> (L - 1))) & (n - 1))
+    rot = np.array(rot)
+    rep = rot.min(axis=0)
+    shift = rot.argmin(axis=0)  # T^shift(c) = rep(c)
+    back = rot[1:] == words
+    period = np.where(back.any(axis=0), back.argmax(axis=0) + 1, L)
+    bits = (words[:, None] >> np.arange(L)) & 1
+    bond = bits != np.roll(bits, -1, axis=1)  # bond i joins sites i and i+1
+    zz = -0.25 * J * (L - 2 * bond.sum(axis=1))
+    magnons = bits.sum(axis=1)
+
+    reps = words[rep == words]
+    src, site = np.nonzero(bond[reps])
+    a = reps[src]
+    c = a ^ ((1 << site) | (1 << ((site + 1) % L)))
+    b, hop_shift = rep[c], shift[c]
+    hop_scale = -0.5 * J * np.sqrt(period[a] / period[b])
+
+    by_size: dict[int, list] = {}
+    for m in range(L + 1):
+        for q in range(L):  # k = 2 pi q / L
+            mine = reps[(magnons[reps] == m) & (q * period[reps] % L == 0)]
+            if mine.size == 0:
+                continue
+            pos = np.full(n, -1)
+            pos[mine] = np.arange(mine.size)
+            hop = (pos[a] >= 0) & (pos[b] >= 0)
+            block = np.zeros((mine.size, mine.size), dtype=complex)
+            np.add.at(block, (pos[b[hop]], pos[a[hop]]),
+                      hop_scale[hop] * np.exp(-2j * math.pi * q * hop_shift[hop] / L))
+            by_size.setdefault(mine.size, []).append((block, zz[mine], m))
+    stacks = []
+    for size in sorted(by_size):
+        blocks, diags, ms = zip(*by_size[size])
+        stack = (np.array(blocks), np.array(diags), np.array(ms))
+        for arr in stack:
+            arr.setflags(write=False)
+        stacks.append(stack)
+    column_magnons = np.concatenate([np.repeat(ms, d.shape[-1]) for _, d, ms in stacks])
+    column_magnons.setflags(write=False)
+    return SectorBlocks(stacks=tuple(stacks), magnons=column_magnons)
+
+
+def full_spectrum(p: XXZParams) -> list[tuple[int, np.ndarray]]:
+    """All 2^L eigenvalues, sector by sector, each block sorted by (Re, Im).
+
+    Each sector's spectrum is the union of its momentum blocks.
+    """
+    blocks = sector_blocks(p.L, p.J)
+    vals = blocks.eigvals(p.delta_aniso)
     out = []
     for m in range(p.L + 1):
-        sector = magnon_sector(p.L, m)
-        h = build_sector_hamiltonian(p, sector)
-        vals = scipy.linalg.eigvals(h)
-        vals = vals[np.lexsort((vals.imag, vals.real))]
-        out.append((m, vals))
+        sector_vals = vals[blocks.magnons == m]
+        out.append((m, sector_vals[np.lexsort((sector_vals.imag, sector_vals.real))]))
     return out
 
 
@@ -153,34 +255,37 @@ class LogComplex:
         return cmath.exp(complex(self.log_magnitude, self.phase))
 
 
-def _scaled_partition_terms(spectra, beta: float):
-    """(shift, sum of exp(-beta (E - shift))) with shift = min Re E."""
-    all_vals = np.concatenate([vals for _, vals in spectra])
-    shift = float(np.min(all_vals.real))
-    total = np.exp(-beta * (all_vals - shift)).sum()
-    return shift, complex(total)
+def _scaled_partition_terms(vals: np.ndarray, beta: float):
+    """(shift, sum of exp(-beta (E - shift))) over the last axis, shift = min Re E."""
+    shift = vals.real.min(axis=-1)
+    total = np.exp(-beta * (vals - shift[..., None])).sum(axis=-1)
+    return shift, total
 
 
 def partition_function(p: XXZParams, beta: float) -> LogComplex:
     """Z = sum_n exp(-beta E_n) over the full spectrum, overflow-safe."""
     if beta < 0:
         raise DomainError("beta must be nonnegative")
-    shift, total = _scaled_partition_terms(full_spectrum(p), beta)
+    vals = np.concatenate([v for _, v in full_spectrum(p)])
+    shift, total = _scaled_partition_terms(vals, beta)
     if total == 0:
         return LogComplex(log_magnitude=-math.inf, phase=0.0)
-    return LogComplex(log_magnitude=-beta * shift + math.log(abs(total)),
+    return LogComplex(log_magnitude=-beta * float(shift) + math.log(abs(total)),
                       phase=cmath.phase(total))
 
 
-def partition_scaled(L: int, J: float, beta: float, delta: complex) -> complex:
+def partition_scaled(L: int, J: float, beta: float,
+                     delta: complex | np.ndarray) -> complex | np.ndarray:
     """exp(beta * min Re E) * Z(Delta); the natural zero-finding residual.
 
     Every Boltzmann term has modulus <= 1 after the shift, so |result|
-    is already normalized by the dominant eigen-weight.
+    is already normalized by the dominant eigen-weight.  A scalar
+    ``delta`` = Delta - 1 gives a complex; an array of them gives an
+    array of the same shape, evaluated in one batch.
     """
-    p = XXZParams(J=J, delta_aniso=1.0 + delta, L=L)
-    _, total = _scaled_partition_terms(full_spectrum(p), beta)
-    return total
+    vals = sector_blocks(L, J).eigvals(1.0 + np.asarray(delta))
+    total = _scaled_partition_terms(vals, beta)[1]
+    return complex(total) if total.ndim == 0 else total
 
 
 # --- zero structure around the ferromagnetic point -------------------------
@@ -270,8 +375,10 @@ def locate_zeros_numeric(L: int, beta: float, J: float,
     sum around each grid plaquette (Z is entire in Delta, so a 2 pi
     winding flags an enclosed zero); each candidate is polished by
     secant iteration.  Non-convergent candidates are reported in
-    ``dropped``.  ``map_threads`` may supply a parallel map for the grid
-    column evaluations; results are merged in deterministic order.
+    ``dropped``.  Each grid column (fixed Re Delta) is evaluated as one
+    batch, a single ``partition_scaled`` call over all its points, which
+    keeps the batch memory at one column; ``map_threads`` may supply a
+    parallel map over the columns, merged in deterministic order.
     """
     if L > 10:
         raise DomainError("grid search capped at L = 10")
@@ -283,8 +390,7 @@ def locate_zeros_numeric(L: int, beta: float, J: float,
     ims = np.linspace(im0, im1, grid_n)
 
     def column(re_val: float) -> np.ndarray:
-        return np.array([partition_scaled(L, J, beta, complex(re_val - 1.0, im))
-                         for im in ims])
+        return partition_scaled(L, J, beta, (re_val - 1.0) + 1j * ims)
 
     mapper = map_threads if map_threads is not None else map
     grid = np.array(list(mapper(column, res)))  # (re, im)
@@ -489,6 +595,17 @@ def magnon_energy_and_gap(L: int, M: int, J: float, delta: complex) -> MagnonEne
     return MagnonEnergy(energy=complex(energy),
                         gap_gapless=-J * delta.real / (L - 1),
                         gap_gapped=J * delta.real)
+
+
+def ed_gap(L: int, J: float, delta_re: float) -> float:
+    """Spacing of the two lowest distinct real levels at Delta = 1 + delta_re.
+
+    Levels within 1e-12 of the lowest count as degenerate with it.
+    """
+    p = XXZParams(J=J, delta_aniso=1.0 + delta_re, L=L)
+    re = np.sort(np.concatenate([v for _, v in full_spectrum(p)]).real)
+    above = re[re > re[0] + 1e-12]
+    return float(above[0] - re[0])
 
 
 def zero_density(L: int, beta: float, J: float = 1.0) -> float:

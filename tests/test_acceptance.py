@@ -205,27 +205,19 @@ def test_criterion_8_first_order_exactness():
     _report("criterion 8 (first-order exactness)", checks)
 
 
-def _ed_gap(length: int, delta: float) -> float:
-    p = xxz.XXZParams(J=1.0, delta_aniso=1.0 + delta, L=length)
-    vals = np.concatenate([v for _, v in xxz.full_spectrum(p)])
-    re = np.sort(vals.real)
-    above = re[re > re[0] + 1e-12]
-    return float(above[0] - re[0])
-
-
 def test_criterion_9_gap_scaling():
     start = time.perf_counter()
     checks = []
     errs = {}
     for length in (6, 8, 10):
-        gap = _ed_gap(length, -0.05)
+        gap = xxz.ed_gap(length, 1.0, -0.05)
         predicted = 0.05 / (length - 1)
         errs[length] = abs(gap - predicted) / predicted
         checks.append(
             (f"L={length}: gap {gap:.5f} vs {predicted:.5f} "
              f"({errs[length]:.1%} <= 15%)", errs[length] <= 0.15))
     # error shrinks with |delta|
-    small = abs(_ed_gap(6, -0.02) - 0.02 / 5.0) / (0.02 / 5.0)
+    small = abs(xxz.ed_gap(6, 1.0, -0.02) - 0.02 / 5.0) / (0.02 / 5.0)
     checks.append((f"L=6 error decreases with |delta| ({small:.2%} < "
                    f"{errs[6]:.2%})", small < errs[6]))
     elapsed = time.perf_counter() - start

@@ -1,8 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from yanglee.cli import run
+from yanglee.cli import build_parser, run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_xxz_poly_table(tmp_path, capsys):
@@ -102,3 +106,19 @@ def test_bethe_csv(capsys):
     ims = sorted(float(line.split(",")[2]) for line in out[1:])
     assert ims[0] == pytest.approx(-1.0 / 3.0 ** 0.5, abs=1e-9)
     assert ims[1] == pytest.approx(+1.0 / 3.0 ** 0.5, abs=1e-9)
+
+
+def test_readme_cli_commands_parse():
+    # every line of README's CLI block must be accepted as written
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    commands = [line for line in block.splitlines() if line.startswith("yanglee ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    rejected = []
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            rejected.append(line)
+    assert rejected == []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from yanglee import xxz
 from yanglee.entanglement import state_ee
@@ -18,6 +19,7 @@ from yanglee.xxz import (
     magnon_sector,
     partition_function,
     partition_scaled,
+    sector_blocks,
     solve_bethe_roots,
     susceptibility_scaling,
     verify_analytic_zeros,
@@ -95,6 +97,47 @@ def test_hermitian_limit_real_spectrum():
     p = XXZParams(J=1.0, delta_aniso=1.3, L=8)
     vals = np.concatenate([v for _, v in full_spectrum(p)])
     assert np.max(np.abs(vals.imag)) <= 1e-10
+
+
+# --- momentum-blocked engine against the sector oracle ---------------------------
+
+ENGINE_ANISOTROPIES = (1.0, 0.97 + 0.13j, 1.3 - 0.4j)
+
+
+def _oracle_spectrum(p: XXZParams, m: int) -> np.ndarray:
+    return scipy.linalg.eigvals(build_sector_hamiltonian(p, magnon_sector(p.L, m)))
+
+
+@pytest.mark.parametrize("L", range(2, 11))
+@pytest.mark.parametrize("J", [1.0, 0.7])
+def test_momentum_blocks_match_sector_oracle(L, J):
+    blocks = sector_blocks(L, J)
+    for m in range(L + 1):
+        dims = sum(d.shape[-1] * int(np.sum(ms == m)) for _, d, ms in blocks.stacks)
+        assert dims == math.comb(L, m)
+    for aniso in ENGINE_ANISOTROPIES:
+        p = XXZParams(J=J, delta_aniso=aniso, L=L)
+        for m, vals in full_spectrum(p):
+            cost = np.abs(np.subtract.outer(vals, _oracle_spectrum(p, m)))
+            rows, cols = linear_sum_assignment(cost)
+            assert cost[rows, cols].max() <= 1e-10
+    deltas = np.array(ENGINE_ANISOTROPIES) - 1.0
+    batch = partition_scaled(L, J, 100.0, deltas)
+    for d, z in zip(deltas, batch):
+        scalar = partition_scaled(L, J, 100.0, complex(d))
+        assert abs(z - scalar) <= 1e-12 * abs(scalar)
+
+
+@pytest.mark.parametrize("L", [2, 6, 8])
+def test_partition_scaled_matches_sector_oracle(L):
+    # one point is an L = 6 partition zero, where only the absolute
+    # deviation of the normalized sum is meaningful
+    beta = 100.0
+    for delta in (0.0, -0.03 + 0.13j, 0.3 - 0.4j, -0.019729884 - 0.155731195j):
+        p = XXZParams(J=1.0, delta_aniso=1.0 + delta, L=L)
+        vals = np.concatenate([_oracle_spectrum(p, m) for m in range(L + 1)])
+        expect = np.exp(-beta * (vals - vals.real.min())).sum()
+        assert abs(partition_scaled(L, 1.0, beta, delta) - expect) <= 1e-10
 
 
 # --- partition function -------------------------------------------------------
