@@ -112,10 +112,10 @@ def _write_manifest(path, command, args, seed, outputs, wall_time):
         fh.write("\n")
 
 
-# --- subcommand bodies: each returns (header, rows) -------------------------
+# --- subcommand bodies: each takes (args, run_map), returns (header, rows) ---
 
 
-def _cmd_ssh_zeros_scan(args):
+def _cmd_ssh_zeros_scan(args, _run_map):
     wv = np.linspace(args.wv_min, args.wv_max, args.wv_steps)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     scan = ssh.zeros_region_scan(args.u, wv, ts)
@@ -127,7 +127,7 @@ def _cmd_ssh_zeros_scan(args):
     return ["w_minus_v", "T", "has_zeros", "chi"], rows
 
 
-def _cmd_ssh_chi(args):
+def _cmd_ssh_chi(args, _run_map):
     p = ssh.SSHParams(u=args.u, v=args.v, w=args.w)
     zero_set = ssh.yang_lee_root_count(p, args.beta)
     gap2 = args.u ** 2 - (args.v - args.w) ** 2
@@ -168,7 +168,7 @@ def _cmd_ssh_ee(args, run_map):
     return ["l_a", "re_s", "im_s"], rows
 
 
-def _cmd_xxz_poly(args):
+def _cmd_xxz_poly(args, _run_map):
     poly = xxz.zero_polynomial(args.L)
     rows = [(m, int(round(c.real)))
             for m, c in enumerate(poly.coeffs) if c != 0]
@@ -192,7 +192,7 @@ def _cmd_xxz_zeros(args, run_map):
     return ["re_delta", "im_delta", "provenance", "residual"], rows
 
 
-def _cmd_xxz_verify_zeros(args):
+def _cmd_xxz_verify_zeros(args, _run_map):
     pairing = xxz.verify_analytic_zeros(args.L, args.beta, args.J)
     rows = []
     for j, (a, n, d, r) in enumerate(zip(pairing.analytic, pairing.numeric,
@@ -202,8 +202,8 @@ def _cmd_xxz_verify_zeros(args):
              "distance", "residual"], rows)
 
 
-def _cmd_xxz_bethe(args, seed):
-    roots = xxz.solve_bethe_roots(args.L, args.M, seed=seed)
+def _cmd_xxz_bethe(args, _run_map):
+    roots = xxz.solve_bethe_roots(args.L, args.M, seed=args.seed)
     print(f"# sum rules: |sum zeta| = {roots.sum_rule_linear:.3e}, "
           f"|sum zeta^2 + M(M-1)/(L-1)| = {roots.sum_rule_quadratic:.3e}",
           file=sys.stderr)
@@ -211,7 +211,7 @@ def _cmd_xxz_bethe(args, seed):
     return ["j", "re_zeta", "im_zeta"], rows
 
 
-def _cmd_xxz_ee(args):
+def _cmd_xxz_ee(args, _run_map):
     p = xxz.XXZParams(J=args.J, delta_aniso=complex(args.delta_re, args.delta_im),
                       L=args.L)
     _, _, psi = xxz.ground_state(p)
@@ -222,7 +222,7 @@ def _cmd_xxz_ee(args):
     return ["l_a", "entropy", "log_sin_chord"], rows
 
 
-def _cmd_xxz_gap(args):
+def _cmd_xxz_gap(args, _run_map):
     rows = []
     for length in _parse_int_list(args.L_list):
         gap = xxz.ed_gap(length, args.J, args.delta_re)
@@ -232,7 +232,7 @@ def _cmd_xxz_gap(args):
     return ["L", "re_delta", "gap_ed", "gap_predicted", "rel_err"], rows
 
 
-def _cmd_xxz_susceptibility(args):
+def _cmd_xxz_susceptibility(args, _run_map):
     deltas = _parse_float_list(args.deltas)
     scan = xxz.susceptibility_scaling(args.L, args.J, deltas, h=args.h)
     rows = [(m, c, scan.sigma_fit) for m, c in scan.table]
@@ -259,10 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, func, **kwargs):
+        subparser = sub.add_parser(name, parents=[common], **kwargs)
+        subparser.set_defaults(func=func)
+        return subparser
 
-    s = add_parser("ssh-zeros-scan", help="zero-presence table over (w-v, T)")
+    s = add_parser("ssh-zeros-scan", _cmd_ssh_zeros_scan,
+                   help="zero-presence table over (w-v, T)")
     s.add_argument("--u", type=float, default=1.0)
     s.add_argument("--wv-min", type=float, default=-2.0)
     s.add_argument("--wv-max", type=float, default=2.0)
@@ -271,20 +274,23 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--t-max", type=float, default=0.5)
     s.add_argument("--t-steps", type=int, default=50)
 
-    s = add_parser("ssh-chi", help="zero count vs the closed-form density")
+    s = add_parser("ssh-chi", _cmd_ssh_chi,
+                   help="zero count vs the closed-form density")
     s.add_argument("--u", type=float, required=True)
     s.add_argument("--v", type=float, required=True)
     s.add_argument("--w", type=float, required=True)
     s.add_argument("--beta", type=float, required=True)
 
-    s = add_parser("ssh-corr", help="gapped T=0 correlator vs its asymptotic")
+    s = add_parser("ssh-corr", _cmd_ssh_corr,
+                   help="gapped T=0 correlator vs its asymptotic")
     s.add_argument("--u", type=float, required=True)
     s.add_argument("--v", type=float, required=True)
     s.add_argument("--w", type=float, required=True)
     s.add_argument("--channel", choices=("AA", "AB", "BA", "BB"), default="AA")
     s.add_argument("--x-max", type=int, default=40)
 
-    s = add_parser("ssh-ee", help="subsystem entropy scaling (free fermions)")
+    s = add_parser("ssh-ee", _cmd_ssh_ee,
+                   help="subsystem entropy scaling (free fermions)")
     s.add_argument("--u", type=float, required=True)
     s.add_argument("--v", type=float, required=True)
     s.add_argument("--w", type=float, required=True)
@@ -293,10 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list or lo:hi:step")
     s.add_argument("--filling", choices=("im_neg", "im_pos"), default="im_neg")
 
-    s = add_parser("xxz-poly", help="multiplet zero polynomial coefficients")
+    s = add_parser("xxz-poly", _cmd_xxz_poly,
+                   help="multiplet zero polynomial coefficients")
     s.add_argument("--L", type=int, required=True)
 
-    s = add_parser("xxz-zeros", help="partition-function zeros in a window")
+    s = add_parser("xxz-zeros", _cmd_xxz_zeros,
+                   help="partition-function zeros in a window")
     s.add_argument("--L", type=int, required=True)
     s.add_argument("--beta", type=float, required=True)
     s.add_argument("--J", type=float, default=1.0)
@@ -310,28 +318,32 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-min", type=int, default=0)
     s.add_argument("--n-max", type=int, default=0)
 
-    s = add_parser("xxz-verify-zeros",
-                       help="pair closed-form zeros with polished ED zeros")
+    s = add_parser("xxz-verify-zeros", _cmd_xxz_verify_zeros,
+                   help="pair closed-form zeros with polished ED zeros")
     s.add_argument("--L", type=int, required=True)
     s.add_argument("--beta", type=float, required=True)
     s.add_argument("--J", type=float, default=1.0)
 
-    s = add_parser("xxz-bethe", help="reduced Bethe roots of the multiplet")
+    s = add_parser("xxz-bethe", _cmd_xxz_bethe,
+                   help="reduced Bethe roots of the multiplet")
     s.add_argument("--L", type=int, required=True)
     s.add_argument("--M", type=int, required=True)
 
-    s = add_parser("xxz-ee", help="Schmidt entropy of the right ground state")
+    s = add_parser("xxz-ee", _cmd_xxz_ee,
+                   help="Schmidt entropy of the right ground state")
     s.add_argument("--L", type=int, required=True)
     s.add_argument("--J", type=float, default=1.0)
     s.add_argument("--delta-re", type=float, required=True)
     s.add_argument("--delta-im", type=float, default=0.0)
 
-    s = add_parser("xxz-gap", help="ED level spacing vs the multiplet formula")
+    s = add_parser("xxz-gap", _cmd_xxz_gap,
+                   help="ED level spacing vs the multiplet formula")
     s.add_argument("--L-list", default="6,8,10")
     s.add_argument("--delta-re", type=float, default=-0.05)
     s.add_argument("--J", type=float, default=1.0)
 
-    s = add_parser("xxz-susceptibility", help="field response on the gapless side")
+    s = add_parser("xxz-susceptibility", _cmd_xxz_susceptibility,
+                   help="field response on the gapless side")
     s.add_argument("--L", type=int, default=12)
     s.add_argument("--J", type=float, default=1.0)
     s.add_argument("--deltas", default="-0.02,-0.05,-0.1")
@@ -350,28 +362,7 @@ def run(argv) -> int:
     start = time.perf_counter()
     run_map, pool = _mapper(args.threads)
     try:
-        if args.command == "ssh-zeros-scan":
-            header, rows = _cmd_ssh_zeros_scan(args)
-        elif args.command == "ssh-chi":
-            header, rows = _cmd_ssh_chi(args)
-        elif args.command == "ssh-corr":
-            header, rows = _cmd_ssh_corr(args, run_map)
-        elif args.command == "ssh-ee":
-            header, rows = _cmd_ssh_ee(args, run_map)
-        elif args.command == "xxz-poly":
-            header, rows = _cmd_xxz_poly(args)
-        elif args.command == "xxz-zeros":
-            header, rows = _cmd_xxz_zeros(args, run_map)
-        elif args.command == "xxz-verify-zeros":
-            header, rows = _cmd_xxz_verify_zeros(args)
-        elif args.command == "xxz-bethe":
-            header, rows = _cmd_xxz_bethe(args, args.seed)
-        elif args.command == "xxz-ee":
-            header, rows = _cmd_xxz_ee(args)
-        elif args.command == "xxz-gap":
-            header, rows = _cmd_xxz_gap(args)
-        else:
-            header, rows = _cmd_xxz_susceptibility(args)
+        header, rows = args.func(args, run_map)
     except YangLeeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

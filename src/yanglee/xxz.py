@@ -8,10 +8,10 @@ i = 1..L (for L = 2 the single bond is counted twice; that convention is
 what makes the first-order multiplet energies below exact at L = 2).
 Total S^z is conserved, so the Hamiltonian blocks by the number M of
 flipped spins (magnons); translation commutes with H for every complex
-Delta, so each sector blocks further by lattice momentum k.  The spectra
-and partition sums come from the (M, k) blocks, built once per (L, J) as
-A + Delta diag(d); the M sectors in the plain spin basis remain as the
-reference they are tested against.
+Delta, so each sector blocks further by lattice momentum k.  The spectra,
+partition sums and ground states come from the (M, k) blocks, built once
+per (L, J) as A + Delta diag(d); the M sectors in the plain spin basis
+remain as the reference they are tested against.
 
 Near the ferromagnetic point Delta = 1 the (L+1)-fold degenerate ground
 multiplet splits at first order in delta = Delta - 1 as
@@ -114,10 +114,15 @@ class SectorBlocks:
 
     ``stacks[i] = (A, d, m)``: A has shape (count, n, n), d (count, n),
     and m holds the magnon number of each of the count blocks.
-    ``magnons`` gives the M of every column that ``eigvals`` returns.
+    ``words[i]`` (count, n) holds the representative words of the basis
+    states of those blocks and ``momenta[i]`` (count,) their momentum
+    index q, k = 2 pi q / L.  ``magnons`` gives the M of every column
+    that ``eigvals`` returns.
     """
 
     stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    words: tuple[np.ndarray, ...]
+    momenta: tuple[np.ndarray, ...]
     magnons: np.ndarray
 
     def eigvals(self, aniso) -> np.ndarray:
@@ -127,16 +132,20 @@ class SectorBlocks:
         anisotropy in ``aniso`` at once.
         """
         aniso = np.asarray(aniso, dtype=complex)
-        out = []
-        for a, d, _ in self.stacks:
-            count, n, _ = a.shape
-            h = np.empty(aniso.shape + a.shape, dtype=complex)
-            h[...] = a
-            # A has a diagonal of its own: add Delta d to it
-            h.reshape(aniso.shape + (count, n * n))[..., :: n + 1] += (
-                aniso[..., None, None] * d)
-            out.append(np.linalg.eigvals(h).reshape(aniso.shape + (-1,)))
+        out = [np.linalg.eigvals(_block_matrices(a, d, aniso))
+               .reshape(aniso.shape + (-1,)) for a, d, _ in self.stacks]
         return np.concatenate(out, axis=-1)
+
+
+def _block_matrices(a: np.ndarray, d: np.ndarray, aniso: np.ndarray) -> np.ndarray:
+    """A + Delta diag(d) for every block and anisotropy: aniso.shape + a.shape."""
+    count, n, _ = a.shape
+    h = np.empty(aniso.shape + a.shape, dtype=complex)
+    h[...] = a
+    # A has a diagonal of its own: add Delta d to it
+    h.reshape(aniso.shape + (count, n * n))[..., :: n + 1] += (
+        aniso[..., None, None] * d)
+    return h
 
 
 @lru_cache(maxsize=4)
@@ -192,17 +201,19 @@ def sector_blocks(L: int, J: float) -> SectorBlocks:
             block = np.zeros((mine.size, mine.size), dtype=complex)
             np.add.at(block, (pos[b[hop]], pos[a[hop]]),
                       hop_scale[hop] * np.exp(-2j * math.pi * q * hop_shift[hop] / L))
-            by_size.setdefault(mine.size, []).append((block, zz[mine], m))
-    stacks = []
+            by_size.setdefault(mine.size, []).append((block, zz[mine], m, mine, q))
+    stacks, stack_words, stack_momenta = [], [], []
     for size in sorted(by_size):
-        blocks, diags, ms = zip(*by_size[size])
-        stack = (np.array(blocks), np.array(diags), np.array(ms))
-        for arr in stack:
+        blocks, diags, ms, ws, qs = (np.array(x) for x in zip(*by_size[size]))
+        for arr in (blocks, diags, ms, ws, qs):
             arr.setflags(write=False)
-        stacks.append(stack)
+        stacks.append((blocks, diags, ms))
+        stack_words.append(ws)
+        stack_momenta.append(qs)
     column_magnons = np.concatenate([np.repeat(ms, d.shape[-1]) for _, d, ms in stacks])
     column_magnons.setflags(write=False)
-    return SectorBlocks(stacks=tuple(stacks), magnons=column_magnons)
+    return SectorBlocks(stacks=tuple(stacks), words=tuple(stack_words),
+                        momenta=tuple(stack_momenta), magnons=column_magnons)
 
 
 def full_spectrum(p: XXZParams) -> list[tuple[int, np.ndarray]]:
@@ -220,27 +231,68 @@ def full_spectrum(p: XXZParams) -> list[tuple[int, np.ndarray]]:
 
 
 def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
-    """(sector M, energy, normalized vector over the 2^L basis).
+    """(sector M, energy, normalized right eigenvector over the 2^L basis).
 
-    The eigenvalue with least real part wins; degeneracies resolve to the
-    smaller magnon number, so the all-up product state represents the
-    ferromagnetic doublet on the gapped side.
+    The winning level is picked from the eigenvalues of the (M, k) blocks
+    alone.  Each sector's candidate is its least eigenvalue by (Re, Im)
+    over all of its k-blocks; a later M replaces the best so far only
+    when its real part is lower by more than 1e-12, so degeneracies
+    resolve to the smaller magnon number and the all-up product state
+    represents the ferromagnetic doublet on the gapped side.  Only
+    M <= L/2 is searched: spin flip maps M to L - M with the same
+    spectrum for every complex Delta, so a larger M never wins.
+
+    One ``dense_eig`` on the winning block then gives the vector, a
+    momentum eigenstate expanded into the spin basis.  When the winning
+    level is degenerate across k-blocks of one M (k and -k, say), the
+    state is the momentum eigenstate of the first such block, the one
+    whose computed eigenvalue sorts first, not a mixture of the blocks.
     """
-    best: Optional[tuple[float, int, complex, np.ndarray]] = None
-    for m in range(p.L + 1):
-        sector = magnon_sector(p.L, m)
-        h = build_sector_hamiltonian(p, sector)
-        es = dense_eig(h)
-        e = es.values[0]
-        if best is None or e.real < best[0] - 1e-12:
-            vec = es.right_vectors[:, 0]
-            best = (e.real, m, complex(e), vec)
-    _, m, energy, vec = best
-    sector = magnon_sector(p.L, m)
-    psi = np.zeros(2 ** p.L, dtype=complex)
-    psi[sector.basis] = vec
+    L = p.L
+    blocks = sector_blocks(L, p.J)
+    aniso = np.asarray(p.delta_aniso, dtype=complex)
+    parts = []  # (eigenvalues, their M, stack index, block index) per stack
+    for s, (a, d, ms) in enumerate(blocks.stacks):
+        keep = np.flatnonzero(ms <= L // 2)
+        n = a.shape[-1]
+        vals = np.linalg.eigvals(_block_matrices(a[keep], d[keep], aniso)).ravel()
+        parts.append((vals, np.repeat(ms[keep], n), np.full(vals.size, s),
+                      np.repeat(keep, n)))
+    vals, mags, stack_of, block_of = (np.concatenate(x) for x in zip(*parts))
+    order = np.lexsort((vals.imag, vals.real, mags))
+    candidates = order[np.diff(mags[order], prepend=-1) != 0]  # per M, M ascending
+    win = candidates[0]
+    for c in candidates[1:]:
+        if vals[c].real < vals[win].real - 1e-12:
+            win = c
+    s, i = stack_of[win], block_of[win]
+    a, d, _ = blocks.stacks[s]
+    es = dense_eig(_block_matrices(a[i:i + 1], d[i:i + 1], aniso)[0])
+    if not abs(es.values[0] - vals[win]) <= 1e-10:
+        raise YangLeeError(f"winning block eigenvalue {vals[win]} not reproduced "
+                           f"by its eigendecomposition ({es.values[0]})")
+    psi = _momentum_state(L, blocks.words[s][i], blocks.momenta[s][i],
+                          es.right_vectors[:, 0])
     psi /= np.linalg.norm(psi)
-    return m, energy, psi
+    return int(mags[win]), complex(es.values[0]), psi
+
+
+def _momentum_state(L: int, words: np.ndarray, q: int, vec: np.ndarray) -> np.ndarray:
+    """sum_a vec_a |a, k> over the 2^L spin basis, k = 2 pi q / L.
+
+    ``words`` are the representatives a of one (M, k) block of
+    ``sector_blocks``; |a, k> = sqrt(R_a) / L sum_{r < L} e^(-ikr) T^r |a>
+    is the momentum state of that construction, so the sign of the phase
+    matches its hops.
+    """
+    r = np.arange(L)[:, None]
+    orbit = ((words << r) | (words >> (L - r))) & ((1 << L) - 1)  # T^r |a>
+    back = orbit[1:] == words
+    period = np.where(back.any(axis=0), back.argmax(axis=0) + 1, L)
+    phase = np.exp(-2j * math.pi * q * r / L)
+    psi = np.zeros(1 << L, dtype=complex)
+    np.add.at(psi, orbit, vec * np.sqrt(period) / L * phase)
+    return psi
 
 
 @dataclass

@@ -122,3 +122,23 @@ def test_readme_cli_commands_parse():
         except SystemExit:
             rejected.append(line)
     assert rejected == []
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
+    # every line of README's CLI block runs as written; --out paths are
+    # relative, so run in a scratch directory
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    commands = [line for line in block.splitlines() if line.startswith("yanglee ")]
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    failed = []
+    for line in commands:
+        argv = shlex.split(line)[1:]
+        code = run(argv)
+        output = capsys.readouterr().out
+        if "--out" in argv:
+            output = (tmp_path / argv[argv.index("--out") + 1]).read_text()
+        if code != 0 or not output.strip():
+            failed.append((line, code))
+    assert failed == []

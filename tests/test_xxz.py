@@ -8,6 +8,7 @@ from scipy.optimize import linear_sum_assignment
 from yanglee import xxz
 from yanglee.entanglement import state_ee
 from yanglee.errors import DomainError, YangLeeError
+from yanglee.numerics.eig import dense_eig
 from yanglee.xxz import (
     XXZParams,
     analytic_zeros,
@@ -373,3 +374,65 @@ def test_gapless_ground_state_sector():
     m, energy, psi = ground_state(p)
     assert m == 4
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+
+
+# --- ground state through the (M, k) blocks against the sector oracle -------------
+
+GROUND_ANISOTROPIES = (0.95 + 0.03j, 1.04 + 0.02j, 0.9, 1.1)
+
+
+def _oracle_ground_state(p: XXZParams):
+    """(M, energy, sector spectrum, vector) from every plain M sector.
+
+    The least eigenvalue by (Re, Im) of each sector is a candidate; a
+    later M wins only when its real part is lower by more than 1e-12.
+    """
+    best = None
+    for m in range(p.L + 1):
+        es = dense_eig(build_sector_hamiltonian(p, magnon_sector(p.L, m)))
+        if best is None or es.values[0].real < best[1].real - 1e-12:
+            best = (m, es.values[0], es.values, es.right_vectors[:, 0])
+    return best
+
+
+@pytest.mark.parametrize("L", range(2, 11))
+@pytest.mark.parametrize("J", [1.0, 0.7])
+def test_ground_state_matches_sector_oracle(L, J):
+    for aniso in GROUND_ANISOTROPIES:
+        p = XXZParams(J=J, delta_aniso=aniso, L=L)
+        m_ref, e_ref, spectrum, vec_ref = _oracle_ground_state(p)
+        m, energy, psi = ground_state(p)
+        assert m == m_ref
+        assert abs(energy - e_ref) <= 1e-10
+        if aniso.real < 1:  # gapless side: for odd L spin flip ties M with L - M
+            assert m == L // 2
+        sector = magnon_sector(L, m)
+        h = build_sector_hamiltonian(p, sector)
+        v = psi[sector.basis]
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12  # psi lies in the M sector
+        assert np.linalg.norm(h @ v - energy * v) <= 1e-10 * np.linalg.norm(h)
+        if np.sum(np.abs(spectrum - e_ref) <= 1e-8) == 1:
+            overlap = np.vdot(vec_ref, v) / np.linalg.norm(vec_ref)
+            assert abs(overlap) >= 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("L", range(2, 9))
+def test_momentum_state_expansion_matches_sector_oracle(L):
+    # Every ground level above sits in a k = 0 or k = pi block, where the
+    # sign of the momentum phase is invisible, so every eigenvector of
+    # every (M, k) block is expanded here.
+    blocks = sector_blocks(L, 1.0)
+    for aniso in ENGINE_ANISOTROPIES:
+        p = XXZParams(J=1.0, delta_aniso=aniso, L=L)
+        sectors = [magnon_sector(L, m) for m in range(L + 1)]
+        hams = [build_sector_hamiltonian(p, s) for s in sectors]
+        for (a, d, ms), words, momenta in zip(blocks.stacks, blocks.words, blocks.momenta):
+            for i, m in enumerate(ms):
+                vals, vecs = np.linalg.eig(a[i] + aniso * np.diag(d[i]))
+                h = hams[m]
+                for val, vec in zip(vals, vecs.T):
+                    psi = xxz._momentum_state(L, words[i], momenta[i], vec)
+                    v = psi[sectors[m].basis]
+                    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+                    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+                    assert np.linalg.norm(h @ v - val * v) <= 1e-10 * np.linalg.norm(h)
