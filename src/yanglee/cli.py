@@ -137,20 +137,18 @@ def _cmd_ssh_chi(args, _run_map):
             [(args.u, args.v, args.w, args.beta, zero_set.chi, formula, ratio)])
 
 
-def _cmd_ssh_corr(args, run_map):
+def _cmd_ssh_corr(args, _run_map):
     p = ssh.SSHParams(u=args.u, v=args.v, w=args.w)
     tol = args.tol if args.tol is not None else 1e-9
-
-    def one(x: int):
-        c = ssh.corr_real(p, x, args.channel, tol=tol)
+    row = ssh.corr_row(p, args.x_max, args.channel, tol=tol)
+    rows = []
+    for x, c in enumerate(row.tolist(), start=1):
         try:
             a = ssh.corr_asymptotic(p, float(x), args.channel)
             ratio = abs(c / a)
         except YangLeeError:
             a, ratio = complex("nan"), float("nan")
-        return (x, c.real, c.imag, a.real, a.imag, ratio)
-
-    rows = list(run_map(one, range(1, args.x_max + 1)))
+        rows.append((x, c.real, c.imag, a.real, a.imag, ratio))
     return ["x", "re_corr", "im_corr", "re_asym", "im_asym", "abs_ratio"], rows
 
 

@@ -70,26 +70,30 @@ class EEResult:
     subsystem_length: int
 
 
-def _filled_projector(p: SSHParams, k: float, filling: str,
-                      convention: str) -> np.ndarray:
-    """Spectral projector of the filled band of the 2x2 Bloch matrix.
+def _filled_projectors(p: SSHParams, grid: np.ndarray, filling: str,
+                       convention: str) -> np.ndarray:
+    """Spectral projectors of the filled band, one 2x2 matrix per momentum.
 
     Fills the -E branch (negative real part, or negative imaginary part
     on the broken arc); ``im_pos`` flips the choice on the arc only.
+    LR projectors (H + lam) / (2 lam) are one array expression over the
+    grid; RR projectors need each right eigenvector from ``dense_eig``.
     """
-    h = bloch_hamiltonian(p, k)
-    e = dispersion(p, k)
-    if abs(e) < 1e-12:
+    h = bloch_hamiltonian(p, grid)
+    e = dispersion(p, grid)
+    if np.min(np.abs(e)) < 1e-12:
         raise DomainError("projector undefined at a band degeneracy")
-    fill_upper = filling == "im_pos" and abs(e.real) < 1e-12
-    lam = e if fill_upper else -e
-    proj = (h - (-lam) * np.eye(2)) / (2.0 * lam)
-    if convention == "RR":
-        es = dense_eig(h)
-        idx = int(np.argmin(np.abs(es.values - lam)))
-        r = es.right_vectors[:, idx]
-        proj = np.outer(r, r.conj()) / np.vdot(r, r)
-    return proj
+    fill_upper = (filling == "im_pos") & (np.abs(e.real) < 1e-12)
+    lam = np.where(fill_upper, e, -e)
+    if convention == "LR":
+        return ((h + lam[:, None, None] * np.eye(2))
+                / (2.0 * lam)[:, None, None])
+    projectors = np.empty_like(h)
+    for i, (hk, lk) in enumerate(zip(h, lam)):
+        es = dense_eig(hk)
+        r = es.right_vectors[:, int(np.argmin(np.abs(es.values - lk)))]
+        projectors[i] = np.outer(r, r.conj()) / np.vdot(r, r)
+    return projectors
 
 
 def ssh_correlation_matrix(p: SSHParams, cells: int, subsystem_cells: int,
@@ -126,8 +130,7 @@ def ssh_correlation_matrix(p: SSHParams, cells: int, subsystem_cells: int,
             break
     if grid is None:
         raise DomainError("momentum grid keeps hitting an exceptional point")
-    projectors = np.stack([_filled_projector(p, float(k), filling, convention)
-                           for k in grid])
+    projectors = _filled_projectors(p, grid, filling, convention)
     dists = np.arange(-(subsystem_cells - 1), subsystem_cells)
     phases = np.exp(1j * np.outer(dists, grid))  # (n_dist, L)
     g = np.tensordot(phases, projectors, axes=(1, 0)) / cells  # (n_dist, 2, 2)

@@ -1,77 +1,8 @@
-"""Modified Bessel function K0 of the second kind.
-
-Ascending series for small arguments, the large-x asymptotic expansion
-beyond x = 16, and the same ascending series evaluated in extended
-precision in between, where the series suffers e^{2x}-sized cancellation
-in double precision.  Relative accuracy is 1e-10 or better over
-[1e-6, 700].
-"""
+"""Modified Bessel function K0 of the second kind, from scipy.special."""
 
 from __future__ import annotations
 
-import math
-
-import mpmath
-
 from ..errors import DomainError
-
-EULER_GAMMA = 0.5772156649015329
-
-_SERIES_CUT = 2.0
-_ASYMPTOTIC_CUT = 16.0
-
-
-def _k0_series_float(x: float) -> float:
-    # K0 = -(ln(x/2) + gamma) I0(x) + sum_{m>=1} (x^2/4)^m / (m!)^2 * H_m
-    q = 0.25 * x * x
-    term = 1.0
-    i0 = 1.0
-    hterm = 0.0
-    hsum = 0.0
-    for m in range(1, 400):
-        term *= q / (m * m)
-        hterm += 1.0 / m
-        i0 += term
-        hsum += term * hterm
-        if term * (1.0 + hterm) < 1e-18 * i0:
-            break
-    return -(math.log(0.5 * x) + EULER_GAMMA) * i0 + hsum
-
-
-def _k0_series_mp(x: float) -> float:
-    # Same series with enough working digits to absorb the cancellation.
-    digits = 30 + int(x)
-    with mpmath.workdps(digits):
-        xm = mpmath.mpf(x)
-        q = xm * xm / 4
-        term = mpmath.mpf(1)
-        i0 = mpmath.mpf(1)
-        hterm = mpmath.mpf(0)
-        hsum = mpmath.mpf(0)
-        for m in range(1, 2000):
-            term *= q / (m * m)
-            hterm += mpmath.mpf(1) / m
-            i0 += term
-            hsum += term * hterm
-            if term * (1 + hterm) < mpmath.mpf(10) ** (-digits) * i0:
-                break
-        val = -(mpmath.log(xm / 2) + mpmath.euler) * i0 + hsum
-        return float(val)
-
-
-def _k0_asymptotic(x: float) -> float:
-    # K0(x) ~ sqrt(pi/2x) e^{-x} [1 - 1/(8x) + 9/(2(8x)^2) - ...]
-    s = 1.0
-    t = 1.0
-    for k in range(1, 60):
-        t_next = -t * (2 * k - 1) ** 2 / (8.0 * k * x)
-        if abs(t_next) >= abs(t):
-            break
-        t = t_next
-        s += t
-        if abs(t) < 1e-17 * abs(s):
-            break
-    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * s
 
 
 def bessel_k0(x: float) -> float:
@@ -79,8 +10,6 @@ def bessel_k0(x: float) -> float:
     x = float(x)
     if not x > 0.0:
         raise DomainError("bessel_k0 requires x > 0")
-    if x <= _SERIES_CUT:
-        return _k0_series_float(x)
-    if x < _ASYMPTOTIC_CUT:
-        return _k0_series_mp(x)
-    return _k0_asymptotic(x)
+    # Imported here: scipy.special adds 55-85 ms to the CLI's start-up.
+    import scipy.special
+    return float(scipy.special.k0(x))

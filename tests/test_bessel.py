@@ -51,14 +51,6 @@ def test_asymptotic_series_at_ten():
     assert abs(bessel_k0(10.0) - expansion) < 1e-8
 
 
-def test_branch_continuity():
-    # the evaluation branches must agree where they hand over
-    from yanglee.numerics.bessel import (_k0_asymptotic, _k0_series_float,
-                                         _k0_series_mp)
-    assert abs(_k0_series_float(2.0) - _k0_series_mp(2.0)) < 1e-12 * _k0_series_mp(2.0)
-    assert abs(_k0_series_mp(16.0) - _k0_asymptotic(16.0)) < 1e-10 * _k0_series_mp(16.0)
-
-
 def test_monotone_decreasing():
     xs = np.logspace(-5, 2.8, 40)
     vals = [bessel_k0(float(x)) for x in xs]

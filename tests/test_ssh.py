@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from yanglee.errors import DomainError
-from yanglee.numerics import dense_eig
+from yanglee.numerics import QuadratureError, dense_eig
 from yanglee.ssh import (
     PhaseLabel,
     SingularPointError,
@@ -15,8 +16,10 @@ from yanglee.ssh import (
     corr_asymptotic,
     corr_momentum,
     corr_real,
+    corr_row,
     correlation_length,
     dispersion,
+    exceptional_momentum,
     fit_exponents,
     mode_partition_factor,
     params_from_detuning,
@@ -153,6 +156,58 @@ def test_zero_entries_satisfy_zero_condition():
         assert abs(mode_partition_factor(p, k, 80.0)) <= 1e-8
 
 
+def _bisection_modes(p, beta):
+    """Mode indices n and momenta k by bisection on the imaginary arc.
+
+    The reference for the closed form: n runs up while t_n = (2n+1) pi / beta
+    stays below E_max, keeping t_n >= Im E at the start of the arc, and each
+    Im E_k = t_n is bisected on [start, pi] (vectorized over n).
+    """
+    if abs(p.v - p.w) >= p.u:
+        return [], np.array([])
+    e_max = math.sqrt(p.u ** 2 - (p.v - p.w) ** 2)
+    k_e = exceptional_momentum(p)
+    if k_e is not None:
+        k_lo, im_lo = k_e, 0.0
+    else:
+        k_lo, im_lo = 0.0, float(dispersion(p, 0.0).imag)
+    modes, targets = [], []
+    n = 0
+    while (2 * n + 1) * math.pi / beta <= e_max:
+        target = (2 * n + 1) * math.pi / beta
+        if target >= im_lo:
+            modes.append(n)
+            targets.append(target)
+        n += 1
+    t = np.array(targets)
+    lo, hi = np.full(t.shape, k_lo), np.full(t.shape, math.pi)
+    f_lo = dispersion(p, lo).imag - t
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        f_mid = dispersion(p, mid).imag - t
+        left = f_lo * f_mid <= 0
+        hi = np.where(left, mid, hi)
+        lo, f_lo = np.where(left, lo, mid), np.where(left, f_lo, f_mid)
+    return modes, 0.5 * (lo + hi)
+
+
+def test_closed_form_modes_match_bisection():
+    rng = np.random.default_rng(11)
+    cases = [(SSHParams(1.0, 1.0, 1.0), 1e5), (SSHParams(1.0, 0.97, 1.02), 1e5),
+             (SSHParams(2.5, 0.6, 0.9), 1e5),  # whole zone on the arc
+             (SSHParams(1.0, 0.0, 0.6), math.pi / 0.8)]  # flat band, t_0 = E
+    for _ in range(200):
+        u, v, w = rng.uniform(0.2, 2.0), *rng.uniform(0.05, 2.0, 2)
+        cases.append((SSHParams(u, v, w), 10.0 ** rng.uniform(0.0, 4.0)))
+    for p, beta in cases:
+        zero_set = yang_lee_root_count(p, beta)
+        modes, k_ref = _bisection_modes(p, beta)
+        assert [n for _, n in zero_set.entries] == modes
+        k_new = np.array([k for k, _ in zero_set.entries])
+        assert np.all(np.abs(np.cos(k_new) - np.cos(k_ref)) <= 1e-12)
+        assert zero_set.chi == len(modes) == chi_count(p, beta)
+
+
 def test_chi_monotone_in_beta():
     p = SSHParams(1.0, 1.3, 0.9)
     counts = [chi_count(p, b) for b in (5.0, 20.0, 80.0, 320.0)]
@@ -250,6 +305,57 @@ def test_corr_real_staggered_sign():
     vals = [corr_real(p, x, "AA", tol=1e-12) for x in (6, 7, 8, 9)]
     signs = [np.sign(v.imag) for v in vals]
     assert signs == [1.0, -1.0, 1.0, -1.0] or signs == [-1.0, 1.0, -1.0, 1.0]
+
+
+def _quad_correlator(p, x, channel):
+    """(1/2 pi) int P(k)_{ba} e^{ikx} dk over the filled-band projector."""
+    a, b = "AB".index(channel[0]), "AB".index(channel[1])
+
+    def part(k, real):
+        h = bloch_hamiltonian(p, k)
+        e = np.sqrt(complex(-np.linalg.det(h)))
+        e = -e if e.real < 0 else e
+        val = ((e * np.eye(2) - h) / (2.0 * e))[b, a]
+        return val.real if real else val.imag
+
+    out = 0j
+    for real, coef in ((True, 1.0), (False, 1j)):
+        cos, sin = (integrate.quad(part, -math.pi, math.pi, args=(real,),
+                                   weight=weight, wvar=x, limit=400,
+                                   epsabs=1e-13)[0]
+                    for weight in ("cos", "sin"))
+        out += coef * (cos + 1j * sin)
+    return out / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("u", [0.0, 1.0])
+@pytest.mark.parametrize("delta", [1e-3, 0.05])
+def test_corr_row_matches_quad(u, delta):
+    p = SSHParams(u, u + 1.0 + delta, 1.0)
+    for channel in ("AA", "AB", "BA", "BB"):
+        row = corr_row(p, 25, channel, tol=1e-12)
+        assert row.shape == (25,)
+        for x in (1, 4, 25):
+            assert abs(row[x - 1] - _quad_correlator(p, x, channel)) <= 1e-10
+
+
+def test_corr_real_is_an_entry_of_corr_row():
+    p = SSHParams(1.0, 2.05, 1.0)
+    for channel in ("AA", "AB"):
+        row = corr_row(p, 30, channel)
+        for x in (1, 7, 30):
+            assert abs(corr_real(p, x, channel) - row[x - 1]) <= 1e-9
+
+
+def test_corr_row_unreachable_tolerance():
+    p = SSHParams(1.0, 2.05, 1.0)
+    with pytest.raises(QuadratureError) as err:
+        corr_row(p, 10, "AB", tol=1e-30)
+    assert err.value.value.shape == (10,)
+    assert err.value.estimate > 1e-30
+    assert np.max(np.abs(err.value.value - corr_row(p, 10, "AB"))) <= 1e-9
+    with pytest.raises(DomainError):
+        corr_row(p, 0, "AB")
 
 
 def test_corr_asymptotic_bb_is_minus_aa():
