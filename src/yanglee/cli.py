@@ -152,18 +152,13 @@ def _cmd_ssh_corr(args, _run_map):
     return ["x", "re_corr", "im_corr", "re_asym", "im_asym", "abs_ratio"], rows
 
 
-def _cmd_ssh_ee(args, run_map):
+def _cmd_ssh_ee(args, _run_map):
     p = ssh.SSHParams(u=args.u, v=args.v, w=args.w)
     sizes = _parse_int_list(args.subsystems)
-
-    def one(la: int):
-        c = entanglement.ssh_correlation_matrix(p, args.cells, la,
-                                                filling=args.filling)
-        r = entanglement.ee_from_correlation(c)
-        return (la, r.entropy.real, r.entropy.imag)
-
-    rows = list(run_map(one, sizes))
-    return ["l_a", "re_s", "im_s"], rows
+    entropies = entanglement.ssh_entropies(p, args.cells, sizes,
+                                           filling=args.filling)
+    return ["l_a", "re_s", "im_s"], [(la, s.real, s.imag)
+                                     for la, s in zip(sizes, entropies)]
 
 
 def _cmd_xxz_poly(args, _run_map):

@@ -1,7 +1,7 @@
 """Self-contained numerical kernels used throughout the package."""
 
 from .bessel import bessel_k0
-from .eig import EigenDecompositionError, EigenSystem, dense_eig
+from .eig import EigenDecompositionError, EigenSystem, dense_eig, dense_eigvals
 from .newton import NewtonError, newton_system
 from .polynomials import ComplexPolynomial, RootFindingError, roots_of_polynomial
 from .quadrature import QuadratureError, QuadratureResult, adaptive_integrate
@@ -17,6 +17,7 @@ __all__ = [
     "adaptive_integrate",
     "bessel_k0",
     "dense_eig",
+    "dense_eigvals",
     "newton_system",
     "roots_of_polynomial",
 ]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from yanglee.errors import DomainError
-from yanglee.numerics import dense_eig
+from yanglee.numerics import EigenDecompositionError, dense_eig, dense_eigvals
 from yanglee.ssh import SSHParams, bloch_hamiltonian
 
 
@@ -68,3 +69,36 @@ def test_rejects_bad_input():
         dense_eig(np.ones((2, 3)))
     with pytest.raises(DomainError):
         dense_eig(np.array([[np.inf, 0], [0, 1]]))
+
+
+def test_eigvals_match_dense_eig():
+    rng = np.random.default_rng(11)
+    for n in (1, 4, 30, 80):
+        a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
+        assert np.max(np.abs(dense_eigvals(a) - dense_eig(a).values)) <= 1e-12
+
+
+def test_eigvals_sorting_convention():
+    vals = np.array([1.0 + 1.0j, 1.0 - 1.0j, -2.0, 0.5])
+    expect = sorted(vals, key=lambda z: (z.real, z.imag))
+    assert np.allclose(dense_eigvals(np.diag(vals)), expect)
+
+
+def test_eigvals_gate_fires_on_bad_schur_form(monkeypatch):
+    real_schur = scipy.linalg.schur
+
+    def perturbed(a, output):
+        t, z = real_schur(a, output=output)
+        return t + 1e-6 * np.eye(t.shape[0]), z
+
+    monkeypatch.setattr(scipy.linalg, "schur", perturbed)
+    rng = np.random.default_rng(3)
+    with pytest.raises(EigenDecompositionError):
+        dense_eigvals(rng.standard_normal((6, 6)))
+
+
+def test_eigvals_rejects_bad_input():
+    with pytest.raises(DomainError):
+        dense_eigvals(np.ones((2, 3)))
+    with pytest.raises(DomainError):
+        dense_eigvals(np.array([[np.nan, 0], [0, 1]]))

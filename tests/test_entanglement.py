@@ -5,10 +5,14 @@ import pytest
 
 from yanglee.entanglement import (
     CorrelationMatrix,
+    _distance_table,
+    _filled_projectors,
+    _momentum_grid,
     binary_entropy,
     ee_from_correlation,
     ee_scaling_fit,
     ssh_correlation_matrix,
+    ssh_entropies,
     state_ee,
 )
 from yanglee.errors import DomainError
@@ -101,6 +105,67 @@ def test_rr_convention_is_hermitian_state():
     res = ee_from_correlation(c)
     assert abs(res.entropy.imag) < 1e-9
     assert res.entropy.real >= -1e-12
+
+
+# u^2 = 2 + 2 cos(5 pi / 8) puts k_E = 5 pi / 8 on the 8-cell half-integer
+# grid, so the quarter-shifted grid is used.
+_QUARTER_GRID = SSHParams(math.sqrt(2.0 + 2.0 * math.cos(5.0 * math.pi / 8.0)),
+                          1.0, 1.0)
+
+
+@pytest.mark.parametrize("p, cells, expected_offset", [
+    (SSHParams(1.0, 1.05, 1.0), 200, 0.5),
+    (SSHParams(0.5, 1.3, 1.0), 200, 0.5),
+    (_QUARTER_GRID, 8, 0.75),
+])
+def test_fft_distance_table_matches_phase_sum(p, cells, expected_offset):
+    grid, offset = _momentum_grid(p, cells)
+    assert offset == expected_offset
+    projectors = _filled_projectors(p, grid, "im_neg", "LR")
+    la = cells // 2
+    dists = np.arange(-(la - 1), la)
+    direct = np.tensordot(np.exp(1j * np.outer(dists, grid)), projectors,
+                          axes=(1, 0)) / cells
+    assert np.max(np.abs(_distance_table(projectors, offset, la) - direct)) <= 1e-13
+
+
+@pytest.mark.parametrize("p, cells, la", [
+    (SSHParams(1.0, 1.0, 1.0), 120, 17),
+    (_QUARTER_GRID, 8, 4),
+])
+def test_gathered_matrix_equals_block_loop(p, cells, la):
+    grid, offset = _momentum_grid(p, cells)
+    g = _distance_table(_filled_projectors(p, grid, "im_neg", "LR"), offset, la)
+    loop = np.empty((2 * la, 2 * la), dtype=complex)
+    for i in range(la):
+        for j in range(la):
+            loop[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = g[(i - j) + la - 1]
+    assert np.array_equal(ssh_correlation_matrix(p, cells, la).entries, loop)
+
+
+def _entropy_by_numpy(c: CorrelationMatrix) -> complex:
+    lam = np.linalg.eigvals(np.eye(c.entries.shape[0]) - 2.0 * c.entries)
+    total = 0.0 + 0.0j
+    for x in lam:
+        for q in (0.5 * (1.0 + x), 0.5 * (1.0 - x)):
+            if abs(q) >= 1e-14:
+                total -= q * np.log(q)
+    return total
+
+
+@pytest.mark.parametrize("uvw", [(1.0, 1.0, 1.0), (1.0, 2.5, 1.0),
+                                 (1.0, 0.9, 1.0), (0.5, 1.3, 1.0),
+                                 (0.0, 1.0, 2.0)])
+@pytest.mark.parametrize("filling", ["im_neg", "im_pos"])
+@pytest.mark.parametrize("convention", ["LR", "RR"])
+def test_entropies_match_numpy_eigvals_route(uvw, filling, convention):
+    p = SSHParams(*uvw)
+    sizes = [20, 5, 50]
+    got = ssh_entropies(p, 200, sizes, filling, convention)
+    for la, s in zip(sizes, got):
+        c = ssh_correlation_matrix(p, 200, la, filling=filling,
+                                   convention=convention)
+        assert abs(s - _entropy_by_numpy(c)) <= 1e-10
 
 
 def test_grid_validation():
