@@ -3,7 +3,7 @@
 Every subcommand runs one scan or verification, writes a CSV table (or
 JSON with --format json) to --out (stdout by default), and optionally a
 JSON run manifest to --manifest.  Output is deterministic for fixed
-flags and seed; --threads only affects wall time.
+flags and seed; the --threads option of xxz-zeros only affects wall time.
 
 Column schemas:
   ssh-zeros-scan      w_minus_v,T,has_zeros,chi
@@ -34,7 +34,7 @@ import numpy as np
 import scipy
 
 from . import __version__, entanglement, ssh, xxz
-from .errors import YangLeeError
+from .errors import DomainError, YangLeeError
 
 
 def _fmt(value) -> str:
@@ -47,29 +47,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Comma list ("10,20,30") or range ("10:80:5", inclusive ends)."""
-    if ":" in text:
+def _int_list(text: str) -> list[int]:
+    """Comma list ("10,20,30") or range ("10:80:5", inclusive ends, step >= 1)."""
+    try:
+        if ":" not in text:
+            return [int(t) for t in text.split(",") if t]
         parts = [int(t) for t in text.split(":")]
-        if len(parts) == 2:
-            lo, hi, step = parts[0], parts[1], 1
-        elif len(parts) == 3:
-            lo, hi, step = parts
-        else:
-            raise ValueError("range must be lo:hi or lo:hi:step")
-        return list(range(lo, hi + 1, step))
-    return [int(t) for t in text.split(",") if t]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
+    if len(parts) == 2:
+        parts.append(1)
+    if len(parts) != 3 or parts[2] < 1:
+        raise argparse.ArgumentTypeError(
+            f"range must be lo:hi or lo:hi:step with step >= 1: {text!r}")
+    lo, hi, step = parts
+    return list(range(lo, hi + 1, step))
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t]
-
-
-def _mapper(threads: int):
-    if threads <= 1:
-        return map, None
-    pool = ThreadPoolExecutor(max_workers=threads)
-    return pool.map, pool
+def _float_list(text: str) -> list[float]:
+    """Comma list of numbers ("-0.02,-0.05")."""
+    try:
+        return [float(t) for t in text.split(",") if t]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
 
 
 def _write_table(header, rows, out_path, fmt):
@@ -95,8 +95,7 @@ def _write_manifest(path, command, args, seed, outputs, wall_time):
     if path is None:
         return
     params = {k: v for k, v in vars(args).items()
-              if k not in ("func", "out", "manifest", "command")
-              and not callable(v)}
+              if k not in ("func", "out", "manifest", "command")}
     manifest = {
         "command": command,
         "parameters": params,
@@ -112,10 +111,10 @@ def _write_manifest(path, command, args, seed, outputs, wall_time):
         fh.write("\n")
 
 
-# --- subcommand bodies: each takes (args, run_map), returns (header, rows) ---
+# --- subcommand bodies: each takes args, returns (header, rows) ---
 
 
-def _cmd_ssh_zeros_scan(args, _run_map):
+def _cmd_ssh_zeros_scan(args):
     wv = np.linspace(args.wv_min, args.wv_max, args.wv_steps)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     scan = ssh.zeros_region_scan(args.u, wv, ts)
@@ -127,7 +126,7 @@ def _cmd_ssh_zeros_scan(args, _run_map):
     return ["w_minus_v", "T", "has_zeros", "chi"], rows
 
 
-def _cmd_ssh_chi(args, _run_map):
+def _cmd_ssh_chi(args):
     p = ssh.SSHParams(u=args.u, v=args.v, w=args.w)
     zero_set = ssh.yang_lee_root_count(p, args.beta)
     gap2 = args.u ** 2 - (args.v - args.w) ** 2
@@ -137,10 +136,9 @@ def _cmd_ssh_chi(args, _run_map):
             [(args.u, args.v, args.w, args.beta, zero_set.chi, formula, ratio)])
 
 
-def _cmd_ssh_corr(args, _run_map):
+def _cmd_ssh_corr(args):
     p = ssh.SSHParams(u=args.u, v=args.v, w=args.w)
-    tol = args.tol if args.tol is not None else 1e-9
-    row = ssh.corr_row(p, args.x_max, args.channel, tol=tol)
+    row = ssh.corr_row(p, args.x_max, args.channel, tol=args.tol)
     rows = []
     for x, c in enumerate(row.tolist(), start=1):
         try:
@@ -152,40 +150,42 @@ def _cmd_ssh_corr(args, _run_map):
     return ["x", "re_corr", "im_corr", "re_asym", "im_asym", "abs_ratio"], rows
 
 
-def _cmd_ssh_ee(args, _run_map):
+def _cmd_ssh_ee(args):
     p = ssh.SSHParams(u=args.u, v=args.v, w=args.w)
-    sizes = _parse_int_list(args.subsystems)
-    entropies = entanglement.ssh_entropies(p, args.cells, sizes,
+    entropies = entanglement.ssh_entropies(p, args.cells, args.subsystems,
                                            filling=args.filling)
     return ["l_a", "re_s", "im_s"], [(la, s.real, s.imag)
-                                     for la, s in zip(sizes, entropies)]
+                                     for la, s in zip(args.subsystems, entropies)]
 
 
-def _cmd_xxz_poly(args, _run_map):
+def _cmd_xxz_poly(args):
     poly = xxz.zero_polynomial(args.L)
     rows = [(m, int(round(c.real)))
             for m, c in enumerate(poly.coeffs) if c != 0]
     return ["exponent", "coefficient"], rows
 
 
-def _cmd_xxz_zeros(args, run_map):
+def _cmd_xxz_zeros(args):
     rows = []
     if args.analytic:
         locus = xxz.analytic_zeros(args.L, args.beta, args.J,
                                    n_window=range(args.n_min, args.n_max + 1))
         for z, r in zip(locus.zeros, locus.residuals):
             rows.append((z.real, z.imag, "analytic", r))
-    numeric = xxz.locate_zeros_numeric(
-        args.L, args.beta, args.J,
-        (args.re_min, args.re_max), (args.im_min, args.im_max),
-        grid_n=args.grid_n,
-        map_threads=run_map if run_map is not map else None)
+    window = (args.L, args.beta, args.J, (args.re_min, args.re_max),
+              (args.im_min, args.im_max))
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            numeric = xxz.locate_zeros_numeric(*window, grid_n=args.grid_n,
+                                               map_threads=pool.map)
+    else:
+        numeric = xxz.locate_zeros_numeric(*window, grid_n=args.grid_n)
     for z, r in zip(numeric.zeros, numeric.residuals):
         rows.append((z.real, z.imag, "numeric", r))
     return ["re_delta", "im_delta", "provenance", "residual"], rows
 
 
-def _cmd_xxz_verify_zeros(args, _run_map):
+def _cmd_xxz_verify_zeros(args):
     pairing = xxz.verify_analytic_zeros(args.L, args.beta, args.J)
     rows = []
     for j, (a, n, d, r) in enumerate(zip(pairing.analytic, pairing.numeric,
@@ -195,7 +195,7 @@ def _cmd_xxz_verify_zeros(args, _run_map):
              "distance", "residual"], rows)
 
 
-def _cmd_xxz_bethe(args, _run_map):
+def _cmd_xxz_bethe(args):
     roots = xxz.solve_bethe_roots(args.L, args.M, seed=args.seed)
     print(f"# sum rules: |sum zeta| = {roots.sum_rule_linear:.3e}, "
           f"|sum zeta^2 + M(M-1)/(L-1)| = {roots.sum_rule_quadratic:.3e}",
@@ -204,7 +204,7 @@ def _cmd_xxz_bethe(args, _run_map):
     return ["j", "re_zeta", "im_zeta"], rows
 
 
-def _cmd_xxz_ee(args, _run_map):
+def _cmd_xxz_ee(args):
     p = xxz.XXZParams(J=args.J, delta_aniso=complex(args.delta_re, args.delta_im),
                       L=args.L)
     _, _, psi = xxz.ground_state(p)
@@ -215,9 +215,12 @@ def _cmd_xxz_ee(args, _run_map):
     return ["l_a", "entropy", "log_sin_chord"], rows
 
 
-def _cmd_xxz_gap(args, _run_map):
+def _cmd_xxz_gap(args):
+    if args.delta_re >= 0:
+        # the prediction is the gapless-side level spacing -J Re delta / (L - 1)
+        raise DomainError("xxz-gap compares the gapless side: needs Re delta < 0")
     rows = []
-    for length in _parse_int_list(args.L_list):
+    for length in args.L_list:
         gap = xxz.ed_gap(length, args.J, args.delta_re)
         pred = xxz.magnon_energy_and_gap(length, length // 2, args.J,
                                          args.delta_re).gap_gapless
@@ -225,9 +228,8 @@ def _cmd_xxz_gap(args, _run_map):
     return ["L", "re_delta", "gap_ed", "gap_predicted", "rel_err"], rows
 
 
-def _cmd_xxz_susceptibility(args, _run_map):
-    deltas = _parse_float_list(args.deltas)
-    scan = xxz.susceptibility_scaling(args.L, args.J, deltas, h=args.h)
+def _cmd_xxz_susceptibility(args):
+    scan = xxz.susceptibility_scaling(args.L, args.J, args.deltas, h=args.h)
     rows = [(m, c, scan.sigma_fit) for m, c in scan.table]
     return ["abs_delta", "chi", "sigma_fit"], rows
 
@@ -240,10 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="CSV/JSON path (default stdout)")
     common.add_argument("--manifest", default=None, help="JSON run manifest path")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=None,
-                        help="override the default numerical tolerance")
     parser = argparse.ArgumentParser(
         prog="yanglee",
         description=("Partition-function zeros, correlations and entanglement "
@@ -281,6 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--w", type=float, required=True)
     s.add_argument("--channel", choices=("AA", "AB", "BA", "BB"), default="AA")
     s.add_argument("--x-max", type=int, default=40)
+    s.add_argument("--tol", type=float, default=1e-9,
+                   help="absolute tolerance of the correlator row")
 
     s = add_parser("ssh-ee", _cmd_ssh_ee,
                    help="subsystem entropy scaling (free fermions)")
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--v", type=float, required=True)
     s.add_argument("--w", type=float, required=True)
     s.add_argument("--cells", type=int, default=400)
-    s.add_argument("--subsystems", default="10:80:5",
+    s.add_argument("--subsystems", type=_int_list, default="10:80:5",
                    help="comma list or lo:hi:step")
     s.add_argument("--filling", choices=("im_neg", "im_pos"), default="im_neg")
 
@@ -310,6 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also emit the closed-form zeros")
     s.add_argument("--n-min", type=int, default=0)
     s.add_argument("--n-max", type=int, default=0)
+    s.add_argument("--threads", type=int, default=1,
+                   help="map the grid columns over this many threads")
 
     s = add_parser("xxz-verify-zeros", _cmd_xxz_verify_zeros,
                    help="pair closed-form zeros with polished ED zeros")
@@ -331,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = add_parser("xxz-gap", _cmd_xxz_gap,
                    help="ED level spacing vs the multiplet formula")
-    s.add_argument("--L-list", default="6,8,10")
+    s.add_argument("--L-list", type=_int_list, default="6,8,10")
     s.add_argument("--delta-re", type=float, default=-0.05)
     s.add_argument("--J", type=float, default=1.0)
 
@@ -339,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="field response on the gapless side")
     s.add_argument("--L", type=int, default=12)
     s.add_argument("--J", type=float, default=1.0)
-    s.add_argument("--deltas", default="-0.02,-0.05,-0.1")
+    s.add_argument("--deltas", type=_float_list, default="-0.02,-0.05,-0.1")
     s.add_argument("--h", type=float, default=1e-4)
 
     return parser
@@ -353,15 +356,11 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     start = time.perf_counter()
-    run_map, pool = _mapper(args.threads)
     try:
-        header, rows = args.func(args, run_map)
+        header, rows = args.func(args)
     except YangLeeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if pool is not None:
-            pool.shutdown()
     outputs = _write_table(header, rows, args.out, args.format)
     wall = time.perf_counter() - start
     _write_manifest(args.manifest, args.command, args, args.seed, outputs, wall)

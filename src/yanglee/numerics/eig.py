@@ -1,9 +1,8 @@
 """Dense eigenproblems of general complex matrices, with a residual gate.
 
 ``dense_eig`` is a thin wrapper over LAPACK (scipy.linalg.eig) that
-returns left and right eigenvectors together, sorts the spectrum by
-(Re, Im), and rescales the pairs to biorthonormality <l_i|r_j> = delta_ij
-where the eigenvalues are simple.  Its relative residual is
+returns the eigenvalues sorted by (Re, Im) with their right
+eigenvectors, each of unit norm.  Its relative residual is
 max_i |A r_i - lambda_i r_i| / |A|_F.
 
 ``dense_eigvals`` returns the sorted eigenvalues alone, read off the
@@ -31,15 +30,10 @@ class EigenDecompositionError(YangLeeError):
 
 @dataclass
 class EigenSystem:
-    """values[i] with right_vectors[:, i] and left_vectors[:, i].
-
-    Left vectors are stored as ordinary column vectors; the left
-    eigenrelation is left_vectors[:, i].conj().T @ A = values[i] * (...).
-    """
+    """values[i] with the unit right eigenvector right_vectors[:, i]."""
 
     values: np.ndarray
     right_vectors: np.ndarray
-    left_vectors: np.ndarray
     residual: float
 
 
@@ -63,14 +57,13 @@ def dense_eig(a) -> EigenSystem:
     """Eigendecomposition with eigenvalues sorted by real part, then imaginary."""
     a = _square_finite(a, "dense_eig")
     try:
-        values, vl, vr = scipy.linalg.eig(a, left=True, right=True)
+        values, vr = scipy.linalg.eig(a, left=False, right=True)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigenDecompositionError(
             f"eigendecomposition failed for dimension {a.shape[0]}: {exc}"
         ) from exc
     order = np.lexsort((values.imag, values.real))
     values = values[order]
-    vl = vl[:, order]
     vr = vr[:, order]
     vr = vr / np.linalg.norm(vr, axis=0)
     norm_a = np.linalg.norm(a)
@@ -81,12 +74,7 @@ def dense_eig(a) -> EigenSystem:
             np.max(np.linalg.norm(a @ vr - vr * values[None, :], axis=0)) / norm_a
         )
     _check_residual(residual, a.shape[0])
-    # Biorthonormalize pairwise; near-defective pairs (|<l|r>| ~ 0) are left as-is.
-    overlap = np.sum(vl.conj() * vr, axis=0)
-    safe = np.abs(overlap) > 1e-13
-    vr[:, safe] = vr[:, safe] / overlap[safe][None, :]
-    return EigenSystem(values=values, right_vectors=vr, left_vectors=vl,
-                       residual=residual)
+    return EigenSystem(values=values, right_vectors=vr, residual=residual)
 
 
 def dense_eigvals(a) -> np.ndarray:

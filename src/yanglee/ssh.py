@@ -167,49 +167,58 @@ def _broken_band_edges(p: SSHParams):
     return float(dispersion(p, 0.0).imag), e_max
 
 
-def chi_count(p: SSHParams, beta: float) -> int:
-    """Number of mode zeros, counting n >= 0 only.
+def _mode_range(p: SSHParams, beta: float) -> tuple[int, int]:
+    """(n_lo, n_hi): mode n >= 0 is a zero mode when n_lo <= n <= n_hi.
 
-    Equals len(yang_lee_root_count(...).entries); Im E_k is monotone on
-    the imaginary arc, so each admissible n pairs with exactly one
-    momentum and the count reduces to counting odd integers below
-    beta * E_max / pi.
+    Mode n is admissible when t_n = (2n+1) pi / beta lies on the
+    imaginary arc, between Im E at its start and E_max.  The closed-form
+    bounds are settled on the computed t_n, which increases with n, so a
+    t_n that rounds onto an arc edge is in or out for every caller alike.
+    The range is empty (n_hi < n_lo) when no t_n fits; in the flat band
+    v w = 0 rounding can put Im E at the arc's start above E_max.
     """
     if beta <= 0:
         raise DomainError("beta must be positive")
     edges = _broken_band_edges(p)
     if edges is None:
-        return 0
+        return 0, -1
     im_lo, e_max = edges
-    m_hi = beta * e_max / math.pi
-    m_lo = beta * im_lo / math.pi
-    if m_hi < 1.0:
-        return 0
-    n_hi = int(math.floor((m_hi - 1.0) / 2.0))
-    n_lo = 0 if m_lo <= 1.0 else int(math.ceil((m_lo - 1.0) / 2.0))
+    n_lo = max(0, math.ceil((beta * im_lo / math.pi - 1.0) / 2.0))
+    n_hi = math.floor((beta * e_max / math.pi - 1.0) / 2.0)
+    while n_lo > 0 and (2 * n_lo - 1) * math.pi / beta >= im_lo:
+        n_lo -= 1
+    while (2 * n_lo + 1) * math.pi / beta < im_lo:
+        n_lo += 1
+    while (2 * n_hi + 3) * math.pi / beta <= e_max:
+        n_hi += 1
+    while n_hi >= 0 and (2 * n_hi + 1) * math.pi / beta > e_max:
+        n_hi -= 1
+    return n_lo, n_hi
+
+
+def chi_count(p: SSHParams, beta: float) -> int:
+    """Number of mode zeros, counting n >= 0 only.
+
+    Equals len(yang_lee_root_count(...).entries); Im E_k is monotone on
+    the imaginary arc, so each admissible n pairs with exactly one
+    momentum.
+    """
+    n_lo, n_hi = _mode_range(p, beta)
     return max(0, n_hi - n_lo + 1)
 
 
 def yang_lee_root_count(p: SSHParams, beta: float) -> SSHZeroSet:
     """Enumerate the (k, n) zero modes at inverse temperature beta.
 
-    Mode n >= 0 is admissible when t_n = (2n+1) pi / beta lies on the
-    imaginary arc, between Im E at its start and E_max.  On the arc
+    The admissible n come from ``_mode_range``.  On the arc
     E_k = i sqrt(u^2 - |v + w e^{ik}|^2), so Im E_k = t_n has the one
     solution cos k_n = (u^2 - t_n^2 - v^2 - w^2) / (2 v w) in [0, pi].
     In the flat band v w = 0 every momentum solves it and k = 0 is
     reported.
     """
-    if beta <= 0:
-        raise DomainError("beta must be positive")
-    edges = _broken_band_edges(p)
-    if edges is None:
-        return SSHZeroSet(beta=beta, entries=[], chi=0)
-    im_lo, e_max = edges
-    n = np.arange(int(beta * e_max / (2.0 * math.pi)) + 1)
+    n_lo, n_hi = _mode_range(p, beta)
+    n = np.arange(n_lo, n_hi + 1)
     t = (2 * n + 1) * math.pi / beta
-    keep = (t >= im_lo) & (t <= e_max)
-    n, t = n[keep], t[keep]
     if p.v * p.w > 0:
         c = (p.u * p.u - t * t - p.v * p.v - p.w * p.w) / (2.0 * p.v * p.w)
         k = np.arccos(np.clip(c, -1.0, 1.0))

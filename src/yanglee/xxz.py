@@ -295,48 +295,18 @@ def _momentum_state(L: int, words: np.ndarray, q: int, vec: np.ndarray) -> np.nd
     return psi
 
 
-@dataclass
-class LogComplex:
-    """Complex number kept as log-magnitude and phase to dodge overflow."""
-
-    log_magnitude: float
-    phase: float
-
-    @property
-    def value(self) -> complex:
-        return cmath.exp(complex(self.log_magnitude, self.phase))
-
-
-def _scaled_partition_terms(vals: np.ndarray, beta: float):
-    """(shift, sum of exp(-beta (E - shift))) over the last axis, shift = min Re E."""
-    shift = vals.real.min(axis=-1)
-    total = np.exp(-beta * (vals - shift[..., None])).sum(axis=-1)
-    return shift, total
-
-
-def partition_function(p: XXZParams, beta: float) -> LogComplex:
-    """Z = sum_n exp(-beta E_n) over the full spectrum, overflow-safe."""
-    if beta < 0:
-        raise DomainError("beta must be nonnegative")
-    vals = np.concatenate([v for _, v in full_spectrum(p)])
-    shift, total = _scaled_partition_terms(vals, beta)
-    if total == 0:
-        return LogComplex(log_magnitude=-math.inf, phase=0.0)
-    return LogComplex(log_magnitude=-beta * float(shift) + math.log(abs(total)),
-                      phase=cmath.phase(total))
-
-
 def partition_scaled(L: int, J: float, beta: float,
-                     delta: complex | np.ndarray) -> complex | np.ndarray:
+                     aniso: complex | np.ndarray) -> complex | np.ndarray:
     """exp(beta * min Re E) * Z(Delta); the natural zero-finding residual.
 
     Every Boltzmann term has modulus <= 1 after the shift, so |result|
     is already normalized by the dominant eigen-weight.  A scalar
-    ``delta`` = Delta - 1 gives a complex; an array of them gives an
-    array of the same shape, evaluated in one batch.
+    anisotropy ``aniso`` = Delta gives a complex; an array of them gives
+    an array of the same shape, evaluated in one batch.
     """
-    vals = sector_blocks(L, J).eigvals(1.0 + np.asarray(delta))
-    total = _scaled_partition_terms(vals, beta)[1]
+    vals = sector_blocks(L, J).eigvals(aniso)
+    shift = vals.real.min(axis=-1)
+    total = np.exp(-beta * (vals - shift[..., None])).sum(axis=-1)
     return complex(total) if total.ndim == 0 else total
 
 
@@ -442,7 +412,7 @@ def locate_zeros_numeric(L: int, beta: float, J: float,
     ims = np.linspace(im0, im1, grid_n)
 
     def column(re_val: float) -> np.ndarray:
-        return partition_scaled(L, J, beta, (re_val - 1.0) + 1j * ims)
+        return partition_scaled(L, J, beta, re_val + 1j * ims)
 
     mapper = map_threads if map_threads is not None else map
     grid = np.array(list(mapper(column, res)))  # (re, im)
@@ -465,17 +435,16 @@ def locate_zeros_numeric(L: int, beta: float, J: float,
             center = complex(0.5 * (res[i] + res[i + 1]) - 1.0,
                              0.5 * (ims[j] + ims[j + 1]))
             cell = complex(res[i + 1] - res[i], ims[j + 1] - ims[j])
-            root = _secant_refine(lambda d: partition_scaled(L, J, beta, d),
+            root = _secant_refine(lambda d: partition_scaled(L, J, beta, 1.0 + d),
                                   center, 0.1 * cell)
             if root is None:
                 dropped.append(1.0 + center)
                 continue
-            delta_root = root
-            value = 1.0 + delta_root
+            value = 1.0 + root
             if any(abs(value - z) < 1e-6 for z in zeros):
                 continue
             zeros.append(value)
-            residuals.append(abs(partition_scaled(L, J, beta, delta_root)))
+            residuals.append(abs(partition_scaled(L, J, beta, value)))
     order = np.lexsort((np.array([z.real for z in zeros]),
                         np.array([z.imag for z in zeros]))) if zeros else []
     zeros = [zeros[i] for i in order]
@@ -521,7 +490,7 @@ def verify_analytic_zeros(L: int, beta: float, J: float = 1.0) -> ZeroPairing:
     locus = analytic_zeros(L, beta, J)
 
     def f(d):
-        return partition_scaled(L, J, beta, d)
+        return partition_scaled(L, J, beta, 1.0 + d)
 
     roots: list[complex] = []  # delta = Delta - 1
     step = 1e-4 * (1.0 + 1j)
@@ -697,6 +666,8 @@ def susceptibility_scaling(L: int, J: float, delta_res, h: float = 1e-4) -> Susc
     mags = np.array([m for m, _ in table])
     if np.any(chis <= 0):
         raise DomainError("susceptibility came out nonpositive")
+    if np.unique(mags).size < 2:
+        raise DomainError("the exponent fit needs at least two distinct |delta|")
     sigma = -float(np.polyfit(np.log(mags), np.log(chis), 1)[0])
     return SusceptibilityScan(chi_zero_field=float(chis[np.argmin(mags)]),
                               sigma_fit=sigma, table=table)

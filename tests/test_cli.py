@@ -61,7 +61,7 @@ def test_manifest_contents(tmp_path):
     assert "numpy" in data["versions"]
     for path in data["outputs"]:
         assert out.read_text()  # listed outputs exist and are non-empty
-    assert data["parameters"]["L_list"] == "6"
+    assert data["parameters"]["L_list"] == [6]
 
 
 def test_json_format(capsys):
@@ -75,6 +75,21 @@ def test_usage_errors_exit_one(capsys):
     assert run(["no-such-command"]) == 1
     assert run(["xxz-poly"]) == 1  # missing required --L
     assert run(["xxz-poly", "--L", "4", "--bogus-flag"]) == 1
+    # --threads belongs to xxz-zeros and --tol to ssh-corr only
+    assert run(["ssh-corr", "--u", "1", "--v", "2", "--w", "1",
+                "--threads", "2"]) == 1
+    assert run(["xxz-poly", "--L", "4", "--tol", "1e-6"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ssh-ee", "--u", "0", "--v", "1", "--w", "2", "--subsystems", "2:10:0"],
+    ["ssh-ee", "--u", "0", "--v", "1", "--w", "2", "--subsystems", "abc"],
+    ["xxz-susceptibility", "--deltas", "x"],
+    ["xxz-gap", "--L-list", "x"],
+])
+def test_malformed_list_flags_exit_one(argv, capsys):
+    assert run(argv) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
@@ -83,11 +98,13 @@ def test_help_exits_zero(capsys):
 
 
 def test_numerical_failure_exits_two(capsys):
-    # T = 0 correlators are undefined in the PT-broken phase
-    code = run(["ssh-corr", "--u", "1", "--v", "1", "--w", "1",
-                "--x-max", "3"])
-    assert code == 2
-    assert "numerical failure" in capsys.readouterr().err
+    # T = 0 correlators are undefined in the PT-broken phase, and the
+    # predicted gap -J Re delta / (L - 1) of xxz-gap is the gapless-side one
+    for argv in (["ssh-corr", "--u", "1", "--v", "1", "--w", "1", "--x-max", "3"],
+                 ["xxz-gap", "--L-list", "6", "--delta-re=0"],
+                 ["xxz-gap", "--L-list", "6", "--delta-re=0.05"]):
+        assert run(argv) == 2
+        assert "numerical failure" in capsys.readouterr().err
 
 
 def test_ssh_ee_subsystem_parsing(tmp_path):

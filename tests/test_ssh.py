@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from yanglee.errors import DomainError
@@ -206,6 +208,33 @@ def test_closed_form_modes_match_bisection():
         k_new = np.array([k for k, _ in zero_set.entries])
         assert np.all(np.abs(np.cos(k_new) - np.cos(k_ref)) <= 1e-12)
         assert zero_set.chi == len(modes) == chi_count(p, beta)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(u=st.floats(0.0, 3.0), v=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+       w=st.floats(0.01, 2.0), beta=st.floats(0.1, 1e3),
+       edge=st.sampled_from((None, "im_lo", "e_max")), n=st.integers(0, 40),
+       ulps=st.integers(-1, 1))
+def test_mode_count_property(u, v, w, beta, edge, n, ulps):
+    # with ``edge`` set, beta puts t_n = (2n+1) pi / beta on that end of the
+    # arc, give or take one step in beta (``ulps``), where rounding decides
+    # the count
+    p = SSHParams(u, v, w)
+    if edge is not None:
+        assume(abs(v - w) < u)
+        if edge == "e_max":
+            end = math.sqrt(u * u - (v - w) ** 2)
+        else:
+            end = (0.0 if exceptional_momentum(p) is not None
+                   else float(dispersion(p, 0.0).imag))
+        assume(end > 1e-6)
+        beta = (2 * n + 1) * math.pi / end
+        if ulps:
+            beta = math.nextafter(beta, math.copysign(math.inf, ulps))
+    zero_set = yang_lee_root_count(p, beta)
+    modes, _ = _bisection_modes(p, beta)
+    assert [m for _, m in zero_set.entries] == modes
+    assert zero_set.chi == len(modes) == chi_count(p, beta)
 
 
 def test_chi_monotone_in_beta():

@@ -18,7 +18,6 @@ from yanglee.xxz import (
     locate_zeros_numeric,
     magnon_energy_and_gap,
     magnon_sector,
-    partition_function,
     partition_scaled,
     sector_blocks,
     solve_bethe_roots,
@@ -122,10 +121,10 @@ def test_momentum_blocks_match_sector_oracle(L, J):
             cost = np.abs(np.subtract.outer(vals, _oracle_spectrum(p, m)))
             rows, cols = linear_sum_assignment(cost)
             assert cost[rows, cols].max() <= 1e-10
-    deltas = np.array(ENGINE_ANISOTROPIES) - 1.0
-    batch = partition_scaled(L, J, 100.0, deltas)
-    for d, z in zip(deltas, batch):
-        scalar = partition_scaled(L, J, 100.0, complex(d))
+    anisos = np.array(ENGINE_ANISOTROPIES, dtype=complex)
+    batch = partition_scaled(L, J, 100.0, anisos)
+    for aniso, z in zip(anisos, batch):
+        scalar = partition_scaled(L, J, 100.0, complex(aniso))
         assert abs(z - scalar) <= 1e-12 * abs(scalar)
 
 
@@ -138,20 +137,18 @@ def test_partition_scaled_matches_sector_oracle(L):
         p = XXZParams(J=1.0, delta_aniso=1.0 + delta, L=L)
         vals = np.concatenate([_oracle_spectrum(p, m) for m in range(L + 1)])
         expect = np.exp(-beta * (vals - vals.real.min())).sum()
-        assert abs(partition_scaled(L, 1.0, beta, delta) - expect) <= 1e-10
+        assert abs(partition_scaled(L, 1.0, beta, 1.0 + delta) - expect) <= 1e-10
 
 
 # --- partition function -------------------------------------------------------
 
 def test_partition_infinite_temperature():
-    p = XXZParams(J=1.0, delta_aniso=1.1 + 0.2j, L=5)
-    z = partition_function(p, 0.0)
-    assert abs(z.value - 2.0 ** 5) < 1e-9
+    assert partition_scaled(5, 1.0, 0.0, 1.1 + 0.2j) == 2.0 ** 5
 
 
 def test_partition_ground_doublet_dominates():
     p = XXZParams(J=1.0, delta_aniso=1.5, L=6)
-    scaled = partition_scaled(6, 1.0, 60.0, 0.5)
+    scaled = partition_scaled(6, 1.0, 60.0, 1.5)
     assert abs(scaled - 2.0) < 1e-6  # both polarized states survive
 
 
@@ -160,7 +157,7 @@ def test_partition_zero_l2_closed_form():
     # exp(-beta J delta) = -2 up to the e^{-2 beta J} correction
     beta = 100.0
     delta = (-math.log(2.0) + 1j * math.pi) / beta
-    assert abs(partition_scaled(2, 1.0, beta, delta)) <= 1e-6
+    assert abs(partition_scaled(2, 1.0, beta, 1.0 + delta)) <= 1e-6
 
 
 # --- zero polynomial and analytic zeros ----------------------------------------
@@ -245,7 +242,8 @@ def test_verify_pairing_one_to_one(L):
 
 def test_verify_pairing_raises_without_distinct_partner(monkeypatch):
     # a residual with a single zero cannot supply four distinct partners
-    monkeypatch.setattr(xxz, "partition_scaled", lambda L, J, beta, d: d)
+    monkeypatch.setattr(xxz, "partition_scaled",
+                        lambda L, J, beta, aniso: aniso - 1.0)
     with pytest.raises(YangLeeError, match="no distinct partition zero"):
         verify_analytic_zeros(4, 100.0)
 
@@ -357,6 +355,13 @@ def test_susceptibility_field_too_large():
 def test_susceptibility_needs_gapless_side():
     with pytest.raises(DomainError):
         susceptibility_scaling(8, 1.0, [0.05])
+
+
+@pytest.mark.parametrize("deltas", [[], [-0.05], [-0.05, -0.05]])
+def test_susceptibility_fit_needs_two_points(deltas):
+    # a slope through fewer than two distinct |delta| is not an exponent
+    with pytest.raises(DomainError, match="two distinct"):
+        susceptibility_scaling(8, 1.0, deltas)
 
 
 # --- ground state -----------------------------------------------------------------
