@@ -2,8 +2,9 @@
 
 Every subcommand runs one scan or verification, writes a CSV table (or
 JSON with --format json) to --out (stdout by default), and optionally a
-JSON run manifest to --manifest.  Output is deterministic for fixed
-flags and seed; the --threads option of xxz-zeros only affects wall time.
+JSON run manifest to --manifest.  No command draws random numbers, so
+output is deterministic for fixed flags; the --threads option of
+xxz-zeros only affects wall time.  An empty list flag is a usage error.
 
 Column schemas:
   ssh-zeros-scan      w_minus_v,T,has_zeros,chi
@@ -47,11 +48,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _nonempty(values: list, text: str) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+    return values
+
+
 def _int_list(text: str) -> list[int]:
     """Comma list ("10,20,30") or range ("10:80:5", inclusive ends, step >= 1)."""
     try:
         if ":" not in text:
-            return [int(t) for t in text.split(",") if t]
+            return _nonempty([int(t) for t in text.split(",") if t], text)
         parts = [int(t) for t in text.split(":")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
@@ -61,13 +68,13 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(
             f"range must be lo:hi or lo:hi:step with step >= 1: {text!r}")
     lo, hi, step = parts
-    return list(range(lo, hi + 1, step))
+    return _nonempty(list(range(lo, hi + 1, step)), text)
 
 
 def _float_list(text: str) -> list[float]:
     """Comma list of numbers ("-0.02,-0.05")."""
     try:
-        return [float(t) for t in text.split(",") if t]
+        return _nonempty([float(t) for t in text.split(",") if t], text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
 
@@ -91,7 +98,7 @@ def _write_table(header, rows, out_path, fmt):
     return [out_path]
 
 
-def _write_manifest(path, command, args, seed, outputs, wall_time):
+def _write_manifest(path, command, args, outputs, wall_time):
     if path is None:
         return
     params = {k: v for k, v in vars(args).items()
@@ -99,7 +106,6 @@ def _write_manifest(path, command, args, seed, outputs, wall_time):
     manifest = {
         "command": command,
         "parameters": params,
-        "seed": seed,
         "versions": (f"yanglee {__version__}; numpy {np.__version__}; "
                      f"scipy {scipy.__version__}; "
                      f"python {sys.version.split()[0]}"),
@@ -196,7 +202,7 @@ def _cmd_xxz_verify_zeros(args):
 
 
 def _cmd_xxz_bethe(args):
-    roots = xxz.solve_bethe_roots(args.L, args.M, seed=args.seed)
+    roots = xxz.solve_bethe_roots(args.L, args.M)
     print(f"# sum rules: |sum zeta| = {roots.sum_rule_linear:.3e}, "
           f"|sum zeta^2 + M(M-1)/(L-1)| = {roots.sum_rule_quadratic:.3e}",
           file=sys.stderr)
@@ -229,7 +235,7 @@ def _cmd_xxz_gap(args):
 
 
 def _cmd_xxz_susceptibility(args):
-    scan = xxz.susceptibility_scaling(args.L, args.J, args.deltas, h=args.h)
+    scan = xxz.susceptibility_scaling(args.L, args.J, args.deltas)
     rows = [(m, c, scan.sigma_fit) for m, c in scan.table]
     return ["abs_delta", "chi", "sigma_fit"], rows
 
@@ -242,9 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="CSV/JSON path (default stdout)")
     common.add_argument("--manifest", default=None, help="JSON run manifest path")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--seed", type=int, default=0)
+    # no prefix matching: a removed option must not resolve to another
+    # (--h would otherwise mean --help)
     parser = argparse.ArgumentParser(
-        prog="yanglee",
+        prog="yanglee", allow_abbrev=False,
         description=("Partition-function zeros, correlations and entanglement "
                      "scaling for two one-dimensional lattice models"),
         epilog=__doc__.split("Column schemas:")[1] if __doc__ else None,
@@ -252,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, func, **kwargs):
-        subparser = sub.add_parser(name, parents=[common], **kwargs)
+        subparser = sub.add_parser(name, parents=[common], allow_abbrev=False,
+                                   **kwargs)
         subparser.set_defaults(func=func)
         return subparser
 
@@ -321,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--J", type=float, default=1.0)
 
     s = add_parser("xxz-bethe", _cmd_xxz_bethe,
-                   help="reduced Bethe roots of the multiplet")
+                   help="reduced Bethe roots of the multiplet, 1 <= M <= L/2")
     s.add_argument("--L", type=int, required=True)
     s.add_argument("--M", type=int, required=True)
 
@@ -343,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--L", type=int, default=12)
     s.add_argument("--J", type=float, default=1.0)
     s.add_argument("--deltas", type=_float_list, default="-0.02,-0.05,-0.1")
-    s.add_argument("--h", type=float, default=1e-4)
 
     return parser
 
@@ -363,7 +370,7 @@ def run(argv) -> int:
         return 2
     outputs = _write_table(header, rows, args.out, args.format)
     wall = time.perf_counter() - start
-    _write_manifest(args.manifest, args.command, args, args.seed, outputs, wall)
+    _write_manifest(args.manifest, args.command, args, outputs, wall)
     return 0
 
 

@@ -92,7 +92,7 @@ def _aberth_polish(monic: np.ndarray, z: np.ndarray, target: float, max_iter: in
     return best, best_res
 
 
-def roots_of_polynomial(p: ComplexPolynomial, tol: float = 1e-10, seed: int = 0) -> np.ndarray:
+def roots_of_polynomial(p: ComplexPolynomial, tol: float = 1e-10) -> np.ndarray:
     """All ``degree`` roots of ``p`` (with multiplicity), sorted by (Re, Im).
 
     Every returned root r satisfies |p(r)| <= tol * max|coeff|; otherwise a
@@ -105,8 +105,9 @@ def roots_of_polynomial(p: ComplexPolynomial, tol: float = 1e-10, seed: int = 0)
     monic = p.coeffs / p.coeffs[-1]
     # numpy's roots() is companion-matrix based; it provides the starting set.
     z = np.roots(monic[::-1]).astype(complex)
-    # Coincident starting points break the Aberth update; split them slightly.
-    rng = np.random.default_rng(seed)
+    # Coincident starting points break the Aberth update; split them slightly
+    # (fixed generator state, so the roots are reproducible).
+    rng = np.random.default_rng(0)
     for i in range(z.size):
         while np.any(np.abs(z[:i] - z[i]) == 0.0):
             z[i] += (rng.standard_normal() + 1j * rng.standard_normal()) * 1e-12

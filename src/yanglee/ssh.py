@@ -138,22 +138,17 @@ def phase_diagnostics(p: SSHParams) -> PhaseDiagnosis:
 
 
 def mode_partition_factor(p: SSHParams, k: float, beta: float) -> complex:
-    """(1 + e^{-beta E_k})(1 + e^{beta E_k}) for the single mode k.
+    """(1 + e^{-w})(1 + e^{w}) = 4 cosh^2(w/2), w = beta E_k, for the single mode k.
 
-    Evaluated in the log domain when beta*|Re E_k| > 300; the magnitude
-    saturates at exp(700) instead of overflowing (the value is then only
-    meaningful as "very far from zero").
+    Raises ``DomainError`` when |Re w| > 709, where the value overflows
+    float64.
     """
     if beta <= 0:
         raise DomainError("beta must be positive")
     w = beta * dispersion(p, k)
-    if abs(w.real) <= 300.0:
-        return complex((1.0 + np.exp(-w)) * (1.0 + np.exp(w)))
-    s = 1.0 if w.real > 0 else -1.0
-    tail = np.exp(-2.0 * s * w) + 2.0 * np.exp(-s * w)
-    log_z = s * w + np.log(1.0 + tail)
-    mag = math.exp(min(log_z.real, 700.0))
-    return complex(mag * np.exp(1j * log_z.imag))
+    if abs(w.real) > 709.0:
+        raise DomainError(f"|Re beta E_k| = {abs(w.real):.4g} > 709 overflows float64")
+    return complex(4.0 * np.cosh(0.5 * w) ** 2)
 
 
 def _broken_band_edges(p: SSHParams):

@@ -25,9 +25,22 @@ polynomial equation sum_{M=0}^L z^{M(L-M)} = 0, so the zeros of Z lie at
     Delta_j = 1 - (L - 1) Log(z_j) / (beta J) + i (L - 1) 2 pi n / (beta J)
 
 for the polynomial roots z_j and n integer.  The first-order energies
-follow from an algebraic reduction of the Bethe equations whose root
-set {zeta_j} obeys the sum rules sum zeta = 0 and
-sum zeta^2 = -M(M-1)/(L-1); both are checked on every solve.
+follow from an algebraic reduction of the Bethe equations,
+
+    L zeta_j = 2 sum_{l != j} (1 + zeta_l zeta_j) / (zeta_l - zeta_j),
+
+whose root set obeys the sum rules sum zeta = 0 and
+sum zeta^2 = -M(M-1)/(L-1).  The roots have a closed form: P(x) =
+prod_j (x - zeta_j) solves the system exactly when
+
+    (1 + x^2) P'' + (L - 2M + 2) x P' - M (L - M + 1) P = 0,
+
+and x = i t turns this into Gegenbauer's equation for C_M^(lambda)(t)
+with lambda = (L - 2M + 1)/2.  For 1 <= M <= L/2, lambda >= 1/2, so the
+t_j are real, simple and inside (-1, 1), and zeta_j = i t_j.  The t_j
+are the eigenvalues of the Golub-Welsch Jacobi matrix of C^(lambda)
+(Math. Comp. 23, 221 (1969)); the larger M follow by spin flip,
+E_M = E_{L-M}.
 """
 
 from __future__ import annotations
@@ -40,11 +53,11 @@ from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg  # not called here; perfbench's span recorder wraps xxz.scipy
+import scipy.linalg
 
 from .errors import DomainError, YangLeeError
 from .numerics.eig import dense_eig
-from .numerics.newton import NewtonError, newton_system
+from .numerics.newton import newton_system
 from .numerics.polynomials import ComplexPolynomial, roots_of_polynomial
 
 
@@ -550,44 +563,27 @@ def _bethe_residual(L: int):
     return f
 
 
-def solve_bethe_roots(L: int, M: int, tol: float = 1e-12,
-                      seed: int = 0, retries: int = 8) -> BetheRootSet:
-    """Solve the reduced Bethe system for the split ground multiplet.
+def solve_bethe_roots(L: int, M: int) -> BetheRootSet:
+    """Roots of the reduced Bethe system for 1 <= M <= L/2, Im zeta ascending.
 
-    The root set is symmetric under zeta -> -zeta; scaled Hermite zeros
-    i sqrt(2/(L-1)) * hermroots(M) share that symmetry, are exact for
-    M <= 3, and give Newton a basin it rarely leaves.  Failed attempts
-    retry from deterministically perturbed starts.
+    zeta_j = i t_j with t_j the zeros of the Gegenbauer polynomial
+    C_M^(lambda), lambda = (L - 2M + 1)/2 (see the module docstring),
+    taken as the eigenvalues of the symmetric tridiagonal Jacobi matrix
+    with zero diagonal and off-diagonal
+    b_n = sqrt(n (n + 2 lambda - 1) / ((n + lambda)(n + lambda - 1))) / 2.
+    One Newton pass on the Bethe residual certifies them to 1e-12 and
+    polishes them where they fall short (L > 62).
     """
-    if not 1 <= M <= L - 1:
-        raise DomainError("need 1 <= M <= L - 1")
-    if M == 1:
-        return BetheRootSet(L=L, M=M, zeta=np.zeros(1, dtype=complex))
-    herm = np.polynomial.hermite.hermroots([0.0] * M + [1.0])
-    start = 1j * math.sqrt(2.0 / (L - 1)) * np.sort(herm.astype(float))
-    start = start.astype(complex)
-    residual = _bethe_residual(L)
-    last_error: Optional[Exception] = None
-    for attempt in range(retries):
-        guess = start
-        if attempt > 0:
-            rng = np.random.default_rng(seed + attempt)
-            bump = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-            guess = start + 1e-3 * bump
-        try:
-            zeta = newton_system(residual, guess, tol=tol, max_iter=200)
-        except NewtonError as exc:
-            last_error = exc
-            continue
-        pair_dist = np.abs(zeta[:, None] - zeta[None, :])
-        np.fill_diagonal(pair_dist, np.inf)
-        if pair_dist.min() <= 1e-8 or not np.all(np.isfinite(zeta)):
-            last_error = YangLeeError("coincident Bethe roots")
-            continue
-        zeta = zeta[np.lexsort((zeta.real, zeta.imag))]
-        return BetheRootSet(L=L, M=M, zeta=zeta)
-    raise YangLeeError(
-        f"Bethe solve failed for L={L}, M={M}: {last_error}")
+    if not 1 <= M <= L // 2:
+        raise DomainError("need 1 <= M <= L/2 (E_M = E_{L-M} covers the rest)")
+    lam = (L - 2 * M + 1) / 2.0
+    n = np.arange(1, M)
+    b = 0.5 * np.sqrt(n * (n + 2.0 * lam - 1.0) / ((n + lam) * (n + lam - 1.0)))
+    t = scipy.linalg.eigvalsh_tridiagonal(np.zeros(M), b)
+    zeta = np.zeros(M, dtype=complex)  # Re stays +0.0; 1j * t would give -0.0
+    zeta.imag = 0.5 * (t - t[::-1])  # the exact set is odd: sum zeta = 0
+    zeta = newton_system(_bethe_residual(L), zeta, tol=1e-12)
+    return BetheRootSet(L=L, M=M, zeta=zeta)
 
 
 # --- energies, gaps, densities, response ------------------------------------
@@ -644,30 +640,27 @@ class SusceptibilityScan:
     table: list[tuple[float, float]]  # (|delta|, chi)
 
 
-def susceptibility_scaling(L: int, J: float, delta_res, h: float = 1e-4) -> SusceptibilityScan:
+def susceptibility_scaling(L: int, J: float, delta_res) -> SusceptibilityScan:
     """Zero-field susceptibility on the gapless side and its exponent.
 
-    A field h couples as -h S^z_total; minimizing E_M - h (L/2 - M) over
-    continuous M gives M* = L/2 + h (L - 1) / (2 J delta) and the
-    per-site response chi = 2 s_z / h = -(L - 1) / (L J delta).  The
-    log-log slope of chi against |delta| is the fitted exponent.
+    A field h couples as -h S^z_total.  E_M is quadratic in M, so
+    minimizing E_M - h (L/2 - M) over continuous M gives
+    M* = L/2 + h (L - 1) / (2 J delta) exactly, and the per-site response
+    chi = 2 (L/2 - M*) / (L h) = -(L - 1) / (L J delta) holds at every h.
+    The log-log slope of chi against |delta| is the fitted exponent.
     """
+    if J <= 0:
+        raise DomainError("J must be positive")
+    if L < 2:
+        raise DomainError("L must be at least 2")
     deltas = np.asarray(delta_res, dtype=float)
     if np.any(deltas >= 0):
         raise DomainError("susceptibility scan is for the gapless side Re delta < 0")
-    table = []
-    for d in deltas:
-        m_star = L / 2.0 + h * (L - 1) / (2.0 * J * d)
-        if not 0.0 < m_star < L:
-            raise DomainError(f"h={h} too large: M* leaves (0, L) at delta={d}")
-        s_z = (L / 2.0 - m_star) / L
-        table.append((abs(d), 2.0 * s_z / h))
-    chis = np.array([c for _, c in table])
-    mags = np.array([m for m, _ in table])
-    if np.any(chis <= 0):
-        raise DomainError("susceptibility came out nonpositive")
+    mags = np.abs(deltas)
+    chis = -(L - 1) / (L * J * deltas)
     if np.unique(mags).size < 2:
         raise DomainError("the exponent fit needs at least two distinct |delta|")
     sigma = -float(np.polyfit(np.log(mags), np.log(chis), 1)[0])
     return SusceptibilityScan(chi_zero_field=float(chis[np.argmin(mags)]),
-                              sigma_fit=sigma, table=table)
+                              sigma_fit=sigma,
+                              table=list(zip(mags.tolist(), chis.tolist())))

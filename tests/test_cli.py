@@ -51,11 +51,10 @@ def test_manifest_contents(tmp_path):
     out = tmp_path / "gap.csv"
     manifest = tmp_path / "gap.json"
     code = run(["xxz-gap", "--L-list", "6", "--out", str(out),
-                "--manifest", str(manifest), "--seed", "3"])
+                "--manifest", str(manifest)])
     assert code == 0
     data = json.loads(manifest.read_text())
     assert data["command"] == "xxz-gap"
-    assert data["seed"] == 3
     assert data["outputs"] == [str(out)]
     assert data["wall_time"] >= 0.0
     assert "numpy" in data["versions"]
@@ -79,6 +78,9 @@ def test_usage_errors_exit_one(capsys):
     assert run(["ssh-corr", "--u", "1", "--v", "2", "--w", "1",
                 "--threads", "2"]) == 1
     assert run(["xxz-poly", "--L", "4", "--tol", "1e-6"]) == 1
+    # nothing is random, so there is no --seed; chi is exact, so no --h
+    assert run(["xxz-bethe", "--L", "6", "--M", "3", "--seed", "3"]) == 1
+    assert run(["xxz-susceptibility", "--h", "1e-4"]) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -86,6 +88,10 @@ def test_usage_errors_exit_one(capsys):
     ["ssh-ee", "--u", "0", "--v", "1", "--w", "2", "--subsystems", "abc"],
     ["xxz-susceptibility", "--deltas", "x"],
     ["xxz-gap", "--L-list", "x"],
+    ["xxz-gap", "--L-list=,"],
+    ["ssh-ee", "--u", "0", "--v", "1", "--w", "2", "--subsystems=,"],
+    ["ssh-ee", "--u", "0", "--v", "1", "--w", "2", "--subsystems", "20:10"],
+    ["xxz-susceptibility", "--deltas=,"],
 ])
 def test_malformed_list_flags_exit_one(argv, capsys):
     assert run(argv) == 1

@@ -1,0 +1,24 @@
+"""The benchmark's span recorder patches package names by attribute.
+
+``perfbench/recorder.py`` replaces functions in the namespaces where
+their callers look them up, so a rename or deletion in the package
+breaks it.  This test makes that visible without a traced benchmark run.
+"""
+
+import importlib
+from pathlib import Path
+
+from yanglee import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_recorder_targets_resolve_and_record(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    recorder = importlib.import_module("recorder")
+    rec = recorder.Recorder()
+    assert recorder._targets(rec)  # looks up every patched name
+    with recorder.instrumented(rec):
+        assert cli.run(["xxz-bethe", "--L", "6", "--M", "3"]) == 0
+    names = {span[0] for span in rec.spans}
+    assert {"cli", "xxz.bethe", "newton"} <= names

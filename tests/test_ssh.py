@@ -124,9 +124,12 @@ def test_mode_factor_fock_trace_oracle():
 
 
 def test_mode_factor_overflow_guard():
-    val = mode_partition_factor(SSHParams(0, 1, 2), 0.0, 300.0)
+    # E = 3 at k = 0: |Re beta E| = 708 is below the float64 limit, 711 above
+    val = mode_partition_factor(SSHParams(0, 1, 2), 0.0, 236.0)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
-    assert abs(val) > 1e290
+    assert val == pytest.approx(math.exp(708.0), rel=1e-12)
+    with pytest.raises(DomainError, match="709"):
+        mode_partition_factor(SSHParams(0, 1, 2), 0.0, 237.0)
 
 
 # --- zero counting ----------------------------------------------------------

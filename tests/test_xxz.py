@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.special import roots_gegenbauer
 
 from yanglee import xxz
 from yanglee.entanglement import state_ee
@@ -286,8 +289,37 @@ def test_bethe_roots_distinct_and_symmetric():
 
 
 def test_bethe_invalid_sector():
-    with pytest.raises(DomainError):
-        solve_bethe_roots(4, 4)
+    # M > L/2 is the spin-flipped copy E_M = E_{L-M}
+    for length, m in ((4, 0), (4, 3), (4, 4), (12, 7), (11, 6)):
+        with pytest.raises(DomainError):
+            solve_bethe_roots(length, m)
+
+
+def test_bethe_roots_are_gegenbauer_zeros():
+    # scipy's Gegenbauer nodes are an independent kernel for the closed form;
+    # 63 and 92 are sectors where the Newton pass polishes (residual > 1e-12)
+    worst = 0.0
+    for length in (*range(2, 63), 63, 92, 200):
+        for m in range(1, length // 2 + 1):
+            t, _ = roots_gegenbauer(m, (length - 2 * m + 1) / 2.0)
+            worst = max(worst, np.max(np.abs(solve_bethe_roots(length, m).zeta
+                                             - 1j * np.sort(t))))
+    assert worst <= 5e-15
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_bethe_closed_form_property(data):
+    length = data.draw(st.integers(2, 62))
+    m = data.draw(st.integers(1, length // 2))
+    roots = solve_bethe_roots(length, m)
+    z = roots.zeta
+    assert z.shape == (m,)
+    assert np.max(np.abs(xxz._bethe_residual(length)(z))) <= 1e-12
+    assert np.all(z.real == 0.0) and not np.any(np.signbit(z.real))
+    assert np.all(np.diff(z.imag) > 0.0)
+    assert roots.sum_rule_linear <= 1e-12
+    assert roots.sum_rule_quadratic <= 1e-12 * max(1.0, m * m / length)
 
 
 # --- energies, gaps, response ----------------------------------------------------
@@ -347,9 +379,20 @@ def test_susceptibility_scaling():
     assert chis[0.05] / chis[0.1] == pytest.approx(2.0, abs=1e-10)
 
 
-def test_susceptibility_field_too_large():
+def test_susceptibility_closed_form():
+    for length, j in ((2, 1.0), (7, 0.3), (12, 2.5)):
+        deltas = [-0.001, -0.02, -0.3]
+        scan = susceptibility_scaling(length, j, deltas)
+        for (mag, chi), d in zip(scan.table, deltas):
+            assert mag == abs(d)
+            assert chi == pytest.approx(-(length - 1) / (length * j * d), rel=1e-15)
+        assert scan.sigma_fit == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("length,j", [(1, 1.0), (8, 0.0), (8, -1.0)])
+def test_susceptibility_rejects_bad_chain(length, j):
     with pytest.raises(DomainError):
-        susceptibility_scaling(4, 1.0, [-0.001], h=0.5)
+        susceptibility_scaling(length, j, [-0.02, -0.05])
 
 
 def test_susceptibility_needs_gapless_side():
