@@ -30,6 +30,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 
 import numpy as np
 import scipy
@@ -243,7 +244,13 @@ def _cmd_xxz_susceptibility(args):
 # --- parser ------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every subcommand, built once per process.
+
+    Parsing reads the tree without changing it: each ``parse_args`` call
+    starts from a fresh namespace and converts string defaults anew.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="CSV/JSON path (default stdout)")
     common.add_argument("--manifest", default=None, help="JSON run manifest path")

@@ -10,8 +10,11 @@ Total S^z is conserved, so the Hamiltonian blocks by the number M of
 flipped spins (magnons); translation commutes with H for every complex
 Delta, so each sector blocks further by lattice momentum k.  The spectra,
 partition sums and ground states come from the (M, k) blocks, built once
-per (L, J) as A + Delta diag(d); the M sectors in the plain spin basis
-remain as the reference they are tested against.
+per (L, J) as A + Delta diag(d).  Spin flip maps (M, k) to (L - M, k) and
+reflection maps (M, k) to (M, -k), both for every complex Delta, so only
+the blocks with M <= L/2 and 0 <= k <= pi are built, and each of their
+eigenvalues counts once for every block it stands for.  The M sectors in
+the plain spin basis remain as the reference they are tested against.
 
 Near the ferromagnetic point Delta = 1 the (L+1)-fold degenerate ground
 multiplet splits at first order in delta = Delta - 1 as
@@ -123,23 +126,29 @@ def build_sector_hamiltonian(p: XXZParams, sector: MagnonSector) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SectorBlocks:
-    """Every (M, k) block of H(Delta) = A + Delta diag(d), stacked by block size.
+    """The distinct (M, k) blocks of H(Delta) = A + Delta diag(d), stacked by block size.
 
-    ``stacks[i] = (A, d, m)``: A has shape (count, n, n), d (count, n),
-    and m holds the magnon number of each of the count blocks.
+    Only M <= L/2 and q <= L/2 (k = 2 pi q / L) are built: spin flip gives
+    (L - M, k) and reflection (M, -k) the same spectrum at every complex
+    Delta.  ``stacks[i] = (A, d, m)``: A has shape (count, n, n), d
+    (count, n), and m holds the magnon number of each of the count blocks.
     ``words[i]`` (count, n) holds the representative words of the basis
     states of those blocks and ``momenta[i]`` (count,) their momentum
-    index q, k = 2 pi q / L.  ``magnons`` gives the M of every column
-    that ``eigvals`` returns.
+    index q.  For every column that ``eigvals`` returns, ``magnons`` gives
+    its M, ``repeats`` the number of k-blocks of that sector it stands for
+    (2 for 0 < q < L/2, else 1) and ``weights`` the number of the 2^L
+    levels it stands for (``repeats``, doubled for M < L/2).
     """
 
     stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     words: tuple[np.ndarray, ...]
     momenta: tuple[np.ndarray, ...]
     magnons: np.ndarray
+    repeats: np.ndarray
+    weights: np.ndarray
 
     def eigvals(self, aniso) -> np.ndarray:
-        """All 2^L eigenvalues at each anisotropy: shape aniso.shape + (2^L,).
+        """The distinct eigenvalues at each anisotropy: shape aniso.shape + (columns,).
 
         One ``np.linalg.eigvals`` call per block size serves every
         anisotropy in ``aniso`` at once.
@@ -163,7 +172,7 @@ def _block_matrices(a: np.ndarray, d: np.ndarray, aniso: np.ndarray) -> np.ndarr
 
 @lru_cache(maxsize=4)
 def sector_blocks(L: int, J: float) -> SectorBlocks:
-    """Momentum-state blocks of every magnon sector (Sandvik, arXiv:1101.3281, sec. 4).
+    """Momentum-state blocks of the sectors M, q <= L/2 (Sandvik, arXiv:1101.3281, sec. 4).
 
     T shifts every spin one site along the chain.  Each translation orbit
     is represented by its least word a, of period R_a; the state
@@ -203,8 +212,8 @@ def sector_blocks(L: int, J: float) -> SectorBlocks:
     hop_scale = -0.5 * J * np.sqrt(period[a] / period[b])
 
     by_size: dict[int, list] = {}
-    for m in range(L + 1):
-        for q in range(L):  # k = 2 pi q / L
+    for m in range(L // 2 + 1):
+        for q in range(L // 2 + 1):  # k = 2 pi q / L
             mine = reps[(magnons[reps] == m) & (q * period[reps] % L == 0)]
             if mine.size == 0:
                 continue
@@ -224,21 +233,30 @@ def sector_blocks(L: int, J: float) -> SectorBlocks:
         stack_words.append(ws)
         stack_momenta.append(qs)
     column_magnons = np.concatenate([np.repeat(ms, d.shape[-1]) for _, d, ms in stacks])
-    column_magnons.setflags(write=False)
+    column_q = np.concatenate([np.repeat(q, d.shape[-1])
+                               for (_, d, _), q in zip(stacks, stack_momenta)])
+    repeats = np.where((column_q > 0) & (2 * column_q < L), 2, 1)
+    weights = (repeats * np.where(2 * column_magnons < L, 2, 1)).astype(float)
+    for arr in (column_magnons, repeats, weights):
+        arr.setflags(write=False)
     return SectorBlocks(stacks=tuple(stacks), words=tuple(stack_words),
-                        momenta=tuple(stack_momenta), magnons=column_magnons)
+                        momenta=tuple(stack_momenta), magnons=column_magnons,
+                        repeats=repeats, weights=weights)
 
 
 def full_spectrum(p: XXZParams) -> list[tuple[int, np.ndarray]]:
     """All 2^L eigenvalues, sector by sector, each block sorted by (Re, Im).
 
-    Each sector's spectrum is the union of its momentum blocks.
+    Each sector's spectrum is the union of its momentum blocks: sector M
+    reads the built sector min(M, L - M) and repeats the values of every
+    q block that also stands for -q.
     """
     blocks = sector_blocks(p.L, p.J)
     vals = blocks.eigvals(p.delta_aniso)
     out = []
     for m in range(p.L + 1):
-        sector_vals = vals[blocks.magnons == m]
+        mine = blocks.magnons == min(m, p.L - m)
+        sector_vals = np.repeat(vals[mine], blocks.repeats[mine])
         out.append((m, sector_vals[np.lexsort((sector_vals.imag, sector_vals.real))]))
     return out
 
@@ -251,35 +269,32 @@ def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
     over all of its k-blocks; a later M replaces the best so far only
     when its real part is lower by more than 1e-12, so degeneracies
     resolve to the smaller magnon number and the all-up product state
-    represents the ferromagnetic doublet on the gapped side.  Only
-    M <= L/2 is searched: spin flip maps M to L - M with the same
-    spectrum for every complex Delta, so a larger M never wins.
+    represents the ferromagnetic doublet on the gapped side.  Only the
+    blocks of ``sector_blocks`` are searched, M <= L/2 and q <= L/2: spin
+    flip and reflection repeat their spectra, so a larger M never wins.
 
     One ``dense_eig`` on the winning block then gives the vector, a
     momentum eigenstate expanded into the spin basis.  When the winning
-    level is degenerate across k-blocks of one M (k and -k, say), the
-    state is the momentum eigenstate of the first such block, the one
-    whose computed eigenvalue sorts first, not a mixture of the blocks.
+    level is degenerate across k-blocks of one M, the state is the
+    momentum eigenstate of the first such block, the one whose computed
+    eigenvalue sorts first, not a mixture of the blocks; of a pair k, -k
+    it is always the +q block, q <= L/2, since only that one is built.
     """
     L = p.L
     blocks = sector_blocks(L, p.J)
     aniso = np.asarray(p.delta_aniso, dtype=complex)
-    parts = []  # (eigenvalues, their M, stack index, block index) per stack
-    for s, (a, d, ms) in enumerate(blocks.stacks):
-        keep = np.flatnonzero(ms <= L // 2)
-        n = a.shape[-1]
-        vals = np.linalg.eigvals(_block_matrices(a[keep], d[keep], aniso)).ravel()
-        parts.append((vals, np.repeat(ms[keep], n), np.full(vals.size, s),
-                      np.repeat(keep, n)))
-    vals, mags, stack_of, block_of = (np.concatenate(x) for x in zip(*parts))
+    vals, mags = blocks.eigvals(aniso), blocks.magnons
     order = np.lexsort((vals.imag, vals.real, mags))
     candidates = order[np.diff(mags[order], prepend=-1) != 0]  # per M, M ascending
     win = candidates[0]
     for c in candidates[1:]:
         if vals[c].real < vals[win].real - 1e-12:
             win = c
-    s, i = stack_of[win], block_of[win]
+    # the winning column lies in block i of stack s
+    columns = np.cumsum([d.size for _, d, _ in blocks.stacks])
+    s = int(np.searchsorted(columns, win, side="right"))
     a, d, _ = blocks.stacks[s]
+    i = (win - (columns[s] - d.size)) // d.shape[-1]
     es = dense_eig(_block_matrices(a[i:i + 1], d[i:i + 1], aniso)[0])
     if not abs(es.values[0] - vals[win]) <= 1e-10:
         raise YangLeeError(f"winning block eigenvalue {vals[win]} not reproduced "
@@ -313,13 +328,15 @@ def partition_scaled(L: int, J: float, beta: float,
     """exp(beta * min Re E) * Z(Delta); the natural zero-finding residual.
 
     Every Boltzmann term has modulus <= 1 after the shift, so |result|
-    is already normalized by the dominant eigen-weight.  A scalar
-    anisotropy ``aniso`` = Delta gives a complex; an array of them gives
-    an array of the same shape, evaluated in one batch.
+    is already normalized by the dominant eigen-weight.  Each distinct
+    eigenvalue of ``sector_blocks`` enters with its multiplicity.  A
+    scalar anisotropy ``aniso`` = Delta gives a complex; an array of them
+    gives an array of the same shape, evaluated in one batch.
     """
-    vals = sector_blocks(L, J).eigvals(aniso)
+    blocks = sector_blocks(L, J)
+    vals = blocks.eigvals(aniso)
     shift = vals.real.min(axis=-1)
-    total = np.exp(-beta * (vals - shift[..., None])).sum(axis=-1)
+    total = np.exp(-beta * (vals - shift[..., None])) @ blocks.weights
     return complex(total) if total.ndim == 0 else total
 
 

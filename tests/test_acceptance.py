@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from yanglee import entanglement, ssh, xxz
 from yanglee.cli import run as cli_run
@@ -286,6 +287,20 @@ def test_criterion_11_property_suite(tmp_path):
     spectra = dict(xxz.full_spectrum(p8))
     flip = max(np.max(np.abs(spectra[m] - spectra[8 - m])) for m in range(9))
     checks.append((f"spin-flip symmetry dev {flip:.1e} <= 1e-10", flip <= 1e-10))
+    # full_spectrum builds M > L/2 from M < L/2, so the line above is 0 by
+    # construction; the plain M sectors measure the symmetry it assumes
+    oracle = [scipy.linalg.eigvals(xxz.build_sector_hamiltonian(
+        p8, xxz.magnon_sector(8, m))) for m in range(9)]
+
+    def matched_dev(a, b):
+        cost = np.abs(np.subtract.outer(a, b))
+        return cost[linear_sum_assignment(cost)].max()
+
+    oracle_flip = max(matched_dev(oracle[m], oracle[8 - m]) for m in range(9))
+    folded = max(matched_dev(spectra[m], oracle[m]) for m in range(9))
+    checks.append((f"oracle sectors M vs L-M dev {oracle_flip:.1e}, folded vs "
+                   f"oracle dev {folded:.1e} <= 1e-10",
+                   max(oracle_flip, folded) <= 1e-10))
 
     # Hermitian-limit reality
     vals = np.concatenate([v for _, v in

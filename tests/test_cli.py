@@ -63,6 +63,31 @@ def test_manifest_contents(tmp_path):
     assert data["parameters"]["L_list"] == [6]
 
 
+def test_cached_parser_carries_no_state_between_runs(tmp_path, capsys):
+    # run() reuses one parser per process: what one call sets must not
+    # become a default of the next
+    manifest = tmp_path / "gap.json"
+    calls = [["xxz-gap", "--L-list", "6", "--manifest", str(manifest)],
+             ["xxz-gap"],
+             ["xxz-poly", "--L", "5", "--format", "json"],
+             ["xxz-poly", "--L", "5"]]
+    outputs = []
+    for argv in calls:
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        if manifest.exists():
+            assert argv == calls[0]
+            manifest.unlink()
+    assert [row.split(",")[0] for row in outputs[1].splitlines()[1:]] == ["6", "8", "10"]
+    assert outputs[3].startswith("exponent,coefficient\n")
+    assert sorted(tmp_path.iterdir()) == []
+    for argv, output in zip(calls, outputs):
+        build_parser.cache_clear()
+        assert run(argv) == 0
+        assert capsys.readouterr().out == output
+    manifest.unlink()
+
+
 def test_json_format(capsys):
     assert run(["xxz-poly", "--L", "3", "--format", "json"]) == 0
     records = json.loads(capsys.readouterr().out)
