@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy  # scipy.linalg loads on first use, not at import
 
 from ..errors import DomainError, YangLeeError
 

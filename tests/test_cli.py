@@ -1,9 +1,13 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import yanglee
 from yanglee.cli import build_parser, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -190,3 +194,14 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
         if code != 0 or not output.strip():
             failed.append((line, code))
     assert failed == []
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg costs about 0.3 s of start-up; the modules that use it
+    # import bare scipy, which loads the submodule on first attribute access
+    src = str(Path(yanglee.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, yanglee.cli; print('scipy.linalg' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

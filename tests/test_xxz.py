@@ -458,7 +458,11 @@ def test_gapless_ground_state_sector():
 
 # --- ground state through the (M, k) blocks against the sector oracle -------------
 
-GROUND_ANISOTROPIES = (0.95 + 0.03j, 1.04 + 0.02j, 0.9, 1.1)
+# 1.0: the whole multiplet is degenerate, so every sector's q = 0 block
+# ties for the lowest level; -2.5 + 0.2j and 3.5 - 0.3j lie deep on the
+# gapless and gapped sides; 0.6 + 0.4j puts odd L far onto the gapless side
+GROUND_ANISOTROPIES = (0.95 + 0.03j, 1.04 + 0.02j, 0.9, 1.1, 1.0,
+                       -2.5 + 0.2j, 3.5 - 0.3j, 0.6 + 0.4j)
 
 
 def _oracle_ground_state(p: XXZParams):
@@ -469,10 +473,14 @@ def _oracle_ground_state(p: XXZParams):
     """
     best = None
     for m in range(p.L + 1):
-        es = dense_eig(build_sector_hamiltonian(p, magnon_sector(p.L, m)))
-        if best is None or es.values[0].real < best[1].real - 1e-12:
-            best = (m, es.values[0], es.values, es.right_vectors[:, 0])
-    return best
+        h0, d = _oracle_sector_parts(p.L, m, p.J)
+        vals = scipy.linalg.eigvals(h0 + p.delta_aniso * d)
+        low = vals[np.lexsort((vals.imag, vals.real))[0]]
+        if best is None or low.real < best[1].real - 1e-12:
+            best = (m, low)
+    h0, d = _oracle_sector_parts(p.L, best[0], p.J)
+    es = dense_eig(h0 + p.delta_aniso * d)
+    return best[0], es.values[0], es.values, es.right_vectors[:, 0]
 
 
 @pytest.mark.parametrize("L", range(2, 11))
@@ -487,13 +495,52 @@ def test_ground_state_matches_sector_oracle(L, J):
         if aniso.real < 1:  # gapless side: for odd L spin flip ties M with L - M
             assert m == L // 2
         sector = magnon_sector(L, m)
-        h = build_sector_hamiltonian(p, sector)
+        h0, d = _oracle_sector_parts(L, m, J)
+        h = h0 + aniso * d
         v = psi[sector.basis]
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12  # psi lies in the M sector
         assert np.linalg.norm(h @ v - energy * v) <= 1e-10 * np.linalg.norm(h)
         if np.sum(np.abs(spectrum - e_ref) <= 1e-8) == 1:
             overlap = np.vdot(vec_ref, v) / np.linalg.norm(vec_ref)
             assert abs(overlap) >= 1.0 - 1e-10
+
+
+def _exhaustive_ground_state(p: XXZParams):
+    """ground_state's selection over the eigenvalues of every (M, k) block."""
+    blocks = sector_blocks(p.L, p.J)
+    vals, mags = blocks.eigvals(p.delta_aniso), blocks.magnons
+    win = None
+    for m in np.unique(mags):
+        mine = np.flatnonzero(mags == m)
+        c = mine[np.lexsort((vals[mine].imag, vals[mine].real))[0]]
+        if win is None or vals[c].real < vals[win].real - 1e-12:
+            win = c
+    start = 0
+    for (a, d, _), words, momenta in zip(blocks.stacks, blocks.words, blocks.momenta):
+        count, n = d.shape
+        if win < start + count * n:
+            i = (win - start) // n
+            aniso = np.asarray(p.delta_aniso, dtype=complex)
+            es = dense_eig(xxz._block_matrices(a[i:i + 1], d[i:i + 1], aniso)[0])
+            psi = xxz._momentum_state(p.L, words[i], momenta[i], es.right_vectors[:, 0])
+            return int(mags[win]), complex(es.values[0]), psi / np.linalg.norm(psi)
+        start += count * n
+
+
+@pytest.mark.parametrize("L", range(2, 13))
+@settings(max_examples=8, deadline=None, database=None, derandomize=True)
+@given(J=st.sampled_from([1.0, 0.7]),
+       re=st.one_of(st.floats(-3.0, 3.0), st.floats(0.9, 1.1), st.just(1.0)),
+       im=st.one_of(st.floats(-1.0, 1.0), st.floats(-0.05, 0.05), st.just(0.0)))
+def test_pruned_ground_state_equals_exhaustive(L, J, re, im):
+    # ground_state solves only the blocks whose Bendixson bound can reach
+    # the lowest level; the result must be the one the full spectrum picks
+    p = XXZParams(J=J, delta_aniso=complex(re, im), L=L)
+    m, energy, psi = ground_state(p)
+    m_ref, energy_ref, psi_ref = _exhaustive_ground_state(p)
+    assert m == m_ref
+    assert np.array([energy]).tobytes() == np.array([energy_ref]).tobytes()
+    assert psi.tobytes() == psi_ref.tobytes()
 
 
 @pytest.mark.parametrize("L", range(2, 9))
