@@ -3,8 +3,8 @@
 Every subcommand runs one scan or verification, writes a CSV table (or
 JSON with --format json) to --out (stdout by default), and optionally a
 JSON run manifest to --manifest.  No command draws random numbers, so
-output is deterministic for fixed flags; the --threads option of
-xxz-zeros only affects wall time.  An empty list flag is a usage error.
+output is deterministic for fixed flags.  An empty list flag is a usage
+error.
 
 Column schemas:
   ssh-zeros-scan      w_minus_v,T,has_zeros,chi
@@ -29,7 +29,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
 import numpy as np
@@ -179,14 +178,10 @@ def _cmd_xxz_zeros(args):
                                    n_window=range(args.n_min, args.n_max + 1))
         for z, r in zip(locus.zeros, locus.residuals):
             rows.append((z.real, z.imag, "analytic", r))
-    window = (args.L, args.beta, args.J, (args.re_min, args.re_max),
-              (args.im_min, args.im_max))
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            numeric = xxz.locate_zeros_numeric(*window, grid_n=args.grid_n,
-                                               map_threads=pool.map)
-    else:
-        numeric = xxz.locate_zeros_numeric(*window, grid_n=args.grid_n)
+    numeric = xxz.locate_zeros_numeric(args.L, args.beta, args.J,
+                                       (args.re_min, args.re_max),
+                                       (args.im_min, args.im_max),
+                                       grid_n=args.grid_n)
     for z, r in zip(numeric.zeros, numeric.residuals):
         rows.append((z.real, z.imag, "numeric", r))
     return ["re_delta", "im_delta", "provenance", "residual"], rows
@@ -326,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also emit the closed-form zeros")
     s.add_argument("--n-min", type=int, default=0)
     s.add_argument("--n-max", type=int, default=0)
-    s.add_argument("--threads", type=int, default=1,
-                   help="map the grid columns over this many threads")
 
     s = add_parser("xxz-verify-zeros", _cmd_xxz_verify_zeros,
                    help="pair closed-form zeros with polished ED zeros")

@@ -59,7 +59,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional
 
 import numpy as np
 import scipy  # scipy.linalg loads on first use, not at import
@@ -83,6 +83,8 @@ class XXZParams:
             raise DomainError("J must be positive")
         if self.L < 2:
             raise DomainError("L must be at least 2")
+        if not cmath.isfinite(self.delta_aniso):
+            raise DomainError(f"anisotropy Delta must be finite, got {self.delta_aniso}")
 
 
 @dataclass
@@ -379,12 +381,17 @@ def partition_scaled(L: int, J: float, beta: float,
     is already normalized by the dominant eigen-weight.  Each distinct
     eigenvalue of ``sector_blocks`` enters with its multiplicity.  A
     scalar anisotropy ``aniso`` = Delta gives a complex; an array of them
-    gives an array of the same shape, evaluated in one batch.
+    gives an array of the same shape, evaluated in one batch, whose
+    every entry has the bits of the scalar call at that Delta.
     """
     blocks = sector_blocks(L, J)
     vals = blocks.eigvals(aniso)
     shift = vals.real.min(axis=-1)
-    total = np.exp(-beta * (vals - shift[..., None])) @ blocks.weights
+    terms = np.exp(-beta * (vals - shift[..., None]))
+    # one 1-D dot per point: a batched matrix-vector product sums in
+    # another order, so a point's bits would depend on its batch
+    total = np.array([row @ blocks.weights
+                      for row in terms.reshape(-1, terms.shape[-1])]).reshape(shift.shape)
     return complex(total) if total.ndim == 0 else total
 
 
@@ -435,22 +442,24 @@ def analytic_zeros(L: int, beta: float, J: float = 1.0,
                      residuals=[float("nan")] * len(zeros))
 
 
-def _secant_refine(f: Callable[[complex], complex], z0: complex,
-                   step: complex, tol: float = 1e-11,
-                   max_iter: int = 60,
-                   deflate: tuple[complex, ...] = ()) -> Optional[complex]:
+def _secant_refine(z0: complex, step: complex, tol: float = 1e-11,
+                   max_iter: int = 60, deflate: tuple[complex, ...] = ()
+                   ) -> Generator[complex, complex, Optional[tuple[complex, float]]]:
     """Secant iteration for a zero of f, started at z0 and z0 + step.
 
-    With ``deflate`` the iteration runs on f(z) / prod_k (z - r_k), which
-    steers it away from the known zeros r_k; convergence is still judged
-    on the undeflated |f(z)| < 1e-8.
+    A generator: it yields each point z and is sent f(z) there (see
+    ``_drive``).  It returns (root, |f(root)|) or None.  With ``deflate``
+    the iteration runs on f(z) / prod_k (z - r_k), which steers it away
+    from the known zeros r_k; convergence is still judged on the
+    undeflated |f(z)| < 1e-8.
     """
-    def g(z):
-        value = f(z)
-        return value, value / np.prod([z - r for r in deflate])
+    def g(z, value):
+        return value / np.prod([z - r for r in deflate])
 
     a, b = z0, z0 + step
-    (_, ga), (fb, gb) = g(a), g(b)
+    ga = g(a, (yield a))
+    fb = yield b
+    gb = g(b, fb)
     for _ in range(max_iter):
         if gb == ga:
             return None
@@ -458,71 +467,143 @@ def _secant_refine(f: Callable[[complex], complex], z0: complex,
         if not (np.isfinite(c.real) and np.isfinite(c.imag)):
             return None
         a, ga, b = b, gb, c
-        fb, gb = g(b)
+        fb = yield b
+        gb = g(b, fb)
         if abs(b - a) < tol and abs(fb) < 1e-8:
-            return b
-    return b if abs(fb) < 1e-8 else None
+            return b, abs(fb)
+    return (b, abs(fb)) if abs(fb) < 1e-8 else None
+
+
+def _drive(f: Callable[[np.ndarray], np.ndarray], iterations: list) -> list:
+    """Run ``_secant_refine`` generators in lockstep; their return values, in order.
+
+    Each step sends every running iteration its value from one call of f
+    over all of their points.  The arithmetic stays per iteration, in
+    Python complex, so a result does not depend on what else runs beside
+    it as long as f(points)[i] does not depend on the other points.
+    """
+    results: list = [None] * len(iterations)
+    points = {k: next(it) for k, it in enumerate(iterations)}
+    while points:
+        values = f(np.array(list(points.values())))
+        for k, value in zip(list(points), values):
+            try:
+                points[k] = iterations[k].send(complex(value))
+            except StopIteration as stop:
+                results[k] = stop.value
+                del points[k]
+    return results
+
+
+def _winding_cells(f: Callable[[np.ndarray], np.ndarray], res: np.ndarray,
+                   ims: np.ndarray, chunk: int) -> list[tuple[int, int]]:
+    """The plaquettes (i, j) of the lattice res x ims around which arg f winds by >= pi.
+
+    A plaquette's winding is the sum of the wrapped phase steps around
+    its four corners.  Windings telescope: the steps along an edge shared
+    by two rectangles cancel, so a rectangle's boundary winding is the
+    sum of its plaquettes'.  Starting from the whole window, every
+    rectangle with |W| >= pi is split at the lattice midpoint of its
+    longer side, and only the new lattice points on the cut are
+    evaluated, one level at a time in batches of at most ``chunk``
+    points.  When no plaquette winds negatively (f entire and the
+    lattice fine enough), this returns the cells a scan of every
+    plaquette flags, sorted by (i, j).
+    """
+    phase = np.empty((res.size, ims.size))
+
+    def evaluate(points: list[tuple[int, int]]) -> None:
+        for start in range(0, len(points), chunk):
+            i, j = np.array(points[start:start + chunk]).T
+            phase[i, j] = np.angle(f(res[i] + 1j * ims[j]))
+
+    def boundary(i0, i1, j0, j1):  # counterclockwise, closed
+        return ([(i, j0) for i in range(i0, i1)] + [(i1, j) for j in range(j0, j1)]
+                + [(i, j1) for i in range(i1, i0, -1)]
+                + [(i0, j) for j in range(j1, j0 - 1, -1)])
+
+    def winds(rect) -> bool:
+        i, j = np.array(boundary(*rect)).T
+        steps = (np.diff(phase[i, j]) + math.pi) % (2.0 * math.pi) - math.pi
+        return abs(steps.sum()) >= math.pi
+
+    window = (0, res.size - 1, 0, ims.size - 1)
+    evaluate(boundary(*window)[:-1])
+    rects, cells = [window], []
+    while rects:
+        cut: list[tuple[int, int]] = []
+        split = []
+        for i0, i1, j0, j1 in filter(winds, rects):
+            if i1 - i0 == 1 and j1 - j0 == 1:
+                cells.append((i0, j0))
+            elif i1 - i0 >= j1 - j0:
+                m = (i0 + i1) // 2
+                split += [(i0, m, j0, j1), (m, i1, j0, j1)]
+                cut += [(m, j) for j in range(j0 + 1, j1)]
+            else:
+                m = (j0 + j1) // 2
+                split += [(i0, i1, j0, m), (i0, i1, m, j1)]
+                cut += [(i, m) for i in range(i0 + 1, i1)]
+        evaluate(cut)
+        rects = split
+    return sorted(cells)
 
 
 def locate_zeros_numeric(L: int, beta: float, J: float,
                          re_window: tuple[float, float],
                          im_window: tuple[float, float],
-                         grid_n: int = 60,
-                         map_threads: Optional[Callable] = None) -> ZeroLocus:
+                         grid_n: int = 60) -> ZeroLocus:
     """Zeros of Z on a rectangle of the complex Delta plane.
 
-    Candidate cells come from the phase winding of the scaled partition
-    sum around each grid plaquette (Z is entire in Delta, so a 2 pi
-    winding flags an enclosed zero); each candidate is polished by
-    secant iteration.  Non-convergent candidates are reported in
-    ``dropped``.  Each grid column (fixed Re Delta) is evaluated as one
-    batch, a single ``partition_scaled`` call over all its points, which
-    keeps the batch memory at one column; ``map_threads`` may supply a
-    parallel map over the columns, merged in deterministic order.
+    The window carries a grid_n x grid_n lattice.  Candidate cells are
+    the lattice plaquettes around which the phase of the scaled partition
+    sum winds by at least pi (Z is entire in Delta, so a 2 pi winding
+    flags an enclosed zero).  They are found by bisecting the window on
+    boundary windings (Delves & Lyness, Math. Comp. 21, 543 (1967); see
+    ``_winding_cells``), so Z is evaluated only on the cuts through
+    rectangles that hold a zero, in batches of at most grid_n points,
+    not at all grid_n^2 lattice points.  Each candidate is polished by
+    secant iteration from its cell's center; all candidates advance in
+    lockstep, one ``partition_scaled`` call per step.  Roots within 1e-6
+    of one found from an earlier cell, in (i, j) order, are dropped as
+    duplicates; non-convergent candidates are reported in ``dropped``.
+    The residual of a zero is the |Z| of its last secant step.
     """
     if L > 10:
         raise DomainError("grid search capped at L = 10")
+    if not (math.isfinite(beta) and beta > 0):
+        raise DomainError(f"beta must be positive and finite, got {beta}")
+    if grid_n < 2:
+        raise DomainError(f"grid_n must be at least 2, got {grid_n}")
     re0, re1 = re_window
     im0, im1 = im_window
+    if not all(map(math.isfinite, (re0, re1, im0, im1))):
+        raise DomainError("windows must be finite")
     if not (re0 < re1 and im0 < im1):
         raise DomainError("windows must be nonempty intervals")
     res = np.linspace(re0, re1, grid_n)
     ims = np.linspace(im0, im1, grid_n)
-
-    def column(re_val: float) -> np.ndarray:
-        return partition_scaled(L, J, beta, re_val + 1j * ims)
-
-    mapper = map_threads if map_threads is not None else map
-    grid = np.array(list(mapper(column, res)))  # (re, im)
-    phase = np.angle(grid)
-
-    def wrap(d):
-        return (d + math.pi) % (2.0 * math.pi) - math.pi
+    cells = _winding_cells(lambda aniso: partition_scaled(L, J, beta, aniso),
+                           res, ims, chunk=grid_n)
+    centers = [complex(0.5 * (res[i] + res[i + 1]) - 1.0, 0.5 * (ims[j] + ims[j + 1]))
+               for i, j in cells]
+    steps = [0.1 * complex(res[i + 1] - res[i], ims[j + 1] - ims[j]) for i, j in cells]
+    polished = _drive(lambda d: partition_scaled(L, J, beta, 1.0 + d),
+                      [_secant_refine(c, s) for c, s in zip(centers, steps)])
 
     zeros: list[complex] = []
     residuals: list[float] = []
     dropped: list[complex] = []
-    for i in range(grid_n - 1):
-        for j in range(grid_n - 1):
-            winding = (wrap(phase[i + 1, j] - phase[i, j])
-                       + wrap(phase[i + 1, j + 1] - phase[i + 1, j])
-                       + wrap(phase[i, j + 1] - phase[i + 1, j + 1])
-                       + wrap(phase[i, j] - phase[i, j + 1]))
-            if abs(winding) < math.pi:
-                continue
-            center = complex(0.5 * (res[i] + res[i + 1]) - 1.0,
-                             0.5 * (ims[j] + ims[j + 1]))
-            cell = complex(res[i + 1] - res[i], ims[j + 1] - ims[j])
-            root = _secant_refine(lambda d: partition_scaled(L, J, beta, 1.0 + d),
-                                  center, 0.1 * cell)
-            if root is None:
-                dropped.append(1.0 + center)
-                continue
-            value = 1.0 + root
-            if any(abs(value - z) < 1e-6 for z in zeros):
-                continue
-            zeros.append(value)
-            residuals.append(abs(partition_scaled(L, J, beta, value)))
+    for center, result in zip(centers, polished):
+        if result is None:
+            dropped.append(1.0 + center)
+            continue
+        root, residual = result
+        value = 1.0 + root
+        if any(abs(value - z) < 1e-6 for z in zeros):
+            continue
+        zeros.append(value)
+        residuals.append(residual)
     order = np.lexsort((np.array([z.real for z in zeros]),
                         np.array([z.imag for z in zeros]))) if zeros else []
     zeros = [zeros[i] for i in order]
@@ -555,31 +636,35 @@ def verify_analytic_zeros(L: int, beta: float, J: float = 1.0) -> ZeroPairing:
     """Pair every n = 0 analytic zero one-to-one with a polished partition zero.
 
     Each analytic zero seeds a secant iteration on the scaled partition
-    sum.  When that root lands within 1e-8 of a root already found, the
-    seed is polished again on Z deflated by all roots found so far,
-    Z(delta) / prod_k (delta - r_k), and the result must still satisfy
-    |Z| <= 1e-8 undeflated.  The distinct roots are then assigned to the
-    analytic zeros by minimum total distance
-    (``scipy.optimize.linear_sum_assignment``), one row per analytic zero.
-    The paired distance measures the first-order truncation error, which
-    shrinks as beta grows.  Raises ``YangLeeError`` when a seed yields no
-    distinct partner.
+    sum; the seeds advance in lockstep, one ``partition_scaled`` call per
+    step.  Taking the seeds in order, when a root lands within 1e-8 of a
+    root already kept, that seed alone is polished again on Z deflated
+    by all roots kept so far, Z(delta) / prod_k (delta - r_k), and the
+    result must still satisfy |Z| <= 1e-8 undeflated.  The residual of a
+    root is the |Z| of its last secant step.  The distinct roots are then
+    assigned to the analytic zeros by minimum total distance
+    (``scipy.optimize.linear_sum_assignment``), one row per analytic
+    zero.  The paired distance measures the first-order truncation error,
+    which shrinks as beta grows.  Raises ``YangLeeError`` when a seed
+    yields no distinct partner.
     """
     locus = analytic_zeros(L, beta, J)
 
     def f(d):
         return partition_scaled(L, J, beta, 1.0 + d)
 
-    roots: list[complex] = []  # delta = Delta - 1
     step = 1e-4 * (1.0 + 1j)
-    for z in locus.zeros:
-        root = _secant_refine(f, z - 1.0, step)
-        if root is not None and _near_any(root, roots):
-            root = _secant_refine(f, z - 1.0, step, deflate=tuple(roots))
-        if root is None or _near_any(root, roots):
+    first = _drive(f, [_secant_refine(z - 1.0, step) for z in locus.zeros])
+    roots: list[complex] = []  # delta = Delta - 1
+    residuals: list[float] = []
+    for z, result in zip(locus.zeros, first):
+        if result is not None and _near_any(result[0], roots):
+            result = _drive(f, [_secant_refine(z - 1.0, step, deflate=tuple(roots))])[0]
+        if result is None or _near_any(result[0], roots):
             raise YangLeeError(f"no distinct partition zero near {z} "
                                f"(L={L}, beta={beta})")
-        roots.append(root)
+        roots.append(result[0])
+        residuals.append(result[1])
     # imported here: scipy.optimize adds about 0.3 s to every CLI start
     from scipy.optimize import linear_sum_assignment
 
@@ -589,7 +674,7 @@ def verify_analytic_zeros(L: int, beta: float, J: float = 1.0) -> ZeroPairing:
     numeric = [values[c] for c in cols]
     return ZeroPairing(analytic=locus.zeros, numeric=numeric,
                        distances=[abs(n - z) for n, z in zip(numeric, locus.zeros)],
-                       residuals=[abs(f(roots[c])) for c in cols])
+                       residuals=[residuals[c] for c in cols])
 
 
 def _near_any(z: complex, others: list[complex]) -> bool:

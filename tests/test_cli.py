@@ -42,15 +42,6 @@ def test_csv_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_threads_do_not_change_output(tmp_path):
-    base = ["xxz-zeros", "--L", "4", "--beta", "60", "--grid-n", "30",
-            "--im-max", "0.15"]
-    out1, out2 = tmp_path / "t1.csv", tmp_path / "t4.csv"
-    assert run(base + ["--threads", "1", "--out", str(out1)]) == 0
-    assert run(base + ["--threads", "4", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_manifest_contents(tmp_path):
     out = tmp_path / "gap.csv"
     manifest = tmp_path / "gap.json"
@@ -103,9 +94,9 @@ def test_usage_errors_exit_one(capsys):
     assert run(["no-such-command"]) == 1
     assert run(["xxz-poly"]) == 1  # missing required --L
     assert run(["xxz-poly", "--L", "4", "--bogus-flag"]) == 1
-    # --threads belongs to xxz-zeros and --tol to ssh-corr only
+    # --grid-n belongs to xxz-zeros and --tol to ssh-corr only
     assert run(["ssh-corr", "--u", "1", "--v", "2", "--w", "1",
-                "--threads", "2"]) == 1
+                "--grid-n", "2"]) == 1
     assert run(["xxz-poly", "--L", "4", "--tol", "1e-6"]) == 1
     # nothing is random, so there is no --seed; chi is exact, so no --h
     assert run(["xxz-bethe", "--L", "6", "--M", "3", "--seed", "3"]) == 1
@@ -140,6 +131,31 @@ def test_numerical_failure_exits_two(capsys):
                  ["xxz-gap", "--L-list", "6", "--delta-re=0.05"]):
         assert run(argv) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--beta=-5"], "beta"),
+    (["--beta=0"], "beta"),
+    (["--beta=nan"], "beta"),
+    (["--beta=inf"], "beta"),
+    (["--beta=100", "--grid-n=0"], "grid_n"),
+    (["--beta=100", "--grid-n=1"], "grid_n"),
+    (["--beta=100", "--re-max=inf"], "windows"),
+    (["--beta=100", "--im-min=nan"], "windows"),
+])
+def test_zero_search_domain_errors_exit_two(flags, name, capsys):
+    # these used to exit 0 with an empty table
+    assert run(["xxz-zeros", "--L", "4"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err and name in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--delta-re", "nan"],
+                                   ["--delta-re", "1", "--delta-im", "inf"]])
+def test_non_finite_anisotropy_exits_two(flags, capsys):
+    assert run(["xxz-ee", "--L", "4"] + flags) == 2
+    assert "anisotropy Delta must be finite" in capsys.readouterr().err
 
 
 def test_ssh_ee_subsystem_parsing(tmp_path):

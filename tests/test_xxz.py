@@ -130,11 +130,13 @@ def test_momentum_blocks_match_sector_oracle(L, J):
             cost = np.abs(np.subtract.outer(vals, _oracle_spectrum(p, m)))
             rows, cols = linear_sum_assignment(cost)
             assert cost[rows, cols].max() <= 1e-10
+    # a point of a batch has the bits of the scalar call: the zero search
+    # polishes in batches and must print what serial polishing printed
     anisos = np.array(ENGINE_ANISOTROPIES, dtype=complex)
     batch = partition_scaled(L, J, 100.0, anisos)
     for aniso, z in zip(anisos, batch):
         scalar = partition_scaled(L, J, 100.0, complex(aniso))
-        assert abs(z - scalar) <= 1e-12 * abs(scalar)
+        assert z.tobytes() == np.complex128(scalar).tobytes()
 
 
 @pytest.mark.parametrize("L", [2, 6, 8])
@@ -256,6 +258,85 @@ def test_numeric_window_far_from_line_is_empty():
     locus = locate_zeros_numeric(6, 100.0, 1.0, (1.5, 1.6), (0.0, 0.05),
                                  grid_n=25)
     assert locus.zeros == []
+
+
+def _scan_cells(grid: np.ndarray) -> list[tuple[int, int]]:
+    """(cells, negative): the full scan of every plaquette of ``grid``.
+
+    ``grid[i, j]`` is Z at (res[i], ims[j]); a plaquette's winding sums
+    the four wrapped phase steps counterclockwise from its corner (i, j).
+    ``cells`` lists the plaquettes with |W| >= pi in (i, j) order, and
+    ``negative`` says whether any plaquette winds by <= -pi.
+    """
+    phase = np.angle(grid)
+
+    def wrap(d):
+        return (d + math.pi) % (2.0 * math.pi) - math.pi
+
+    winding = (wrap(phase[1:, :-1] - phase[:-1, :-1])
+               + wrap(phase[1:, 1:] - phase[1:, :-1])
+               + wrap(phase[:-1, 1:] - phase[1:, 1:])
+               + wrap(phase[:-1, :-1] - phase[:-1, 1:]))
+    negative = bool((winding <= -math.pi).any())
+    return [(int(i), int(j)) for i, j in np.argwhere(np.abs(winding) >= math.pi)], negative
+
+
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(L=st.integers(2, 8), beta=st.floats(25.0, 100.0), grid_n=st.integers(2, 90),
+       re0=st.floats(0.85, 1.0), re_width=st.floats(0.01, 0.25),
+       im0=st.floats(-0.3, 0.3), im_width=st.floats(0.01, 0.4))
+def test_bisected_cells_equal_full_scan(L, beta, grid_n, re0, re_width, im0, im_width):
+    res = np.linspace(re0, re0 + re_width, grid_n)
+    ims = np.linspace(im0, im0 + im_width, grid_n)
+    grid = partition_scaled(L, 1.0, beta, res[:, None] + 1j * ims[None, :])
+    visited = np.zeros(grid.shape, dtype=int)
+
+    def lookup(aniso):
+        i = np.searchsorted(res, aniso.real)
+        j = np.searchsorted(ims, aniso.imag)
+        visited[i, j] += 1
+        return grid[i, j]
+
+    cells = xxz._winding_cells(lookup, res, ims, chunk=grid_n)
+    expect, negative = _scan_cells(grid)
+    # a bisected cell is a plaquette the scan flags; a plaquette that winds
+    # by -2 pi (aliasing on a coarse lattice) can cancel a zero's +2 pi in
+    # a larger rectangle, and only then may the bisection flag fewer
+    assert set(cells) <= set(expect)
+    if not negative:
+        assert cells == expect
+    assert visited.max() <= 1  # no lattice point is evaluated twice
+
+
+@pytest.mark.parametrize("L", [4, 6, 8])
+def test_lockstep_secant_equals_serial(L):
+    def f(d):
+        return partition_scaled(L, 1.0, 100.0, 1.0 + d)
+
+    seeds = [z - 1.0 for z in analytic_zeros(L, 100.0).zeros]
+    step = 1e-4 * (1.0 + 1j)
+
+    def counted(calls):
+        def g(d):
+            calls.append(d.size)
+            return f(d)
+        return g
+
+    lockstep_calls: list[int] = []
+    lockstep = xxz._drive(counted(lockstep_calls),
+                          [xxz._secant_refine(z, step) for z in seeds])
+    serial, serial_calls = [], []
+    for z in seeds:
+        calls: list[int] = []
+        serial += xxz._drive(counted(calls), [xxz._secant_refine(z, step)])
+        serial_calls.append(len(calls))
+    assert lockstep == serial
+    # one call per step, over every seed still running
+    assert len(lockstep_calls) == max(serial_calls)
+    assert sum(lockstep_calls) == sum(serial_calls)
+    # the reported residual is |Z| at the returned root
+    for root, residual in lockstep:
+        assert residual == abs(partition_scaled(L, 1.0, 100.0, 1.0 + root))
 
 
 def test_verify_pairing_l4():
