@@ -1,0 +1,151 @@
+"""Compare the output bytes of CLI commands between two revisions.
+
+Runs, once on the sources of a git revision and once on the working
+tree, and lists each task whose stdout, stderr or exit code differ:
+
+* every ``xxz-zeros`` and ``xxz-verify-zeros`` task of the benchmark's
+  ``zeros`` workload at the given seeds;
+* every ``ssh-zeros-scan``, ``ssh-ee`` and ``ssh-chi`` task of the
+  ``ssh`` workload at the same seeds;
+* the README's examples of those commands and of every ``ssh-``
+  command, with ``--out`` dropped so that the table goes to stdout.
+
+It also prints, per seed and for the README examples, how many
+``partition_scaled`` calls each side makes and over how many points,
+and how many correlation matrices ``ssh_correlation_matrix`` builds.
+Run from the root of a checkout:
+
+    python scripts/compare_cli_outputs.py --base HEAD~1 --seeds 1-8
+
+Exit status 0 when every output is byte-identical, 1 otherwise.  BLAS
+runs on one thread on both sides.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOAD_COMMANDS = {"zeros": ("xxz-zeros", "xxz-verify-zeros"),
+                     "ssh": ("ssh-zeros-scan", "ssh-ee", "ssh-chi")}
+
+
+def readme_tasks() -> list[list[str]]:
+    """argv of each README example of a compared command or an SSH command."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    compared = {c for commands in WORKLOAD_COMMANDS.values() for c in commands}
+    out = []
+    for line in block.splitlines():
+        argv = shlex.split(line)[1:] if line.startswith("yanglee ") else []
+        if argv and (argv[0] in compared or argv[0].startswith("ssh-")):
+            if "--out" in argv:
+                i = argv.index("--out")
+                del argv[i:i + 2]
+            out.append(argv)
+    return out
+
+
+def tasks(seeds: list[int]) -> list[tuple[str, list[str]]]:
+    """(label, argv) of the README examples and the seeds' compared tasks."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import tasks_for
+
+    out = [("readme", argv) for argv in readme_tasks()]
+    for seed in seeds:
+        for workload, commands in WORKLOAD_COMMANDS.items():
+            out += [(f"seed {seed}", list(t.argv)) for t in tasks_for(workload, seed)
+                    if t.command in commands]
+    return out
+
+
+def run_tasks(src: str) -> None:
+    """Child side: run the tasks read from stdin against ``src``, print JSON results."""
+    sys.path.insert(0, src)
+    from yanglee import cli, entanglement, xxz
+
+    counts = {"calls": 0, "points": 0, "corr": 0}
+    partition_scaled = xxz.partition_scaled
+    correlation_matrix = entanglement.ssh_correlation_matrix
+
+    def counted_partition(L, J, beta, aniso):
+        counts["calls"] += 1
+        counts["points"] += xxz.np.size(aniso)
+        return partition_scaled(L, J, beta, aniso)
+
+    def counted_correlation(*args, **kwargs):
+        counts["corr"] += 1
+        return correlation_matrix(*args, **kwargs)
+
+    xxz.partition_scaled = counted_partition
+    entanglement.ssh_correlation_matrix = counted_correlation
+    results = []
+    for label, argv in json.load(sys.stdin):
+        out, err = io.StringIO(), io.StringIO()
+        counts.update(calls=0, points=0, corr=0)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        results.append({"label": label, "argv": argv, "code": code,
+                        "stdout": out.getvalue(), "stderr": err.getvalue(), **counts})
+    json.dump(results, sys.stdout)
+
+
+def side(src: Path, todo) -> list[dict]:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, __file__, "--child", str(src)],
+                          input=json.dumps(todo), capture_output=True, text=True,
+                          env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def seed_range(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="git revision to compare against")
+    parser.add_argument("--seeds", type=seed_range, default="1-8", help="lo-hi, inclusive")
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        run_tasks(args.child)
+        return 0
+
+    todo = tasks(args.seeds)
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.base, "src"],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        base = side(Path(tmp) / "src", todo)
+    head = side(ROOT / "src", todo)
+
+    differ = 0
+    for b, h in zip(base, head):
+        if any(b[key] != h[key] for key in ("code", "stdout", "stderr")):
+            differ += 1
+            print(f"DIFFERS {b['label']}: {' '.join(b['argv'])}")
+    for label in dict.fromkeys(r["label"] for r in base):
+        tally = [{key: sum(r[key] for r in rs if r["label"] == label)
+                  for key in ("calls", "points", "corr")} for rs in (base, head)]
+        print(f"{label}: partition_scaled calls/points "
+              f"{tally[0]['calls']}/{tally[0]['points']} -> "
+              f"{tally[1]['calls']}/{tally[1]['points']}; correlation matrices "
+              f"{tally[0]['corr']} -> {tally[1]['corr']}")
+    print(f"{len(todo) - differ} of {len(todo)} outputs byte-identical to {args.base}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

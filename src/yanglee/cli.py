@@ -39,6 +39,14 @@ from .errors import DomainError, YangLeeError
 
 
 def _fmt(value) -> str:
+    # exact Python types first: table rows are mostly plain floats
+    kind = type(value)
+    if kind is float:
+        return f"{value:.12g}"
+    if kind is bool:
+        return "1" if value else "0"
+    if kind is int:
+        return str(value)
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -52,6 +60,16 @@ def _nonempty(values: list, text: str) -> list:
     if not values:
         raise argparse.ArgumentTypeError(f"empty list: {text!r}")
     return values
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
 
 
 def _int_list(text: str) -> list[int]:
@@ -121,14 +139,17 @@ def _write_manifest(path, command, args, outputs, wall_time):
 
 
 def _cmd_ssh_zeros_scan(args):
+    if not all(map(math.isfinite, (args.wv_min, args.wv_max, args.t_min, args.t_max))):
+        raise DomainError("scan window bounds must be finite")
     wv = np.linspace(args.wv_min, args.wv_max, args.wv_steps)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     scan = ssh.zeros_region_scan(args.u, wv, ts)
-    rows = []
-    for it, t in enumerate(scan.temperatures):
-        for iw, d in enumerate(scan.wv_values):
-            rows.append((d, t, bool(scan.has_zeros[it, iw]),
-                         int(scan.chi[it, iw])))
+    wv_list = scan.wv_values.tolist()
+    rows = [(d, t, has, chi)
+            for t, has_row, chi_row in zip(scan.temperatures.tolist(),
+                                           scan.has_zeros.tolist(),
+                                           scan.chi.tolist())
+            for d, has, chi in zip(wv_list, has_row, chi_row)]
     return ["w_minus_v", "T", "has_zeros", "chi"], rows
 
 
@@ -271,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--u", type=float, default=1.0)
     s.add_argument("--wv-min", type=float, default=-2.0)
     s.add_argument("--wv-max", type=float, default=2.0)
-    s.add_argument("--wv-steps", type=int, default=200)
+    s.add_argument("--wv-steps", type=_positive_int, default=200)
     s.add_argument("--t-min", type=float, default=0.005)
     s.add_argument("--t-max", type=float, default=0.5)
-    s.add_argument("--t-steps", type=int, default=50)
+    s.add_argument("--t-steps", type=_positive_int, default=50)
 
     s = add_parser("ssh-chi", _cmd_ssh_chi,
                    help="zero count vs the closed-form density")

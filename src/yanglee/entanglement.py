@@ -183,11 +183,24 @@ def ee_from_correlation(c: CorrelationMatrix) -> EEResult:
 
 def ssh_entropies(p: SSHParams, cells: int, sizes: Sequence[int],
                   filling: str = "im_neg", convention: str = "LR") -> np.ndarray:
-    """Complex S(L_A) for each subsystem size, in the order given."""
+    """Complex S(L_A) for each subsystem size, in the order given.
+
+    Every size is checked before any work.  C is built once, at the
+    largest size; C(L_A) is its leading 2 L_A x 2 L_A block, entry for
+    entry, since each entry depends only on the cell distance.
+    """
+    sizes = [int(la) for la in sizes]
     out = np.empty(len(sizes), dtype=complex)
+    if not sizes:
+        return out
+    if min(sizes) < 1:
+        raise DomainError("need 1 <= subsystem_cells <= cells/2")
+    full = ssh_correlation_matrix(p, cells, max(sizes), filling=filling,
+                                  convention=convention)
     for i, la in enumerate(sizes):
-        c = ssh_correlation_matrix(p, cells, int(la), filling=filling,
-                                   convention=convention)
+        block = full.entries[:2 * la, :2 * la]
+        c = CorrelationMatrix(entries=block, convention=convention,
+                              filling=filling, subsystem_cells=la)
         out[i] = ee_from_correlation(c).entropy
     return out
 

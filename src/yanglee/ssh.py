@@ -20,13 +20,16 @@ some mode satisfies Re E_k = 0 and Im E_k = (2n+1) pi / beta.  Those
 mode zeros, their count chi, the finite-temperature region scan, and the
 zero-temperature correlation functions of the gapped phases live here.
 
-Closed forms replace iteration where one exists: the mode momenta solve
-cos k_n = (u^2 - t_n^2 - v^2 - w^2) / (2 v w) with t_n = (2n+1) pi / beta,
-and a whole row of correlators C(1..x_max) is one trapezoidal sum over
-an equispaced momentum grid, taken by one FFT.  In the gapped phases the
-momentum integrand is periodic and analytic in the strip |Im k| < 1/xi,
-so that sum converges geometrically in the node count (Trefethen and
-Weideman, SIAM Rev. 56, 385 (2014)).
+Closed forms replace iteration where one exists.  The mode momenta
+solve cos k_n = (u^2 - t_n^2 - v^2 - w^2) / (2 v w) with
+t_n = (2n+1) pi / beta, and the admissible n have closed-form bounds.
+The region scan is one array pass: the bounds of every (T, w - v) cell
+come from one broadcast call of the routine that ``chi_count`` calls
+with scalars.  A whole row of correlators C(1..x_max) is one trapezoidal
+sum over an equispaced momentum grid, taken by one FFT.  In the gapped
+phases the momentum integrand is periodic and analytic in the strip
+|Im k| < 1/xi, so that sum converges geometrically in the node count
+(Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).
 """
 
 from __future__ import annotations
@@ -62,10 +65,21 @@ class SSHParams:
     w: float
 
     def __post_init__(self):
-        if self.u < 0 or self.v < 0 or self.w < 0:
-            raise DomainError("u, v, w must be nonnegative")
-        if self.v == 0 and self.w == 0:
-            raise DomainError("at least one of v, w must be positive")
+        _check_params(self.u, self.v, self.w)
+
+
+def _check_params(u, v, w) -> None:
+    """DomainError unless u, v, w are finite and >= 0, v and w not both 0.
+
+    Elementwise over arrays, so a scan checks its whole grid at once.
+    """
+    u, v, w = (np.asarray(a, dtype=float) for a in (u, v, w))
+    if not (np.isfinite(u).all() and np.isfinite(v).all() and np.isfinite(w).all()):
+        raise DomainError("u, v, w must be finite")
+    if (u < 0).any() or (v < 0).any() or (w < 0).any():
+        raise DomainError("u, v, w must be nonnegative")
+    if ((v == 0) & (w == 0)).any():
+        raise DomainError("at least one of v, w must be positive")
 
 
 class PhaseLabel(str, Enum):
@@ -112,15 +126,22 @@ def dispersion(p: SSHParams, k):
     return e if e.ndim else complex(e)
 
 
+def _exceptional_cosine(u, v, w):
+    """(c, exists): c = (u^2 - v^2 - w^2) / (2 v w) = cos k_E, elementwise.
+
+    ``exists`` marks where k_E = arccos c is a gap closing in (0, pi]:
+    v w > 0 and -1 <= c < 1 (arccos c > 0 for every float c < 1).
+    """
+    u, v, w = (np.asarray(a, dtype=float) for a in (u, v, w))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (u * u - v * v - w * w) / (2.0 * v * w)
+    return c, (v * w > 0) & (-1.0 <= c) & (c < 1.0)
+
+
 def exceptional_momentum(p: SSHParams) -> Optional[float]:
     """Positive momentum of the gap closing, if one exists in (0, pi]."""
-    if p.v * p.w <= 0:
-        return None
-    c = (p.u * p.u - p.v * p.v - p.w * p.w) / (2.0 * p.v * p.w)
-    if not -1.0 <= c < 1.0:
-        return None
-    k = float(np.arccos(c))
-    return k if k > 0.0 else None
+    c, exists = _exceptional_cosine(p.u, p.v, p.w)
+    return float(np.arccos(c)) if exists else None
 
 
 def phase_diagnostics(p: SSHParams) -> PhaseDiagnosis:
@@ -151,43 +172,76 @@ def mode_partition_factor(p: SSHParams, k: float, beta: float) -> complex:
     return complex(4.0 * np.cosh(0.5 * w) ** 2)
 
 
-def _broken_band_edges(p: SSHParams):
-    """Im E at both ends of the imaginary arc, (im_lo, e_max); None when gapped."""
-    if abs(p.v - p.w) >= p.u:
-        return None
-    e_max = math.sqrt(p.u * p.u - (p.v - p.w) ** 2)
-    if exceptional_momentum(p) is not None:
-        return 0.0, e_max
-    # Whole zone imaginary (u >= v + w): the arc starts at k = 0.
-    return float(dispersion(p, 0.0).imag), e_max
+def _square(x) -> np.ndarray:
+    """x ** 2 elementwise, rounded as ``float.__pow__`` (libm pow) rounds it.
+
+    libm's pow can differ from x * x in the last bit; squaring through it
+    keeps E_max, and so every count, on the bits of the scalar formula.
+    """
+    return np.asarray(np.asarray(x, dtype=float).astype(object) ** 2, dtype=float)
 
 
-def _mode_range(p: SSHParams, beta: float) -> tuple[int, int]:
-    """(n_lo, n_hi): mode n >= 0 is a zero mode when n_lo <= n <= n_hi.
+def _broken_band_edges(u, v, w):
+    """(broken, im_lo, e_max) elementwise over broadcast u, v, w.
+
+    ``broken`` marks the PT-broken points |v - w| < u; there im_lo and
+    e_max are Im E at the start and the end of the imaginary arc, and
+    both are 0 elsewhere.
+    """
+    u, v, w = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (u, v, w)))
+    broken = np.abs(v - w) < u
+    e_max = np.sqrt(np.where(broken, u * u - _square(v - w), 0.0))
+    _, from_ep = _exceptional_cosine(u, v, w)
+    # Without an exceptional momentum the whole zone is imaginary
+    # (u >= v + w), and the arc starts at Im E(k = 0).
+    im_k0 = np.sqrt((v * v + w * w + 2.0 * v * w - u * u).astype(complex)).imag
+    im_lo = np.where(broken & ~from_ep, im_k0, 0.0)
+    return broken, im_lo, e_max
+
+
+_EXACT_INDEX = 2.0 ** 53
+
+
+def _mode_range(u, v, w, beta) -> tuple[np.ndarray, np.ndarray]:
+    """(n_lo, n_hi) elementwise: mode n >= 0 is a zero mode when n_lo <= n <= n_hi.
 
     Mode n is admissible when t_n = (2n+1) pi / beta lies on the
     imaginary arc, between Im E at its start and E_max.  The closed-form
     bounds are settled on the computed t_n, which increases with n, so a
-    t_n that rounds onto an arc edge is in or out for every caller alike.
-    The range is empty (n_hi < n_lo) when no t_n fits; in the flat band
-    v w = 0 rounding can put Im E at the arc's start above E_max.
+    t_n that rounds onto an arc edge is in or out for every caller alike;
+    each settling step repeats on the points it still moves.  The range
+    is empty (n_hi < n_lo) when no t_n fits; in the flat band v w = 0
+    rounding can put Im E at the arc's start above E_max.  Raises
+    ``DomainError`` unless beta is finite and positive, and where
+    beta E_max / pi reaches 2^53, past which t_n is no longer exact.
     """
-    if beta <= 0:
-        raise DomainError("beta must be positive")
-    edges = _broken_band_edges(p)
-    if edges is None:
-        return 0, -1
-    im_lo, e_max = edges
-    n_lo = max(0, math.ceil((beta * im_lo / math.pi - 1.0) / 2.0))
-    n_hi = math.floor((beta * e_max / math.pi - 1.0) / 2.0)
-    while n_lo > 0 and (2 * n_lo - 1) * math.pi / beta >= im_lo:
-        n_lo -= 1
-    while (2 * n_lo + 1) * math.pi / beta < im_lo:
-        n_lo += 1
-    while (2 * n_hi + 3) * math.pi / beta <= e_max:
-        n_hi += 1
-    while n_hi >= 0 and (2 * n_hi + 1) * math.pi / beta > e_max:
-        n_hi -= 1
+    beta = np.asarray(beta, dtype=float)
+    if not np.all(np.isfinite(beta) & (beta > 0)):
+        raise DomainError("beta must be finite and positive")
+    broken, im_lo, e_max = _broken_band_edges(u, v, w)
+    broken, im_lo, e_max, beta = np.broadcast_arrays(broken, im_lo, e_max, beta)
+    n_lo = np.zeros(broken.shape, dtype=np.int64)
+    n_hi = np.full(broken.shape, -1, dtype=np.int64)
+    im_lo, e_max, beta = im_lo[broken], e_max[broken], beta[broken]
+    x_lo, x_hi = beta * im_lo / math.pi, beta * e_max / math.pi
+    if np.any(np.maximum(x_lo, x_hi) >= _EXACT_INDEX):
+        raise DomainError("beta E_max / pi reaches 2^53: mode energies "
+                          "(2n+1) pi / beta are no longer exact")
+    lo = np.maximum(0.0, np.ceil((x_lo - 1.0) / 2.0)).astype(np.int64)
+    hi = np.floor((x_hi - 1.0) / 2.0).astype(np.int64)
+
+    def t(n):
+        return (2 * n + 1) * math.pi / beta
+
+    while (step := (lo > 0) & (t(lo - 1) >= im_lo)).any():
+        lo -= step
+    while (step := t(lo) < im_lo).any():
+        lo += step
+    while (step := t(hi + 1) <= e_max).any():
+        hi += step
+    while (step := (hi >= 0) & (t(hi) > e_max)).any():
+        hi -= step
+    n_lo[broken], n_hi[broken] = lo, hi
     return n_lo, n_hi
 
 
@@ -198,8 +252,8 @@ def chi_count(p: SSHParams, beta: float) -> int:
     the imaginary arc, so each admissible n pairs with exactly one
     momentum.
     """
-    n_lo, n_hi = _mode_range(p, beta)
-    return max(0, n_hi - n_lo + 1)
+    n_lo, n_hi = _mode_range(p.u, p.v, p.w, beta)
+    return max(0, int(n_hi - n_lo + 1))
 
 
 def yang_lee_root_count(p: SSHParams, beta: float) -> SSHZeroSet:
@@ -211,8 +265,8 @@ def yang_lee_root_count(p: SSHParams, beta: float) -> SSHZeroSet:
     In the flat band v w = 0 every momentum solves it and k = 0 is
     reported.
     """
-    n_lo, n_hi = _mode_range(p, beta)
-    n = np.arange(n_lo, n_hi + 1)
+    n_lo, n_hi = _mode_range(p.u, p.v, p.w, beta)
+    n = np.arange(int(n_lo), int(n_hi) + 1)
     t = (2 * n + 1) * math.pi / beta
     if p.v * p.w > 0:
         c = (p.u * p.u - t * t - p.v * p.v - p.w * p.w) / (2.0 * p.v * p.w)
@@ -235,37 +289,47 @@ class RegionScan:
     boundary: list[tuple[float, Optional[float], Optional[float]]]
 
 
+def _detuning_hoppings(wv, base: float = 1.0):
+    """(v, w) with w - v = wv elementwise, the smaller of the two at ``base``."""
+    wv = np.asarray(wv, dtype=float)
+    up = wv >= 0
+    return np.where(up, base, base - wv), np.where(up, base + wv, base)
+
+
 def params_from_detuning(u: float, wv: float, base: float = 1.0) -> SSHParams:
     """Hoppings with w - v = wv, keeping both nonnegative around ``base``.
 
     The zero condition depends on the hoppings only through |v - w|, so
     the embedding is immaterial for the scan.
     """
-    if wv >= 0:
-        return SSHParams(u=u, v=base, w=base + wv)
-    return SSHParams(u=u, v=base - wv, w=base)
+    v, w = _detuning_hoppings(wv, base)
+    return SSHParams(u=u, v=float(v), w=float(w))
 
 
 def zeros_region_scan(u: float, wv_values, temperatures) -> RegionScan:
-    """chi over the grid plus the per-row detuning edges of the zero region."""
+    """chi over the grid plus the per-row detuning edges of the zero region.
+
+    One array pass: the hoppings of ``params_from_detuning``, the arc
+    edges and the settled mode range of every (T, w - v) cell come from
+    the broadcast routines that ``chi_count`` calls with scalars, so each
+    cell holds chi_count(params_from_detuning(u, wv), 1 / T).
+    """
     wv_values = np.asarray(wv_values, dtype=float)
     temperatures = np.asarray(temperatures, dtype=float)
     if np.any(temperatures <= 0):
         raise DomainError("temperatures must be positive")
-    chi = np.zeros((temperatures.size, wv_values.size), dtype=int)
-    for it, t in enumerate(temperatures):
-        beta = 1.0 / t
-        for iw, wv in enumerate(wv_values):
-            chi[it, iw] = chi_count(params_from_detuning(u, wv), beta)
+    v, w = _detuning_hoppings(wv_values)
+    _check_params(u, v, w)
+    n_lo, n_hi = _mode_range(u, v, w, 1.0 / temperatures[:, None])
+    chi = np.maximum(n_hi - n_lo + 1, 0)
     has = chi > 0
     boundary: list[tuple[float, Optional[float], Optional[float]]] = []
-    for it, t in enumerate(temperatures):
-        row = has[it]
-        if not row.any():
-            boundary.append((float(t), None, None))
-            continue
-        idx = np.nonzero(row)[0]
-        boundary.append((float(t), float(wv_values[idx[0]]), float(wv_values[idx[-1]])))
+    for t, row in zip(temperatures.tolist(), has):
+        idx = np.flatnonzero(row)
+        if idx.size:
+            boundary.append((t, float(wv_values[idx[0]]), float(wv_values[idx[-1]])))
+        else:
+            boundary.append((t, None, None))
     return RegionScan(u=u, wv_values=wv_values, temperatures=temperatures,
                       has_zeros=has, chi=chi, boundary=boundary)
 

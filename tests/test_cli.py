@@ -158,6 +158,30 @@ def test_non_finite_anisotropy_exits_two(flags, capsys):
     assert "anisotropy Delta must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ssh-zeros-scan", "--wv-min=nan"],
+    ["ssh-zeros-scan", "--t-max=inf"],
+    ["ssh-zeros-scan", "--u=nan"],
+    ["ssh-zeros-scan", "--t-min=1e-20"],
+    ["ssh-chi", "--u=1", "--v=1", "--w=1", "--beta=nan"],
+    ["ssh-chi", "--u=1", "--v=1", "--w=1", "--beta=inf"],
+    ["ssh-chi", "--u=1", "--v=1", "--w=1", "--beta=1e25"],
+    ["ssh-ee", "--u=1", "--v=inf", "--w=1"],
+])
+def test_bad_ssh_inputs_exit_two(argv, capsys):
+    # these used to end in a ValueError or OverflowError traceback
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--wv-steps=0", "--t-steps=-3", "--t-steps=x"])
+def test_scan_steps_below_one_exit_one(flag, capsys):
+    assert run(["ssh-zeros-scan", flag]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_ssh_ee_subsystem_parsing(tmp_path):
     out = tmp_path / "ee.csv"
     assert run(["ssh-ee", "--u", "0", "--v", "1", "--w", "2", "--cells", "60",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from yanglee import entanglement
 from yanglee.entanglement import (
     CorrelationMatrix,
     _distance_table,
@@ -166,6 +167,46 @@ def test_entropies_match_numpy_eigvals_route(uvw, filling, convention):
         c = ssh_correlation_matrix(p, 200, la, filling=filling,
                                    convention=convention)
         assert abs(s - _entropy_by_numpy(c)) <= 1e-10
+
+
+@pytest.mark.parametrize("uvw", [(1.0, 2.5, 1.0), (1.0, 0.9, 1.0)])  # gapped, PT-broken
+@pytest.mark.parametrize("filling", ["im_neg", "im_pos"])
+@pytest.mark.parametrize("convention", ["LR", "RR"])
+def test_entropies_equal_per_size_route_bitwise(uvw, filling, convention):
+    # one C at the largest size, sliced: the same bits as building C per size
+    p = SSHParams(*uvw)
+    sizes = [20, 5, 50, 5, 1, 20]
+    got = ssh_entropies(p, 200, sizes, filling, convention)
+    want = [ee_from_correlation(ssh_correlation_matrix(
+        p, 200, la, filling=filling, convention=convention)).entropy for la in sizes]
+    assert got.tobytes() == np.array(want, dtype=complex).tobytes()
+
+
+def test_entropies_build_one_correlation_matrix(monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args[2])
+        return ssh_correlation_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(entanglement, "ssh_correlation_matrix", counted)
+    ssh_entropies(SSHParams(1.0, 1.0, 1.0), 100, [10, 30, 5, 30])
+    assert built == [30]
+
+
+@pytest.mark.parametrize("cells, sizes", [(100, [10, 60]), (100, [10, 0]),
+                                          (100, [10, -3]), (101, [10])])
+def test_entropies_check_every_size_before_solving(monkeypatch, cells, sizes):
+    solved = []
+    monkeypatch.setattr(entanglement, "dense_eigvals", solved.append)
+    with pytest.raises(DomainError):
+        ssh_entropies(SSHParams(1.0, 1.0, 1.0), cells, sizes)
+    assert solved == []
+
+
+def test_entropies_of_no_sizes_are_empty():
+    out = ssh_entropies(SSHParams(1.0, 1.0, 1.0), 100, [])
+    assert out.shape == (0,) and out.dtype == complex
 
 
 def test_grid_validation():

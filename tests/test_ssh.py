@@ -273,6 +273,118 @@ def test_region_scan_hermitian_row_empty():
     assert not scan.has_zeros.any()
 
 
+def _brute_force_chi(u, wv, beta):
+    """Mode count by enumeration: n counts when cos k_n lies in [-1, 1].
+
+    cos k_n = (u^2 - t_n^2 - v^2 - w^2) / (2 v w), t_n = (2n+1) pi / beta,
+    with the hoppings v = 1, w = 1 + wv (wv >= 0) or v = 1 - wv, w = 1;
+    t_n <= u is necessary, which bounds n.
+    """
+    v, w = (1.0, 1.0 + wv) if wv >= 0 else (1.0 - wv, 1.0)
+    t = (2 * np.arange(math.ceil(beta * u / math.pi) + 1) + 1) * math.pi / beta
+    c = (u * u - t * t - v * v - w * w) / (2.0 * v * w)
+    return int(np.sum((c >= -1.0) & (c <= 1.0)))
+
+
+@st.composite
+def _scan_inputs(draw):
+    """(u, wv list, T list, edge T list) with u = 0, u > v + w, |w - v| = u, or any u.
+
+    An edge T puts some t_n on an end of one column's arc, give or take
+    one step in beta, where rounding decides the count.
+    """
+    kind = draw(st.sampled_from(("zero", "whole_zone", "edge", "uniform")))
+    wv = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8))
+    if kind == "zero":
+        u = 0.0
+    elif kind == "whole_zone":
+        wv = [x / 3.0 for x in wv]
+        u = 2.0 + max(abs(x) for x in wv) + draw(st.floats(1e-3, 1.0))
+    elif kind == "edge":
+        edge = draw(st.floats(1e-3, 2.5))
+        p = params_from_detuning(0.0, edge)
+        u = p.w - p.v  # the computed |w - v| of both +-edge columns
+        wv += [edge, -edge]
+    else:
+        u = draw(st.floats(0.0, 3.0))
+    temps = draw(st.lists(st.floats(-4.0, math.log10(3.0)).map(lambda x: 10.0 ** x),
+                          min_size=1, max_size=6))
+    edge_temps = []
+    for _ in range(draw(st.integers(0, 3))):
+        p = params_from_detuning(u, draw(st.sampled_from(wv)))
+        if abs(p.v - p.w) >= p.u:
+            continue
+        ends = [math.sqrt(p.u * p.u - (p.v - p.w) ** 2)]
+        if exceptional_momentum(p) is None:
+            ends.append(float(dispersion(p, 0.0).imag))
+        end = draw(st.sampled_from(ends))
+        if end > 1e-3:
+            beta = (2 * draw(st.integers(0, 30)) + 1) * math.pi / end
+            beta = math.nextafter(beta, draw(st.sampled_from((0.0, beta, math.inf))))
+            edge_temps.append(1.0 / beta)
+    return u, wv, temps, edge_temps
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_scan_inputs())
+def test_region_scan_matches_scalar_and_brute_force_counts(inputs):
+    # the brute force rounds differently on an arc edge, so edge rows are
+    # compared with the scalar count only
+    u, wv, temps, edge_temps = inputs
+    scan = zeros_region_scan(u, wv, temps + edge_temps)
+    assert scan.chi.shape == (len(temps) + len(edge_temps), len(wv))
+    for it, t in enumerate(temps + edge_temps):
+        for iw, x in enumerate(wv):
+            chi = int(scan.chi[it, iw])
+            assert chi == chi_count(params_from_detuning(u, x), 1.0 / t)
+            if it < len(temps):
+                assert chi == _brute_force_chi(u, x, 1.0 / t)
+    assert np.array_equal(scan.has_zeros, scan.chi > 0)
+
+
+@pytest.mark.parametrize("u, v, w", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
+                                     (1.0, 1.0, -math.inf)])
+def test_params_reject_non_finite(u, v, w):
+    with pytest.raises(DomainError, match="finite"):
+        SSHParams(u, v, w)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -2.0])
+@pytest.mark.parametrize("p", [SSHParams(1.0, 1.0, 1.0), SSHParams(1.0, 3.0, 1.0)])
+def test_mode_count_rejects_bad_beta(p, beta):
+    for count in (chi_count, yang_lee_root_count):
+        with pytest.raises(DomainError, match="beta must be finite and positive"):
+            count(p, beta)
+
+
+def test_mode_index_guard_at_two_to_53():
+    # E_max = 1: beta / pi counts the modes, and t_n stops being exact at 2^53
+    p = SSHParams(1.0, 1.0, 1.0)
+    beta = math.pi * 2.0 ** 52
+    assert abs(chi_count(p, beta) - 2.0 ** 51) <= 1
+    for big in (math.pi * 2.0 ** 53, 1e25):
+        with pytest.raises(DomainError, match="2\\^53"):
+            chi_count(p, big)
+        with pytest.raises(DomainError, match="2\\^53"):
+            yang_lee_root_count(p, big)
+    assert chi_count(SSHParams(1.0, 3.0, 1.0), 1e25) == 0  # gapped: no arc
+
+
+@pytest.mark.parametrize("u, wv, temps", [
+    (math.nan, [0.0], [0.1]),
+    (-1.0, [0.0], [0.1]),
+    (1.0, [0.0, math.nan], [0.1]),
+    (1.0, [0.0, math.inf], [0.1]),
+    (1.0, [0.0], [0.1, math.inf]),
+    (1.0, [0.0], [math.nan]),
+    (1.0, [0.0], [0.0]),
+    (1.0, [0.0], [1e-20]),
+])
+def test_region_scan_rejects_bad_inputs(u, wv, temps):
+    with pytest.raises(DomainError):
+        zeros_region_scan(u, wv, temps)
+
+
 def test_params_from_detuning_nonnegative():
     for wv in (-1.7, -0.2, 0.0, 0.4, 1.9):
         p = params_from_detuning(1.0, wv)
