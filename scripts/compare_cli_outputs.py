@@ -5,8 +5,10 @@ tree, and lists each task whose stdout, stderr or exit code differ:
 
 * every ``xxz-zeros`` and ``xxz-verify-zeros`` task of the benchmark's
   ``zeros`` workload at the given seeds;
-* every ``ssh-zeros-scan``, ``ssh-ee`` and ``ssh-chi`` task of the
-  ``ssh`` workload at the same seeds;
+* every ``xxz-ee`` and ``xxz-gap`` task of the ``ground`` workload at
+  the same seeds;
+* every ``ssh-corr``, ``ssh-zeros-scan``, ``ssh-ee`` and ``ssh-chi``
+  task of the ``ssh`` workload at the same seeds;
 * the README's examples of those commands and of every ``ssh-``
   command, with ``--out`` dropped so that the table goes to stdout.
 
@@ -36,7 +38,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOAD_COMMANDS = {"zeros": ("xxz-zeros", "xxz-verify-zeros"),
-                     "ssh": ("ssh-zeros-scan", "ssh-ee", "ssh-chi")}
+                     "ground": ("xxz-ee", "xxz-gap"),
+                     "ssh": ("ssh-corr", "ssh-zeros-scan", "ssh-ee", "ssh-chi")}
 
 
 def readme_tasks() -> list[list[str]]:

@@ -16,6 +16,9 @@ taken with principal-branch logarithms; Re S carries the scaling.
 (Chang, You, Wen & Ryu, Phys. Rev. Research 2, 033069 (2020).)
 
 The engine does only what the entropy needs:
+* one array expression over the momentum grid gives the filled-band
+  projectors of both conventions: the LR projector P = (H + lam)/(2 lam)
+  and, for the right state alone (RR), P P^dag / tr(P P^dag);
 * the 2x2 blocks g(d) of C for every cell distance d come from one FFT
   of the projectors over the momentum grid;
 * C is one gather g[i - j] over the cell indices;
@@ -44,7 +47,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .numerics.eig import dense_eig, dense_eigvals
+# dense_eig is not called here; perfbench's span recorder wraps
+# entanglement.dense_eig.
+from .numerics.eig import dense_eig, dense_eigvals  # noqa: F401
 from .ssh import SSHParams, bloch_hamiltonian, dispersion, exceptional_momentum
 
 _FILLINGS = ("im_neg", "im_pos")
@@ -59,42 +64,15 @@ def binary_entropy_sum(x) -> complex:
     return complex(-np.sum(q * np.log(q)))
 
 
-def binary_entropy(x) -> complex:
-    """h(x) with principal logs; exact zeros at x = +-1, h(0) = ln 2."""
-    return binary_entropy_sum([x])
-
-
-@dataclass
-class CorrelationMatrix:
-    """Filled-band two-point function on a subsystem.
-
-    entries[2*i + a, 2*j + b] couples (cell i, sublattice a) to
-    (cell j, sublattice b); convention is "LR" for the biorthogonal
-    ground pair or "RR" for the right state alone.
-    """
-
-    entries: np.ndarray
-    convention: str
-    filling: str
-    subsystem_cells: int
-
-
-@dataclass
-class EEResult:
-    entropy: complex
-    entropy_real: float
-    eigenvalues: np.ndarray
-    subsystem_length: int
-
-
 def _filled_projectors(p: SSHParams, grid: np.ndarray, filling: str,
                        convention: str) -> np.ndarray:
     """Spectral projectors of the filled band, one 2x2 matrix per momentum.
 
     Fills the -E branch (negative real part, or negative imaginary part
     on the broken arc); ``im_pos`` flips the choice on the arc only.
-    LR projectors (H + lam) / (2 lam) are one array expression over the
-    grid; RR projectors need each right eigenvector from ``dense_eig``.
+    The LR projector P = (H + lam) / (2 lam) = r l^dag / (l^dag r) is one
+    array expression over the grid.  P P^dag is proportional to r r^dag,
+    so the RR projector r r^dag / (r^dag r) is P P^dag / tr(P P^dag).
     """
     h = bloch_hamiltonian(p, grid)
     e = dispersion(p, grid)
@@ -102,15 +80,11 @@ def _filled_projectors(p: SSHParams, grid: np.ndarray, filling: str,
         raise DomainError("projector undefined at a band degeneracy")
     fill_upper = (filling == "im_pos") & (np.abs(e.real) < 1e-12)
     lam = np.where(fill_upper, e, -e)
+    lr = (h + lam[:, None, None] * np.eye(2)) / (2.0 * lam)[:, None, None]
     if convention == "LR":
-        return ((h + lam[:, None, None] * np.eye(2))
-                / (2.0 * lam)[:, None, None])
-    projectors = np.empty_like(h)
-    for i, (hk, lk) in enumerate(zip(h, lam)):
-        es = dense_eig(hk)
-        r = es.right_vectors[:, int(np.argmin(np.abs(es.values - lk)))]
-        projectors[i] = np.outer(r, r.conj()) / np.vdot(r, r)
-    return projectors
+        return lr
+    pp = lr @ lr.conj().transpose(0, 2, 1)
+    return pp / np.trace(pp, axis1=1, axis2=2)[:, None, None]
 
 
 def _momentum_grid(p: SSHParams, cells: int) -> tuple[np.ndarray, float]:
@@ -144,14 +118,15 @@ def _distance_table(projectors: np.ndarray, offset: float,
 
 def ssh_correlation_matrix(p: SSHParams, cells: int, subsystem_cells: int,
                            filling: str = "im_neg",
-                           convention: str = "LR") -> CorrelationMatrix:
-    """Subsystem two-point matrix from the half-integer momentum grid.
+                           convention: str = "LR") -> np.ndarray:
+    """(2 L_A, 2 L_A) subsystem two-point matrix from the half-integer momentum grid.
 
-    C[(i,a),(j,b)] = (1/L) sum_m exp(i k_m (i - j)) P(k_m)_{ab} with
-    k_m = 2 pi (m + 1/2) / L, one filled band per momentum.  The offset
-    grid avoids band degeneracies; if a grid point still falls within
-    1e-8 of an exceptional momentum the grid is shifted by a quarter
-    cell, and a DomainError is raised if that fails too.
+    C[2 i + a, 2 j + b] = (1/L) sum_m exp(i k_m (i - j)) P(k_m)_{ab} for
+    cells i, j and sublattices a, b, with k_m = 2 pi (m + 1/2) / L and
+    one filled band per momentum.  The offset grid avoids band
+    degeneracies; if a grid point still falls within 1e-8 of an
+    exceptional momentum the grid is shifted by a quarter cell, and a
+    DomainError is raised if that fails too.
     """
     if cells % 2 != 0:
         raise DomainError("total cell count must be even")
@@ -167,18 +142,12 @@ def ssh_correlation_matrix(p: SSHParams, cells: int, subsystem_cells: int,
     cell = np.arange(subsystem_cells)
     blocks = g[cell[:, None] - cell[None, :] + subsystem_cells - 1]
     n = 2 * subsystem_cells
-    c = blocks.transpose(0, 2, 1, 3).reshape(n, n)
-    return CorrelationMatrix(entries=c, convention=convention, filling=filling,
-                             subsystem_cells=subsystem_cells)
+    return blocks.transpose(0, 2, 1, 3).reshape(n, n)
 
 
-def ee_from_correlation(c: CorrelationMatrix) -> EEResult:
-    """Entropy sum over the eigenvalues of gamma = I - 2C."""
-    gamma = np.eye(c.entries.shape[0]) - 2.0 * c.entries
-    values = dense_eigvals(gamma)
-    s = binary_entropy_sum(values)
-    return EEResult(entropy=s, entropy_real=s.real, eigenvalues=values,
-                    subsystem_length=c.subsystem_cells)
+def ee_from_correlation(c: np.ndarray) -> complex:
+    """Complex entropy sum over the eigenvalues of gamma = I - 2C."""
+    return binary_entropy_sum(dense_eigvals(np.eye(c.shape[0]) - 2.0 * c))
 
 
 def ssh_entropies(p: SSHParams, cells: int, sizes: Sequence[int],
@@ -198,10 +167,7 @@ def ssh_entropies(p: SSHParams, cells: int, sizes: Sequence[int],
     full = ssh_correlation_matrix(p, cells, max(sizes), filling=filling,
                                   convention=convention)
     for i, la in enumerate(sizes):
-        block = full.entries[:2 * la, :2 * la]
-        c = CorrelationMatrix(entries=block, convention=convention,
-                              filling=filling, subsystem_cells=la)
-        out[i] = ee_from_correlation(c).entropy
+        out[i] = ee_from_correlation(full[:2 * la, :2 * la])
     return out
 
 

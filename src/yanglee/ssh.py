@@ -18,7 +18,7 @@ The grand-canonical partition function at mu = 0 factorizes over momenta,
 Z = prod_k (1 + e^{-beta E_k})(1 + e^{beta E_k}), so Z = 0 exactly when
 some mode satisfies Re E_k = 0 and Im E_k = (2n+1) pi / beta.  Those
 mode zeros, their count chi, the finite-temperature region scan, and the
-zero-temperature correlation functions of the gapped phases live here.
+correlation functions of the gapped phases, at T = 0 only, live here.
 
 Closed forms replace iteration where one exists.  The mode momenta
 solve cos k_n = (u^2 - t_n^2 - v^2 - w^2) / (2 v w) with
@@ -46,8 +46,6 @@ from .numerics.bessel import bessel_k0
 # adaptive_integrate is not called here; perfbench's span recorder wraps
 # ssh.adaptive_integrate.
 from .numerics.quadrature import QuadratureError, adaptive_integrate  # noqa: F401
-
-CHEMICAL_POTENTIAL = 0.0  # half filling throughout
 
 _EXCEPTIONAL_RADIUS = 1e-8
 
@@ -289,20 +287,20 @@ class RegionScan:
     boundary: list[tuple[float, Optional[float], Optional[float]]]
 
 
-def _detuning_hoppings(wv, base: float = 1.0):
-    """(v, w) with w - v = wv elementwise, the smaller of the two at ``base``."""
+def _detuning_hoppings(wv):
+    """(v, w) with w - v = wv elementwise, the smaller of the two at 1."""
     wv = np.asarray(wv, dtype=float)
     up = wv >= 0
-    return np.where(up, base, base - wv), np.where(up, base + wv, base)
+    return np.where(up, 1.0, 1.0 - wv), np.where(up, 1.0 + wv, 1.0)
 
 
-def params_from_detuning(u: float, wv: float, base: float = 1.0) -> SSHParams:
-    """Hoppings with w - v = wv, keeping both nonnegative around ``base``.
+def params_from_detuning(u: float, wv: float) -> SSHParams:
+    """Hoppings with w - v = wv, the smaller of the two at 1, both nonnegative.
 
     The zero condition depends on the hoppings only through |v - w|, so
     the embedding is immaterial for the scan.
     """
-    v, w = _detuning_hoppings(wv, base)
+    v, w = _detuning_hoppings(wv)
     return SSHParams(u=u, v=float(v), w=float(w))
 
 
@@ -339,26 +337,14 @@ def zeros_region_scan(u: float, wv_values, temperatures) -> RegionScan:
 _CHANNELS = ("AA", "AB", "BA", "BB")
 
 
-def _occupations(e, beta):
-    """Mode occupations (f_plus, f_minus) of the +E and -E bands."""
-    if beta is None:
-        return 0.0, 1.0
-    w = beta * e
-    # Re e >= 0 by the branch convention, so exp(-w) never overflows.
-    em = np.exp(-w)
-    return em / (1.0 + em), 1.0 / (1.0 + em)
+def corr_momentum(p: SSHParams, k, channel: str):
+    """T = 0 two-point function <c_alpha^dag c_beta> at momentum k (LR ground pair).
 
-
-def corr_momentum(p: SSHParams, k, beta: Optional[float], channel: str):
-    """Two-point function <c_alpha^dag c_beta> at momentum k (LR ground pair).
-
-    beta None means the zero-temperature limit, where the lower band is
-    fully occupied; that limit assumes a real gap at k.  Vectorized in k.
+    The lower band is fully occupied and the upper one empty, which
+    needs a real gap at k.  Vectorized in k.
     """
     if channel not in _CHANNELS:
         raise DomainError(f"channel must be one of {_CHANNELS}")
-    if beta is not None and beta <= 0:
-        raise DomainError("beta must be positive (or None for T = 0)")
     k_e = exceptional_momentum(p)
     if k_e is not None:
         folded = np.abs(np.mod(np.asarray(k, dtype=float) + math.pi,
@@ -369,20 +355,17 @@ def corr_momentum(p: SSHParams, k, beta: Optional[float], channel: str):
     e = dispersion(p, k)
     if np.min(np.abs(e)) < 1e-12:
         raise SingularPointError("dispersion vanishes: exceptional momentum")
-    if beta is None and np.min(np.real(e)) <= _EXCEPTIONAL_RADIUS:
+    if np.min(np.real(e)) <= _EXCEPTIONAL_RADIUS:
         raise DomainError("T = 0 correlators need a real gap (PT-unbroken mode)")
     vk = p.v + p.w * np.exp(-1j * np.asarray(k, dtype=float))
-    f_plus, f_minus = _occupations(e, beta)
     cos_phi = 1j * p.u / e
-    cos_half_sq = 0.5 * (1.0 + cos_phi)
-    sin_half_sq = 0.5 * (1.0 - cos_phi)
     if channel == "AA":
-        out = cos_half_sq * f_plus + sin_half_sq * f_minus
+        out = 0.5 * (1.0 - cos_phi)  # sin^2(phi/2)
     elif channel == "BB":
-        out = sin_half_sq * f_plus + cos_half_sq * f_minus
+        out = 0.5 * (1.0 + cos_phi)  # cos^2(phi/2)
     else:
-        # sin(phi)/2 = |v_k| / (2 E_k)
-        cross = (np.abs(vk) / (2.0 * e)) * (f_plus - f_minus)
+        # -sin(phi)/2 = -|v_k| / (2 E_k); a product keeps the signs of zeros
+        cross = (np.abs(vk) / (2.0 * e)) * -1.0
         phase = np.conj(vk) / np.abs(vk) if channel == "AB" else vk / np.abs(vk)
         out = phase * cross
     out = np.asarray(out)
@@ -406,7 +389,8 @@ def corr_row(p: SSHParams, x_max: int, channel: str,
     catches aliasing of C(N - x) onto C(x).  Each doubling evaluates
     only the new midpoints.  Returns the finer row, indexed by x - 1.
     Raises QuadratureError, carrying that row and its estimate, once
-    2^18 nodes are not enough.
+    2^18 nodes are not enough, and DomainError before any work when the
+    first grid would already reach 2^18 nodes (x_max > 32768).
 
     Valid in the gapped phases |v - w| > u.
     """
@@ -414,11 +398,12 @@ def corr_row(p: SSHParams, x_max: int, channel: str,
         raise DomainError("x must be a positive lattice distance")
     if abs(p.v - p.w) <= p.u:
         raise DomainError("T = 0 correlators need the gapped regime |v - w| > u")
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
     n = max(_FIRST_NODES, 1 << (4 * x_max - 1).bit_length())
-    f = corr_momentum(p, -math.pi + 2.0 * math.pi * np.arange(n) / n, None,
-                      channel)
+    if n >= _MAX_NODES:
+        raise DomainError(f"x_max must be at most {_MAX_NODES // 8}")
+    f = corr_momentum(p, -math.pi + 2.0 * math.pi * np.arange(n) / n, channel)
     sign = (-1.0) ** np.arange(1, x_max + 1)
 
     def row_of(values):
@@ -427,7 +412,7 @@ def corr_row(p: SSHParams, x_max: int, channel: str,
     row = row_of(f)
     while True:
         mid = corr_momentum(p, -math.pi + math.pi * (2 * np.arange(n) + 1) / n,
-                            None, channel)
+                            channel)
         f = np.stack([f, mid], axis=1).ravel()
         n *= 2
         finer = row_of(f)
@@ -549,8 +534,10 @@ class ExponentFit:
     warning: Optional[str]
 
 
-def fit_exponents(samples: list[CorrelationSample],
-                  residual_threshold: float = 0.05) -> ExponentFit:
+_RESIDUAL_THRESHOLD = 0.05
+
+
+def fit_exponents(samples: list[CorrelationSample]) -> ExponentFit:
     """Correlation-length exponent nu and anomalous power from sampled data.
 
     Per delta: fit ln(|C(x)| sqrt(x)) = c - x/xi to extract the decay
@@ -578,7 +565,7 @@ def fit_exponents(samples: list[CorrelationSample],
     nu = float(np.polyfit(np.log(deltas), np.log(1.0 / np.array(xi_fit)), 1)[0])
     power = float(np.mean(powers))
     warning = None
-    if max_resid > residual_threshold:
+    if max_resid > _RESIDUAL_THRESHOLD:
         warning = f"decay fit rms residual {max_resid:.3g} above threshold"
     xi_table = [(s.delta, float(xf), s.xi_closed)
                 for s, xf in zip(samples, xi_fit)]

@@ -79,8 +79,8 @@ class XXZParams:
     L: int
 
     def __post_init__(self):
-        if self.J <= 0:
-            raise DomainError("J must be positive")
+        if not (math.isfinite(self.J) and self.J > 0):
+            raise DomainError(f"J must be positive and finite, got {self.J}")
         if self.L < 2:
             raise DomainError("L must be at least 2")
         if not cmath.isfinite(self.delta_aniso):
@@ -196,8 +196,8 @@ def sector_blocks(L: int, J: float) -> SectorBlocks:
     <b, k|A|a, k>.  Such a hop can land in a's own orbit, so A carries a
     diagonal of its own.
     """
-    if J <= 0:
-        raise DomainError("J must be positive")
+    if not (math.isfinite(J) and J > 0):
+        raise DomainError(f"J must be positive and finite, got {J}")
     if L < 2:
         raise DomainError("L must be at least 2")
     if L > 14:
@@ -429,8 +429,8 @@ def analytic_zeros(L: int, beta: float, J: float = 1.0,
     weight per unit of the multiplet exponent M(L-M), so its logarithm
     enters with a minus sign.
     """
-    if beta <= 0 or J <= 0:
-        raise DomainError("beta and J must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in (beta, J)):
+        raise DomainError(f"beta and J must be positive and finite, got {beta}, {J}")
     roots = roots_of_polynomial(zero_polynomial(L), tol=tol)
     zeros = []
     scale = (L - 1) / (beta * J)
@@ -777,8 +777,8 @@ def ed_gap(L: int, J: float, delta_re: float) -> float:
 
 def zero_density(L: int, beta: float, J: float = 1.0) -> float:
     """Zeros per unit imaginary anisotropy along the locus: beta J N / (2 pi (L-1))."""
-    if beta <= 0 or J <= 0:
-        raise DomainError("beta and J must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in (beta, J)):
+        raise DomainError(f"beta and J must be positive and finite, got {beta}, {J}")
     n_roots = zero_polynomial(L).degree
     return beta * J * n_roots / (2.0 * math.pi * (L - 1))
 
@@ -799,13 +799,13 @@ def susceptibility_scaling(L: int, J: float, delta_res) -> SusceptibilityScan:
     chi = 2 (L/2 - M*) / (L h) = -(L - 1) / (L J delta) holds at every h.
     The log-log slope of chi against |delta| is the fitted exponent.
     """
-    if J <= 0:
-        raise DomainError("J must be positive")
+    if not (math.isfinite(J) and J > 0):
+        raise DomainError(f"J must be positive and finite, got {J}")
     if L < 2:
         raise DomainError("L must be at least 2")
     deltas = np.asarray(delta_res, dtype=float)
-    if np.any(deltas >= 0):
-        raise DomainError("susceptibility scan is for the gapless side Re delta < 0")
+    if not np.all(np.isfinite(deltas) & (deltas < 0)):
+        raise DomainError("susceptibility scan needs finite Re delta < 0 (gapless)")
     mags = np.abs(deltas)
     chis = -(L - 1) / (L * J * deltas)
     if np.unique(mags).size < 2:

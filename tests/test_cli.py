@@ -124,11 +124,13 @@ def test_help_exits_zero(capsys):
 
 
 def test_numerical_failure_exits_two(capsys):
-    # T = 0 correlators are undefined in the PT-broken phase, and the
-    # predicted gap -J Re delta / (L - 1) of xxz-gap is the gapless-side one
+    # T = 0 correlators are undefined in the PT-broken phase, the
+    # predicted gap -J Re delta / (L - 1) of xxz-gap is the gapless-side
+    # one, and x_max > 32768 puts the first correlator grid at the node cap
     for argv in (["ssh-corr", "--u", "1", "--v", "1", "--w", "1", "--x-max", "3"],
                  ["xxz-gap", "--L-list", "6", "--delta-re=0"],
-                 ["xxz-gap", "--L-list", "6", "--delta-re=0.05"]):
+                 ["xxz-gap", "--L-list", "6", "--delta-re=0.05"],
+                 ["ssh-corr", "--u=1", "--v=2.05", "--w=1", "--x-max=32769"]):
         assert run(argv) == 2
         assert "numerical failure" in capsys.readouterr().err
 
@@ -158,6 +160,28 @@ def test_non_finite_anisotropy_exits_two(flags, capsys):
     assert "anisotropy Delta must be finite" in capsys.readouterr().err
 
 
+_XXZ_WITH_J = [["xxz-zeros", "--L=4", "--beta=50", "--grid-n=8"],
+               ["xxz-verify-zeros", "--L=4", "--beta=50"],
+               ["xxz-ee", "--L=4", "--delta-re=0.9"],
+               ["xxz-gap", "--L-list=4"],
+               ["xxz-susceptibility", "--L=4"]]
+
+
+@pytest.mark.parametrize("argv", [
+    *(argv + [f"--J={j}"] for argv in _XXZ_WITH_J for j in ("nan", "inf")),
+    ["xxz-zeros", "--L=4", "--beta=50", "--grid-n=8", "--analytic", "--J=nan"],
+    ["xxz-verify-zeros", "--L=4", "--beta=nan"],
+    ["xxz-verify-zeros", "--L=4", "--beta=inf"],
+    ["xxz-susceptibility", "--L=4", "--deltas=nan,-0.1"],
+])
+def test_non_finite_xxz_inputs_exit_two(argv, capsys):
+    # these used to end in a LinAlgError traceback (exit 1) or print nan rows
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["ssh-zeros-scan", "--wv-min=nan"],
     ["ssh-zeros-scan", "--t-max=inf"],
@@ -167,9 +191,11 @@ def test_non_finite_anisotropy_exits_two(flags, capsys):
     ["ssh-chi", "--u=1", "--v=1", "--w=1", "--beta=inf"],
     ["ssh-chi", "--u=1", "--v=1", "--w=1", "--beta=1e25"],
     ["ssh-ee", "--u=1", "--v=inf", "--w=1"],
+    ["ssh-corr", "--u=1", "--v=2.05", "--w=1", "--tol=nan"],
 ])
 def test_bad_ssh_inputs_exit_two(argv, capsys):
-    # these used to end in a ValueError or OverflowError traceback
+    # these used to end in a ValueError or OverflowError traceback;
+    # ssh-corr --tol=nan used to run to the quadrature node cap first
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

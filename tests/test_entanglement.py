@@ -5,11 +5,10 @@ import pytest
 
 from yanglee import entanglement
 from yanglee.entanglement import (
-    CorrelationMatrix,
     _distance_table,
     _filled_projectors,
     _momentum_grid,
-    binary_entropy,
+    binary_entropy_sum,
     ee_from_correlation,
     ee_scaling_fit,
     ssh_correlation_matrix,
@@ -17,43 +16,40 @@ from yanglee.entanglement import (
     state_ee,
 )
 from yanglee.errors import DomainError
-from yanglee.ssh import SSHParams
+from yanglee.numerics.eig import dense_eigvals
+from yanglee.ssh import SSHParams, bloch_hamiltonian, dispersion
 
 
 # --- h function ---------------------------------------------------------------
 
 def test_binary_entropy_pointwise():
-    assert binary_entropy(1.0) == 0.0
-    assert binary_entropy(-1.0) == 0.0
-    assert abs(binary_entropy(0.0) - math.log(2.0)) < 1e-15
+    assert binary_entropy_sum([1.0]) == 0.0
+    assert binary_entropy_sum([-1.0]) == 0.0
+    assert abs(binary_entropy_sum([0.0]) - math.log(2.0)) < 1e-15
 
 
 def test_binary_entropy_even_for_real_arguments():
     for x in (0.1, 0.5, 0.99):
-        assert abs(binary_entropy(x) - binary_entropy(-x)) < 1e-14
+        assert abs(binary_entropy_sum([x]) - binary_entropy_sum([-x])) < 1e-14
 
 
 # --- correlation-matrix route ---------------------------------------------------
 
 def test_fully_filled_diagnostic_gives_zero_entropy():
     # C = identity means gamma = -I and every mode contributes h(-1) = 0
-    c = CorrelationMatrix(entries=np.eye(8, dtype=complex), convention="LR",
-                          filling="im_neg", subsystem_cells=4)
-    assert abs(ee_from_correlation(c).entropy) <= 1e-10
+    assert abs(ee_from_correlation(np.eye(8, dtype=complex))) <= 1e-10
 
 
 def test_half_filled_single_modes():
-    c = CorrelationMatrix(entries=0.5 * np.eye(2, dtype=complex),
-                          convention="LR", filling="im_neg", subsystem_cells=1)
-    res = ee_from_correlation(c)
-    assert abs(res.entropy - 2.0 * math.log(2.0)) < 1e-12
-    assert np.allclose(res.eigenvalues, 0.0)
+    c = 0.5 * np.eye(2, dtype=complex)
+    assert abs(ee_from_correlation(c) - 2.0 * math.log(2.0)) < 1e-12
+    assert np.allclose(dense_eigvals(np.eye(2) - 2.0 * c), 0.0)
 
 
 def test_hermitian_gapped_matrix_properties():
     p = SSHParams(0.0, 1.0, 2.0)
     c = ssh_correlation_matrix(p, 120, 12)
-    gamma = np.eye(24) - 2.0 * c.entries
+    gamma = np.eye(24) - 2.0 * c
     assert np.max(np.abs(gamma - gamma.conj().T)) < 1e-10
     vals = np.linalg.eigvalsh(gamma)
     assert vals.min() >= -1.0 - 1e-10 and vals.max() <= 1.0 + 1e-10
@@ -61,19 +57,19 @@ def test_hermitian_gapped_matrix_properties():
 
 def test_half_filling_sum_rule():
     c = ssh_correlation_matrix(SSHParams(1.0, 1.0, 1.0), 200, 20)
-    assert abs(np.trace(c.entries) - 20.0) <= 1e-8
+    assert abs(np.trace(c) - 20.0) <= 1e-8
 
 
 def test_hermitian_two_route_cross_check():
     # same C, two formulas: h over eig(I - 2C) vs binary entropy over eig(C)
     p = SSHParams(0.0, 1.0, 1.0)
     c = ssh_correlation_matrix(p, 80, 8)
-    res = ee_from_correlation(c)
-    occ = np.linalg.eigvalsh(c.entries)
+    s = ee_from_correlation(c)
+    occ = np.linalg.eigvalsh(c)
     occ = np.clip(occ, 1e-15, 1.0 - 1e-15)
     direct = float(-np.sum(occ * np.log(occ) + (1 - occ) * np.log(1 - occ)))
-    assert abs(res.entropy.real - direct) <= 1e-8
-    assert abs(res.entropy.imag) <= 1e-10
+    assert abs(s.real - direct) <= 1e-8
+    assert abs(s.imag) <= 1e-10
 
 
 def test_hermitian_critical_log_scaling():
@@ -88,8 +84,8 @@ def test_broken_phase_conventions_are_conjugate():
     p = SSHParams(1.0, 1.0, 1.0)
     c_neg = ssh_correlation_matrix(p, 120, 10, filling="im_neg")
     c_pos = ssh_correlation_matrix(p, 120, 10, filling="im_pos")
-    s_neg = ee_from_correlation(c_neg).entropy
-    s_pos = ee_from_correlation(c_pos).entropy
+    s_neg = ee_from_correlation(c_neg)
+    s_pos = ee_from_correlation(c_pos)
     assert abs(s_neg - np.conj(s_pos)) < 1e-8
 
 
@@ -102,10 +98,9 @@ def test_gapped_phase_area_law():
 
 def test_rr_convention_is_hermitian_state():
     p = SSHParams(1.0, 2.5, 1.0)
-    c = ssh_correlation_matrix(p, 80, 6, convention="RR")
-    res = ee_from_correlation(c)
-    assert abs(res.entropy.imag) < 1e-9
-    assert res.entropy.real >= -1e-12
+    s = ee_from_correlation(ssh_correlation_matrix(p, 80, 6, convention="RR"))
+    assert abs(s.imag) < 1e-9
+    assert s.real >= -1e-12
 
 
 # u^2 = 2 + 2 cos(5 pi / 8) puts k_E = 5 pi / 8 on the 8-cell half-integer
@@ -141,11 +136,11 @@ def test_gathered_matrix_equals_block_loop(p, cells, la):
     for i in range(la):
         for j in range(la):
             loop[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = g[(i - j) + la - 1]
-    assert np.array_equal(ssh_correlation_matrix(p, cells, la).entries, loop)
+    assert np.array_equal(ssh_correlation_matrix(p, cells, la), loop)
 
 
-def _entropy_by_numpy(c: CorrelationMatrix) -> complex:
-    lam = np.linalg.eigvals(np.eye(c.entries.shape[0]) - 2.0 * c.entries)
+def _entropy_by_numpy(c: np.ndarray) -> complex:
+    lam = np.linalg.eigvals(np.eye(c.shape[0]) - 2.0 * c)
     total = 0.0 + 0.0j
     for x in lam:
         for q in (0.5 * (1.0 + x), 0.5 * (1.0 - x)):
@@ -154,9 +149,29 @@ def _entropy_by_numpy(c: CorrelationMatrix) -> complex:
     return total
 
 
-@pytest.mark.parametrize("uvw", [(1.0, 1.0, 1.0), (1.0, 2.5, 1.0),
-                                 (1.0, 0.9, 1.0), (0.5, 1.3, 1.0),
-                                 (0.0, 1.0, 2.0)])
+_UVW = [(1.0, 1.0, 1.0), (1.0, 2.5, 1.0), (1.0, 0.9, 1.0), (0.5, 1.3, 1.0),
+        (0.0, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("uvw", _UVW)
+@pytest.mark.parametrize("filling", ["im_neg", "im_pos"])
+def test_rr_projectors_match_per_momentum_eig(uvw, filling):
+    # reference: the right eigenvector r of the filled band at each momentum,
+    # r r^dag / (r^dag r), from an independent eigensolver
+    p = SSHParams(*uvw)
+    grid, _ = _momentum_grid(p, 200)
+    e = dispersion(p, grid)
+    lam = np.where((filling == "im_pos") & (np.abs(e.real) < 1e-12), e, -e)
+    want = np.empty((grid.size, 2, 2), dtype=complex)
+    for i, (h, target) in enumerate(zip(bloch_hamiltonian(p, grid), lam)):
+        values, vectors = np.linalg.eig(h)
+        r = vectors[:, np.argmin(np.abs(values - target))]
+        want[i] = np.outer(r, r.conj()) / np.vdot(r, r)
+    got = _filled_projectors(p, grid, filling, "RR")
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("uvw", _UVW)
 @pytest.mark.parametrize("filling", ["im_neg", "im_pos"])
 @pytest.mark.parametrize("convention", ["LR", "RR"])
 def test_entropies_match_numpy_eigvals_route(uvw, filling, convention):
@@ -178,7 +193,7 @@ def test_entropies_equal_per_size_route_bitwise(uvw, filling, convention):
     sizes = [20, 5, 50, 5, 1, 20]
     got = ssh_entropies(p, 200, sizes, filling, convention)
     want = [ee_from_correlation(ssh_correlation_matrix(
-        p, 200, la, filling=filling, convention=convention)).entropy for la in sizes]
+        p, 200, la, filling=filling, convention=convention)) for la in sizes]
     assert got.tobytes() == np.array(want, dtype=complex).tobytes()
 
 
@@ -207,6 +222,18 @@ def test_entropies_check_every_size_before_solving(monkeypatch, cells, sizes):
 def test_entropies_of_no_sizes_are_empty():
     out = ssh_entropies(SSHParams(1.0, 1.0, 1.0), 100, [])
     assert out.shape == (0,) and out.dtype == complex
+
+
+@pytest.mark.parametrize("sizes", [
+    [8, 12, 16, 24],  # fewer than 5 sizes
+    [8, 10, 12, 16, 24, 31],  # span below 4x
+])
+def test_scaling_fit_size_checks(monkeypatch, sizes):
+    solved = []
+    monkeypatch.setattr(entanglement, "dense_eigvals", solved.append)
+    with pytest.raises(DomainError):
+        ee_scaling_fit(SSHParams(1.0, 2.5, 1.0), 240, sizes)
+    assert solved == []
 
 
 def test_grid_validation():

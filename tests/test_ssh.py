@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from yanglee import ssh
 from yanglee.errors import DomainError
 from yanglee.numerics import QuadratureError, dense_eig
 from yanglee.ssh import (
@@ -397,30 +398,30 @@ def test_params_from_detuning_nonnegative():
 def test_corr_momentum_hermitian_values():
     p = SSHParams(0.0, 2.0, 1.0)
     k = 1.3
-    assert abs(corr_momentum(p, k, None, "AA") - 0.5) < 1e-14
+    assert abs(corr_momentum(p, k, "AA") - 0.5) < 1e-14
     vk = p.v + p.w * np.exp(-1j * k)
     expect = -0.5 * np.conj(vk) / abs(vk)
-    assert abs(corr_momentum(p, k, None, "AB") - expect) < 1e-14
+    assert abs(corr_momentum(p, k, "AB") - expect) < 1e-14
 
 
 def test_corr_momentum_channel_relations():
     p = SSHParams(1.0, 2.0, 1.0)
     k = 1.0
     vk = p.v + p.w * np.exp(-1j * k)
-    ab = corr_momentum(p, k, None, "AB")
-    ba = corr_momentum(p, k, None, "BA")
+    ab = corr_momentum(p, k, "AB")
+    ba = corr_momentum(p, k, "BA")
     assert abs(ab / ba - np.conj(vk) / vk) < 1e-12
-    aa = corr_momentum(p, k, None, "AA")
-    bb = corr_momentum(p, k, None, "BB")
+    aa = corr_momentum(p, k, "AA")
+    bb = corr_momentum(p, k, "BB")
     assert abs(aa + bb - 1.0) < 1e-12
     # the Hermitian limit kills the u-dependent part of AA
     p_small = SSHParams(1e-6, 2.0, 1.0)
-    assert abs(corr_momentum(p_small, k, None, "AA") - 0.5) < 1e-5
+    assert abs(corr_momentum(p_small, k, "AA") - 0.5) < 1e-5
 
 
 def test_corr_momentum_singularity_guard():
     with pytest.raises(SingularPointError):
-        corr_momentum(SSHParams(1, 1, 1), 2.0 * math.pi / 3.0, 2.0, "AA")
+        corr_momentum(SSHParams(1, 1, 1), 2.0 * math.pi / 3.0, "AA")
 
 
 def test_corr_real_hermitian_is_local():
@@ -502,6 +503,24 @@ def test_corr_row_unreachable_tolerance():
         corr_row(p, 0, "AB")
 
 
+@pytest.mark.parametrize("x_max, tol", [(10, float("nan")), (10, 0.0),
+                                        (10, -1e-9), (32769, 1e-9)])
+def test_corr_row_rejects_before_any_work(monkeypatch, x_max, tol):
+    # a NaN tol used to run to the node cap; x_max > 32768 used to
+    # allocate a first grid of 2^18 nodes or more before the cap was read
+    calls = []
+    monkeypatch.setattr(ssh, "corr_momentum", lambda *args: calls.append(args))
+    with pytest.raises(DomainError):
+        corr_row(SSHParams(1.0, 2.05, 1.0), x_max, "AA", tol=tol)
+    assert calls == []
+
+
+def test_corr_row_largest_first_grid_below_the_cap():
+    row = corr_row(SSHParams(1.0, 2.05, 1.0), 32768, "AA")
+    assert row.shape == (32768,)
+    assert abs(row[-1]) <= 1e-9
+
+
 def test_corr_asymptotic_bb_is_minus_aa():
     p = SSHParams(1.0, 2.0, 0.9)
     for x in (5.0, 11.0):
@@ -542,3 +561,10 @@ def test_fit_exponents_tables_and_eta():
     # at one half, not at one
     assert abs(fit.nu - 0.5) <= 0.05
     assert fit.warning is None
+
+
+def test_fit_exponents_needs_two_samples():
+    samples = collect_correlation_samples(1.0, 1.0, [0.05], "AA")
+    for few in (samples, []):
+        with pytest.raises(DomainError):
+            fit_exponents(few)

@@ -508,6 +508,21 @@ def test_susceptibility_rejects_bad_chain(length, j):
         susceptibility_scaling(length, j, [-0.02, -0.05])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_coupling_and_temperature_rejected(bad):
+    # NaN and inf passed the sign checks and reached LAPACK or a fit
+    for call in (lambda: xxz.XXZParams(J=bad, delta_aniso=0.9, L=4),
+                 lambda: sector_blocks(4, bad),
+                 lambda: analytic_zeros(4, bad),
+                 lambda: analytic_zeros(4, 50.0, bad),
+                 lambda: zero_density(4, bad),
+                 lambda: zero_density(4, 50.0, bad),
+                 lambda: susceptibility_scaling(4, bad, [-0.02, -0.05]),
+                 lambda: susceptibility_scaling(4, 1.0, [-bad, -0.05])):
+        with pytest.raises(DomainError, match="finite"):
+            call()
+
+
 def test_susceptibility_needs_gapless_side():
     with pytest.raises(DomainError):
         susceptibility_scaling(8, 1.0, [0.05])
