@@ -12,7 +12,11 @@ tree, and lists each task whose stdout, stderr or exit code differ:
 * the README's examples of those commands and of every ``ssh-``
   command, with ``--out`` dropped so that the table goes to stdout.
 
-It also prints, per seed and for the README examples, how many
+When bytes differ, it prints the largest absolute and relative move of
+a numeric field per command and column, the zero coordinates apart from
+the residuals and the other columns, and names (``NOT MEASURED``) each
+task whose exit code, stderr or table shape differs or whose changed
+field is not a finite number on both sides.  It also prints, per seed and for the README examples, how many
 ``partition_scaled`` calls each side makes and over how many points,
 and how many correlation matrices ``ssh_correlation_matrix`` builds.
 Run from the root of a checkout:
@@ -27,8 +31,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -40,6 +46,9 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOAD_COMMANDS = {"zeros": ("xxz-zeros", "xxz-verify-zeros"),
                      "ground": ("xxz-ee", "xxz-gap"),
                      "ssh": ("ssh-corr", "ssh-zeros-scan", "ssh-ee", "ssh-chi")}
+ZERO_COLUMNS = {"re_delta", "im_delta", "re_analytic", "im_analytic",
+                "re_numeric", "im_numeric"}
+RESIDUAL_COLUMNS = {"residual"}
 
 
 def readme_tasks() -> list[list[str]]:
@@ -111,6 +120,57 @@ def side(src: Path, todo) -> list[dict]:
     return json.loads(proc.stdout)
 
 
+def numeric_moves(base: list[dict], head: list[dict]):
+    """({(command, column): (largest |a - b|, largest relative move)}, [odd tasks]).
+
+    A task is odd when its exit code or stderr differs, its tables differ
+    in shape, or a changed field is not a finite number on both sides.
+    """
+    moves: dict[tuple[str, str], tuple[float, float]] = {}
+    odd: dict[str, None] = {}  # ordered set of command lines
+    for b, h in zip(base, head):
+        if b["stdout"] == h["stdout"] and b["code"] == h["code"] and b["stderr"] == h["stderr"]:
+            continue
+        tables = [list(csv.reader(io.StringIO(r["stdout"]))) for r in (b, h)]
+        if (b["code"] != h["code"] or b["stderr"] != h["stderr"] or not tables[0]
+                or [len(row) for row in tables[0]] != [len(row) for row in tables[1]]):
+            odd[" ".join(b["argv"])] = None
+            continue
+        for row_b, row_h in zip(*tables):
+            for column, x, y in zip(tables[0][0], row_b, row_h):
+                if x == y:
+                    continue
+                try:
+                    fx, fy = float(x), float(y)
+                except ValueError:
+                    fx = fy = math.nan
+                step = abs(fx - fy)
+                if not math.isfinite(step):  # text, or a nan or inf on one side
+                    odd[" ".join(b["argv"])] = None
+                    continue
+                key = (b["argv"][0], column)
+                old = moves.get(key, (0.0, 0.0))
+                moves[key] = (max(old[0], step),
+                              max(old[1], step / max(abs(fx), abs(fy)) if step else 0.0))
+    return moves, list(odd)
+
+
+def report_moves(base: list[dict], head: list[dict]) -> None:
+    moves, odd = numeric_moves(base, head)
+    groups = (("zero coordinates", lambda c: c in ZERO_COLUMNS),
+              ("residuals", lambda c: c in RESIDUAL_COLUMNS),
+              ("other columns", lambda c: c not in ZERO_COLUMNS | RESIDUAL_COLUMNS))
+    for title, member in groups:
+        keys = sorted(k for k in moves if member(k[1]))
+        if keys:
+            print(f"largest moves, {title} (absolute, relative):")
+        for command, column in keys:
+            step, rel = moves[command, column]
+            print(f"  {command} {column}: {step:.3g}, {rel:.3g}")
+    for line in odd:
+        print(f"NOT MEASURED: {line}")
+
+
 def seed_range(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -139,6 +199,7 @@ def main() -> int:
         if any(b[key] != h[key] for key in ("code", "stdout", "stderr")):
             differ += 1
             print(f"DIFFERS {b['label']}: {' '.join(b['argv'])}")
+    report_moves(base, head)
     for label in dict.fromkeys(r["label"] for r in base):
         tally = [{key: sum(r[key] for r in rs if r["label"] == label)
                   for key in ("calls", "points", "corr")} for rs in (base, head)]

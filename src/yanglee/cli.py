@@ -170,9 +170,10 @@ def _cmd_ssh_corr(args):
     for x, c in enumerate(row.tolist(), start=1):
         try:
             a = ssh.corr_asymptotic(p, float(x), args.channel)
-            ratio = abs(c / a)
         except YangLeeError:
-            a, ratio = complex("nan"), float("nan")
+            a = complex("nan")
+        # far from criticality K0 underflows: a zero or subnormal asymptote has no ratio
+        ratio = abs(c / a) if abs(a) >= sys.float_info.min else float("nan")
         rows.append((x, c.real, c.imag, a.real, a.imag, ratio))
     return ["x", "re_corr", "im_corr", "re_asym", "im_asym", "abs_ratio"], rows
 

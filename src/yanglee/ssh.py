@@ -131,7 +131,7 @@ def _exceptional_cosine(u, v, w):
     v w > 0 and -1 <= c < 1 (arccos c > 0 for every float c < 1).
     """
     u, v, w = (np.asarray(a, dtype=float) for a in (u, v, w))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c = (u * u - v * v - w * w) / (2.0 * v * w)
     return c, (v * w > 0) & (-1.0 <= c) & (c < 1.0)
 

@@ -8,19 +8,23 @@ i = 1..L (for L = 2 the single bond is counted twice; that convention is
 what makes the first-order multiplet energies below exact at L = 2).
 Total S^z is conserved, so the Hamiltonian blocks by the number M of
 flipped spins (magnons); translation commutes with H for every complex
-Delta, so each sector blocks further by lattice momentum k.  The spectra,
-partition sums and ground states come from the (M, k) blocks, built once
-per (L, J) as A + Delta diag(d).  Spin flip maps (M, k) to (L - M, k) and
-reflection maps (M, k) to (M, -k), both for every complex Delta, so only
-the blocks with M <= L/2 and 0 <= k <= pi are built, and each of their
-eigenvalues counts once for every block it stands for.  The ground state
-solves only the blocks that can hold the lowest level: by Bendixson's
-theorem (Acta Math. 25, 359 (1902)) every eigenvalue of a block H has
-Re E >= lambda_min((H + H^dagger)/2), a bound that batched ``eigh``
-calls give for all blocks, and a block whose bound lies above the least
-Re E found so far by more than a rounding margin is never solved.  The M
-sectors in the plain spin basis remain as the reference they are tested
-against.
+Delta, so each sector blocks further by lattice momentum k.  Spin flip
+maps (M, k) to (L - M, k) and reflection maps (M, k) to (M, -k), both for
+every complex Delta, so only the blocks with M <= L/2 and 0 <= k <= pi
+are built, and each of their eigenvalues counts once for every block it
+stands for.  Inside a block, reflection still commutes with H at k = 0
+and k = pi, and spin inversion at M = L/2; their eigenspaces split those
+blocks further.  The spectra, partition sums and ground states come from
+these sub-blocks, built once per (L, J) as A + Delta diag(d) together
+with the floor lambda_min(A + diag(d)) of each.  The ground state solves
+only the blocks that can hold the lowest level: by Bendixson's theorem
+(Acta Math. 25, 359 (1902)) every eigenvalue of a block H has
+Re E >= lambda_min((H + H^dagger)/2).  Weyl's inequality bounds that from
+the stored floor with no eigensolve; batched ``eigh`` calls give the
+exact bound only for the blocks the cheap one cannot exclude, and a
+block whose bound lies above the least Re E found so far by more than a
+rounding margin is never solved.  The M sectors in the plain spin basis
+remain as the reference they are tested against.
 
 Near the ferromagnetic point Delta = 1 the (L+1)-fold degenerate ground
 multiplet splits at first order in delta = Delta - 1 as
@@ -57,7 +61,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Callable, Generator, Optional
 
@@ -134,22 +138,27 @@ def build_sector_hamiltonian(p: XXZParams, sector: MagnonSector) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SectorBlocks:
-    """The distinct (M, k) blocks of H(Delta) = A + Delta diag(d), stacked by block size.
+    """The distinct symmetry blocks of H(Delta) = A + Delta diag(d), stacked by block size.
 
     Only M <= L/2 and q <= L/2 (k = 2 pi q / L) are built: spin flip gives
     (L - M, k) and reflection (M, -k) the same spectrum at every complex
-    Delta.  ``stacks[i] = (A, d, m)``: A has shape (count, n, n), d
-    (count, n), and m holds the magnon number of each of the count blocks.
-    ``words[i]`` (count, n) holds the representative words of the basis
-    states of those blocks and ``momenta[i]`` (count,) their momentum
-    index q.  For every column that ``eigvals`` returns, ``magnons`` gives
-    its M, ``repeats`` the number of k-blocks of that sector it stands for
-    (2 for 0 < q < L/2, else 1) and ``weights`` the number of the 2^L
-    levels it stands for (``repeats``, doubled for M < L/2).
+    Delta.  The (M, k) blocks with k in {0, pi} are split further by
+    reflection parity and those with M = L/2 by spin inversion.
+    ``stacks[i] = (A, d, m)``: A has shape (count, n, n), d (count, n),
+    and m holds the magnon number of each of the count blocks.  Basis
+    state j of block b is sum_t ``coefs[i][b, j, t]`` |``words[i][b, j,
+    t]``, k> over momentum states (see ``sector_blocks``), and
+    ``momenta[i]`` (count,) holds the momentum index q of each block.
+    For every column that ``eigvals`` returns, ``magnons`` gives its M,
+    ``repeats`` the number of k-blocks of that sector it stands for (2
+    for 0 < q < L/2, else 1) and ``weights`` the number of the 2^L
+    levels it stands for (``repeats``, doubled for M < L/2).  A sub-block
+    has the M, repeats and weights of the (M, k) block it was split from.
     """
 
     stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     words: tuple[np.ndarray, ...]
+    coefs: tuple[np.ndarray, ...]
     momenta: tuple[np.ndarray, ...]
     magnons: np.ndarray
     repeats: np.ndarray
@@ -166,6 +175,34 @@ class SectorBlocks:
                .reshape(aniso.shape + (-1,)) for a, d, _ in self.stacks]
         return np.concatenate(out, axis=-1)
 
+    @cached_property
+    def bounds(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Per stack (floor, d_min, d_max, a_norm, d_norm), each of shape (count,).
+
+        floor = lambda_min(A + diag(d)), the Hermitian block at Delta = 1;
+        then the extremes of d, |A|_F and |d|.  Computed once, on first
+        use: only ground states read them.
+        """
+        out = []
+        for a, d, _ in self.stacks:
+            hermitian = 0.5 * (a + a.conj().swapaxes(-1, -2))
+            floor = np.linalg.eigvalsh(_block_matrices(hermitian, d, np.asarray(1.0)))[:, 0]
+            out.append((floor, d.min(axis=1), d.max(axis=1),
+                        np.linalg.norm(a, axis=(1, 2)), np.linalg.norm(d, axis=1)))
+            for arr in out[-1]:
+                arr.setflags(write=False)
+        return tuple(out)
+
+    def weyl_bounds(self, re_aniso: float) -> list[np.ndarray]:
+        """Per stack, a lower bound on Re E over each block at Re Delta = re_aniso.
+
+        Bendixson bounds Re E below by lambda_min(A + Re Delta D), and Weyl's
+        inequality bounds that by the floor plus lambda_min((Re Delta - 1) D):
+        (Re Delta - 1) min d for Re Delta > 1, (Re Delta - 1) max d otherwise.
+        """
+        tilt = re_aniso - 1.0
+        return [floor + tilt * (lo if tilt > 0 else hi) for floor, lo, hi, _, _ in self.bounds]
+
 
 def _block_matrices(a: np.ndarray, d: np.ndarray, aniso: np.ndarray) -> np.ndarray:
     """A + Delta diag(d) for every block and anisotropy: aniso.shape + a.shape."""
@@ -181,11 +218,11 @@ def _block_matrices(a: np.ndarray, d: np.ndarray, aniso: np.ndarray) -> np.ndarr
 # One in-process benchmark pass of ground states uses five (L, J) keys
 # (L = 10, 11, 12 and the gap scan's 6, 8, 10); a single CLI run uses at
 # most three.  Eight keys keep all of them for in-process callers (tests,
-# the benchmark, notebooks); the blocks of every L <= 12 take 1.9 MB
-# together, one L = 14 set alone 17 MB.
+# the benchmark, notebooks); the blocks of every L <= 12 take 1.7 MB
+# together, one L = 14 set alone 12 MB (array bytes, bounds included).
 @lru_cache(maxsize=8)
 def sector_blocks(L: int, J: float) -> SectorBlocks:
-    """Momentum-state blocks of the sectors M, q <= L/2 (Sandvik, arXiv:1101.3281, sec. 4).
+    """Symmetry blocks of the sectors M, q <= L/2 (Sandvik, arXiv:1101.3281, sec. 4).
 
     T shifts every spin one site along the chain.  Each translation orbit
     is represented by its least word a, of period R_a; the state
@@ -195,6 +232,14 @@ def sector_blocks(L: int, J: float) -> SectorBlocks:
     representative of c, adds -J/2 e^(-ikl) sqrt(R_a / R_b) to
     <b, k|A|a, k>.  Such a hop can land in a's own orbit, so A carries a
     diagonal of its own.
+
+    Reflection P (site i to L - 1 - i) maps |a, k> to |b, -k> up to a
+    phase, so it commutes with H inside the k = 0 and k = pi blocks; spin
+    inversion Z commutes with T and maps the M = L/2 sector to itself.
+    Either one, and their product, maps |a, k> to e^(-ikl) |b, k>, with
+    T^l g a = b; ``_split`` turns those index maps into the sub-block
+    bases (sec. 4.2-4.3).  The zz energy is the same on a and on its
+    image, so every sub-block keeps the form A + Delta diag(d).
     """
     if not (math.isfinite(J) and J > 0):
         raise DomainError(f"J must be positive and finite, got {J}")
@@ -216,6 +261,8 @@ def sector_blocks(L: int, J: float) -> SectorBlocks:
     bond = bits != np.roll(bits, -1, axis=1)  # bond i joins sites i and i+1
     zz = -0.25 * J * (L - 2 * bond.sum(axis=1))
     magnons = bits.sum(axis=1)
+    mirror = (bits[:, ::-1] << np.arange(L)).sum(axis=1)  # P: site i -> L - 1 - i
+    flip = words ^ (n - 1)  # Z: every spin inverted
 
     reps = words[rep == words]
     src, site = np.nonzero(bond[reps])
@@ -236,15 +283,18 @@ def sector_blocks(L: int, J: float) -> SectorBlocks:
             block = np.zeros((mine.size, mine.size), dtype=complex)
             np.add.at(block, (pos[b[hop]], pos[a[hop]]),
                       hop_scale[hop] * np.exp(-2j * math.pi * q * hop_shift[hop] / L))
-            by_size.setdefault(mine.size, []).append((block, zz[mine], m, mine, q))
-    stacks, stack_words, stack_momenta = [], [], []
+            images = [g[mine] for g, on in ((mirror, 2 * q % L == 0), (flip, 2 * m == L)) if on]
+            maps = [(pos[rep[g]], np.exp(-2j * math.pi * q * shift[g] / L)) for g in images]
+            for sub, keep, w, cf in _split(block, maps):
+                by_size.setdefault(keep.size, []).append(
+                    (sub, zz[mine[keep]], m, mine[w], cf, q))
+    fields = []
     for size in sorted(by_size):
-        blocks, diags, ms, ws, qs = (np.array(x) for x in zip(*by_size[size]))
-        for arr in (blocks, diags, ms, ws, qs):
+        blocks, diags, ms, ws, cfs, qs = (np.array(x) for x in zip(*by_size[size]))
+        for arr in (blocks, diags, ms, ws, cfs, qs):
             arr.setflags(write=False)
-        stacks.append((blocks, diags, ms))
-        stack_words.append(ws)
-        stack_momenta.append(qs)
+        fields.append(((blocks, diags, ms), ws, cfs, qs))
+    stacks, stack_words, stack_coefs, stack_momenta = zip(*fields)
     column_magnons = np.concatenate([np.repeat(ms, d.shape[-1]) for _, d, ms in stacks])
     column_q = np.concatenate([np.repeat(q, d.shape[-1])
                                for (_, d, _), q in zip(stacks, stack_momenta)])
@@ -252,17 +302,53 @@ def sector_blocks(L: int, J: float) -> SectorBlocks:
     weights = (repeats * np.where(2 * column_magnons < L, 2, 1)).astype(float)
     for arr in (column_magnons, repeats, weights):
         arr.setflags(write=False)
-    return SectorBlocks(stacks=tuple(stacks), words=tuple(stack_words),
-                        momenta=tuple(stack_momenta), magnons=column_magnons,
+    return SectorBlocks(stacks=stacks, words=stack_words, coefs=stack_coefs,
+                        momenta=stack_momenta, magnons=column_magnons,
                         repeats=repeats, weights=weights)
+
+
+def _split(block: np.ndarray, maps: list) -> Generator:
+    """(sub-block, kept states, words, coefs) for each joint eigenspace of ``maps``.
+
+    Each map (idx, phase) is an involution g that commutes with the block
+    and sends basis state i to phase[i] times state idx[i].  The products
+    of the maps form an abelian group G of at most 4 elements; for each
+    character chi of G, the columns sum_{h in G} chi(h) h|i> span the
+    eigenspace.  They are nonzero for either all or none of an orbit and
+    parallel within it, so the orbit's least state i stands for it; its
+    column, normalized, is a basis state of the sub-block.  ``words``
+    (n_sub, 4) indexes the block states each basis state combines and
+    ``coefs`` their amplitudes, zero-padded to 4.
+    """
+    size = block.shape[0]
+    group = [(np.arange(size), np.ones(size, dtype=complex), ())]  # (idx, phase, maps used)
+    for j, (idx, phase) in enumerate(maps):
+        group += [(idx[i], ph * phase[i], used + (j,)) for i, ph, used in group]
+    least = np.min([i for i, _, _ in group], axis=0)
+    for signs in np.ndindex(*(2,) * len(maps)):  # chi(g_j) = (-1)^signs[j]
+        chi = [(-1.0) ** sum(signs[j] for j in used) for _, _, used in group]
+        u = np.zeros((size, size), dtype=complex)
+        for (i, ph, _), x in zip(group, chi):
+            np.add.at(u, (i, np.arange(size)), x * ph)
+        norm = np.linalg.norm(u, axis=0)
+        keep = np.flatnonzero((least == np.arange(size)) & (norm > 0.5))
+        if keep.size:
+            w = np.zeros((keep.size, 4), dtype=np.int64)
+            cf = np.zeros((keep.size, 4), dtype=complex)
+            for t, ((i, ph, _), x) in enumerate(zip(group, chi)):
+                w[:, t], cf[:, t] = i[keep], x * ph[keep] / norm[keep]
+            # <v_a|block|v_b> from the at most 4 x 4 entries each pair combines
+            sub = sum(cf[:, s, None].conj() * block[np.ix_(w[:, s], w[:, t])] * cf[:, t]
+                      for s in range(len(group)) for t in range(len(group)))
+            yield (sub if maps else block), keep, w, cf
 
 
 def full_spectrum(p: XXZParams) -> list[tuple[int, np.ndarray]]:
     """All 2^L eigenvalues, sector by sector, each block sorted by (Re, Im).
 
-    Each sector's spectrum is the union of its momentum blocks: sector M
-    reads the built sector min(M, L - M) and repeats the values of every
-    q block that also stands for -q.
+    Each sector's spectrum is the union of its blocks: sector M reads
+    the built sector min(M, L - M) and repeats the values of every block
+    whose q also stands for -q.
     """
     blocks = sector_blocks(p.L, p.J)
     vals = blocks.eigvals(p.delta_aniso)
@@ -277,63 +363,67 @@ def full_spectrum(p: XXZParams) -> list[tuple[int, np.ndarray]]:
 def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
     """(sector M, energy, normalized right eigenvector over the 2^L basis).
 
-    The winning level is picked from the eigenvalues of the (M, k) blocks
-    alone.  Each sector's candidate is its least eigenvalue by (Re, Im)
-    over all of its k-blocks; a later M replaces the best so far only
-    when its real part is lower by more than 1e-12, so degeneracies
+    The winning level is picked from the eigenvalues of the symmetry
+    blocks alone.  Each sector's candidate is its least eigenvalue by
+    (Re, Im) over all of its blocks; a later M replaces the best so far
+    only when its real part is lower by more than 1e-12, so degeneracies
     resolve to the smaller magnon number and the all-up product state
     represents the ferromagnetic doublet on the gapped side.  Only the
     blocks of ``sector_blocks`` are searched, M <= L/2 and q <= L/2: spin
     flip and reflection repeat their spectra, so a larger M never wins.
 
-    Only the blocks that can hold the winning level are solved.  The
-    least eigenvalue lb of each block's Hermitian part (H + H^dagger)/2
-    bounds Re E from below on that block (Bendixson).  The block of least
-    lb is solved first; its least Re E is m.  Every other block with
-    lb <= m + margin is then solved, with margin = 1e-9 max(1, max |H|_F),
-    and the rest are skipped.  The margin exceeds the 1e-12 hysteresis
-    chain over the at most L/2 + 1 candidates and the rounding of both
-    solvers: ``eigh`` moves lb by about n eps |H|, and a computed
-    eigenvalue is exact for some H + E with |E| about n eps |H|, so by
-    Bendixson on H + E it cannot fall below lb by more than that.  A
-    skipped block's computed levels thus all lie more than the chain
-    above m, so they could neither win nor change a sector's candidate
-    where it matters, and the selection is the one a search of every
-    block makes.  Each solved block goes through the same stacked
-    ``np.linalg.eigvals`` as ``SectorBlocks.eigvals``, so its values are
-    the same to the bit.
+    Only the blocks that can hold the winning level are solved.  Every
+    eigenvalue of a block H = A + Delta D has Re E >= lb, the least
+    eigenvalue of its Hermitian part A + Re Delta D (Bendixson, Acta
+    Math. 25, 359 (1902)), and ``SectorBlocks.weyl_bounds`` bounds lb
+    from below with no eigensolve.  The block of least cheap bound is
+    solved first; its least Re E is m.  The other blocks whose cheap
+    bound is at most m + margin get the exact lb from one ``eigh`` per
+    block size, and those with lb <= m + margin are solved, with margin
+    = 1e-9 max(1, max(|A|_F + |Delta| |d|)) >= 1e-9 max |H|_F.  The
+    margin exceeds the 1e-12 hysteresis chain over the at most L/2 + 1
+    candidates and the rounding of the solvers and of the floors:
+    ``eigh`` moves a bound by about n eps |H|, and a computed eigenvalue
+    is exact for some H + E with |E| about n eps |H|, so by Bendixson on
+    H + E it cannot fall below lb by more than that.  A skipped block's
+    computed levels thus all lie more than the chain above m, so they
+    could neither win nor change a sector's candidate where it matters,
+    and the selection is the one a search of every block makes.  Each
+    solved block goes through the same stacked ``np.linalg.eigvals`` as
+    ``SectorBlocks.eigvals``, so its values are the same to the bit.
 
     One ``dense_eig`` on the winning block then gives the vector, a
-    momentum eigenstate expanded into the spin basis.  When the winning
-    level is degenerate across k-blocks of one M, the state is the
-    momentum eigenstate of the first such block, the one whose computed
-    eigenvalue sorts first, not a mixture of the blocks; of a pair k, -k
-    it is always the +q block, q <= L/2, since only that one is built.
+    symmetric momentum eigenstate expanded into the spin basis.  When the
+    winning level is degenerate across blocks of one M, the state is the
+    eigenstate of the first such block, the one whose computed eigenvalue
+    sorts first, not a mixture of the blocks; of a pair k, -k it is
+    always the +q block, q <= L/2, since only that one is built.
     """
     L = p.L
     blocks = sector_blocks(L, p.J)
     aniso = np.asarray(p.delta_aniso, dtype=complex)
-    bounds, scale = [], 1.0
-    for a, d, _ in blocks.stacks:
-        h = _block_matrices(a, d, aniso)
-        bounds.append(np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))[:, 0])
-        scale = max(scale, np.linalg.norm(h, axis=(-2, -1)).max())
-    margin = 1e-9 * scale
-    s0 = min(range(len(bounds)), key=lambda s: bounds[s].min())
-    i0 = int(bounds[s0].argmin())
+    cheap = blocks.weyl_bounds(float(aniso.real))
+    margin = 1e-9 * max(1.0, max((an + abs(aniso) * dn).max()
+                                 for _, _, _, an, dn in blocks.bounds))
+    s0 = min(range(len(cheap)), key=lambda s: cheap[s].min())
+    i0 = int(cheap[s0].argmin())
     a, d, _ = blocks.stacks[s0]
     first = np.linalg.eigvals(_block_matrices(a[i0:i0 + 1], d[i0:i0 + 1], aniso))
     least = first.real.min()
     vals = np.full(blocks.magnons.size, np.inf, dtype=complex)  # inf: not solved
     columns = np.cumsum([d.size for _, d, _ in blocks.stacks])  # end of each stack
-    for s, ((a, d, _), bound) in enumerate(zip(blocks.stacks, bounds)):
+    for s, ((a, d, _), bound) in enumerate(zip(blocks.stacks, cheap)):
         mine = vals[columns[s] - d.size:columns[s]].reshape(d.shape)
         pick = bound <= least + margin
         if s == s0:
             pick[i0] = False
             mine[i0] = first[0]
-        if pick.any():
-            mine[pick] = np.linalg.eigvals(_block_matrices(a[pick], d[pick], aniso))
+        pick = np.flatnonzero(pick)
+        if pick.size:
+            h = _block_matrices(a[pick], d[pick], aniso)
+            lb = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))[:, 0]
+            near = lb <= least + margin
+            mine[pick[near]] = np.linalg.eigvals(h[near])
     mags = blocks.magnons
     order = np.lexsort((vals.imag, vals.real, mags))
     candidates = order[np.diff(mags[order], prepend=-1) != 0]  # per M, M ascending
@@ -349,27 +439,29 @@ def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
     if not abs(es.values[0] - vals[win]) <= 1e-10:
         raise YangLeeError(f"winning block eigenvalue {vals[win]} not reproduced "
                            f"by its eigendecomposition ({es.values[0]})")
-    psi = _momentum_state(L, blocks.words[s][i], blocks.momenta[s][i],
+    psi = _momentum_state(L, blocks.words[s][i], blocks.coefs[s][i], blocks.momenta[s][i],
                           es.right_vectors[:, 0])
     psi /= np.linalg.norm(psi)
     return int(mags[win]), complex(es.values[0]), psi
 
 
-def _momentum_state(L: int, words: np.ndarray, q: int, vec: np.ndarray) -> np.ndarray:
-    """sum_a vec_a |a, k> over the 2^L spin basis, k = 2 pi q / L.
+def _momentum_state(L: int, words: np.ndarray, coefs: np.ndarray, q: int,
+                    vec: np.ndarray) -> np.ndarray:
+    """sum_j vec_j |j> over the 2^L spin basis for one block of ``sector_blocks``.
 
-    ``words`` are the representatives a of one (M, k) block of
-    ``sector_blocks``; |a, k> = sqrt(R_a) / L sum_{r < L} e^(-ikr) T^r |a>
-    is the momentum state of that construction, so the sign of the phase
-    matches its hops.
+    Basis state j of the block is sum_t coefs[j, t] |words[j, t], k>,
+    k = 2 pi q / L, with the representatives a = words[j, t] and
+    |a, k> = sqrt(R_a) / L sum_{r < L} e^(-ikr) T^r |a>, the momentum
+    state of that construction, so the sign of the phase matches its hops.
     """
+    words, amp = words.ravel(), (vec[:, None] * coefs).ravel()
     r = np.arange(L)[:, None]
     orbit = ((words << r) | (words >> (L - r))) & ((1 << L) - 1)  # T^r |a>
     back = orbit[1:] == words
     period = np.where(back.any(axis=0), back.argmax(axis=0) + 1, L)
     phase = np.exp(-2j * math.pi * q * r / L)
     psi = np.zeros(1 << L, dtype=complex)
-    np.add.at(psi, orbit, vec * np.sqrt(period) / L * phase)
+    np.add.at(psi, orbit, amp * np.sqrt(period) / L * phase)
     return psi
 
 

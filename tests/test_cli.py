@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,29 @@ def test_bad_ssh_inputs_exit_two(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "numerical failure" in captured.err
+
+
+def test_ssh_corr_underflowing_asymptote_gives_nan_ratio(capsys):
+    # at xi = 4.48 the K0 asymptote is subnormal from x = 3315 and exactly
+    # 0 from x = 3316 on; the ratio used to end in a ZeroDivisionError
+    assert run(["ssh-corr", "--u=1", "--v=2.05", "--w=1", "--x-max=4000"]) == 0
+    rows = [[float(f) for f in line.split(",")]
+            for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 4000
+    for x, _, _, re_a, im_a, ratio in rows:
+        if abs(complex(re_a, im_a)) < sys.float_info.min:
+            assert ratio != ratio, x
+        else:
+            assert 0.0 <= ratio < float("inf"), x
+    assert rows[-1][3:5] == [0.0, 0.0]
+
+
+def test_subnormal_hopping_product_warns_nothing(capsys):
+    # v w = 1e-320 overflowed (u^2 - v^2 - w^2) / (2 v w) with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["ssh-chi", "--u=1", "--v=1e-160", "--w=1e-160", "--beta=10"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[4] == "0"
 
 
 @pytest.mark.parametrize("flag", ["--wv-steps=0", "--t-steps=-3", "--t-steps=x"])

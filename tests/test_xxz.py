@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import lru_cache
 
@@ -175,6 +176,113 @@ def test_folded_partition_matches_unfolded_sum(L, J, re, im, beta):
     terms = np.exp(-beta * (vals - vals.real.min()))
     folded = partition_scaled(L, J, beta, aniso)
     assert abs(folded - terms.sum()) <= 1e-10 * np.abs(terms).sum()
+
+
+# --- reflection-parity and spin-inversion sub-blocks ------------------------------
+
+def _rotate(x, r: int, L: int):
+    return ((x << r) | (x >> (L - r))) & ((1 << L) - 1)
+
+
+def _mirror(x, L: int):
+    return sum(((x >> i) & 1) << (L - 1 - i) for i in range(L))
+
+
+def _sub_blocks(blocks, m: int, q: int):
+    """[(A, d, words, coefs)] of the sub-blocks split from the (M, k = 2 pi q / L) block."""
+    return [(a[i], d[i], w[i], c[i])
+            for (a, d, ms), w, c, qs in zip(blocks.stacks, blocks.words, blocks.coefs,
+                                            blocks.momenta)
+            for i in np.flatnonzero((ms == m) & (qs == q))]
+
+
+@lru_cache(maxsize=None)
+def _momentum_basis(L: int, m: int, q: int) -> np.ndarray:
+    """Columns |a, k>, k = 2 pi q / L, over the plain M-sector basis."""
+    sector = magnon_sector(L, m)
+    columns = []
+    for a in sector.basis.tolist():
+        orbit = [_rotate(a, r, L) for r in range(L)]
+        period = orbit[1:].index(a) + 1 if a in orbit[1:] else L
+        if a != min(orbit) or q * period % L:
+            continue
+        v = np.zeros(sector.dimension, dtype=complex)
+        for r in range(period):
+            v[sector.index[orbit[r]]] += np.exp(-2j * math.pi * q * r / L)
+        columns.append(v / math.sqrt(period))
+    return np.array(columns, dtype=complex).reshape(-1, sector.dimension).T
+
+
+def _parent_block(p: XXZParams, m: int, q: int) -> np.ndarray:
+    """The (M, k) block of the plain M sector in the momentum states |a, k>."""
+    h0, d = _oracle_sector_parts(p.L, m, p.J)
+    basis = _momentum_basis(p.L, m, q)
+    return basis.conj().T @ (h0 + p.delta_aniso * d) @ basis
+
+
+@pytest.mark.parametrize("L", range(2, 11))
+@settings(max_examples=4, deadline=None, database=None, derandomize=True)
+@given(J=st.sampled_from([1.0, 0.7]), re=st.floats(-3.0, 3.0), im=st.floats(-1.0, 1.0))
+def test_sub_block_spectra_join_to_parent_block(L, J, re, im):
+    # the parent (M, k) block is projected here from the plain M sector,
+    # so this also checks the sub-blocks against the magnon_sector oracle
+    p = XXZParams(J=J, delta_aniso=complex(re, im), L=L)
+    blocks = sector_blocks(L, J)
+    for m in range(L // 2 + 1):
+        for q in range(L // 2 + 1):
+            subs = _sub_blocks(blocks, m, q)
+            parent = _parent_block(p, m, q)
+            assert sum(d.size for _, d, _, _ in subs) == parent.shape[0]
+            if not subs:
+                continue
+            joined = np.concatenate([np.linalg.eigvals(a + p.delta_aniso * np.diag(d))
+                                     for a, d, _, _ in subs])
+            cost = np.abs(np.subtract.outer(joined, np.linalg.eigvals(parent)))
+            assert cost[linear_sum_assignment(cost)].max() <= 1e-10 * max(1.0, abs(p.delta_aniso))
+
+
+def _character_dims(L: int, m: int, q: int) -> list[int]:
+    """Sorted nonzero dimensions of the (M, k) eigenspaces of P and Z, by characters.
+
+    P (reflection) splits k in {0, pi} and Z (spin inversion) M = L/2.
+    A space's dimension is (1/|G|) sum_g chi(g) tr g, and the trace of a
+    permutation of the M-magnon words is its number of fixed words.
+    """
+    words = np.array([w for w in range(1 << L) if bin(w).count("1") == m])
+    ops = [f for f, on in ((lambda x: _mirror(x, L), 2 * q % L == 0),
+                           (lambda x: x ^ ((1 << L) - 1), 2 * m == L)) if on]
+    dims = []
+    for signs in itertools.product((1, -1), repeat=len(ops)):
+        total = 0.0
+        for used in itertools.product((0, 1), repeat=len(ops)):
+            image, chi = words, 1
+            for u, op, sign in zip(used, ops, signs):
+                if u:
+                    image, chi = op(image), chi * sign
+            for r in range(L):
+                fixed = np.count_nonzero(_rotate(image, r, L) == words)
+                total += chi * fixed * math.cos(2 * math.pi * q * r / L)
+        dims.append(round(total / (L * 2 ** len(ops))))
+    return sorted(d for d in dims if d)
+
+
+@pytest.mark.parametrize("L", range(2, 13))
+def test_sub_block_dimensions_match_character_formula(L):
+    blocks = sector_blocks(L, 1.0)
+    for m in range(L // 2 + 1):
+        for q in range(L // 2 + 1):
+            dims = sorted(d.size for _, d, _, _ in _sub_blocks(blocks, m, q))
+            assert dims == _character_dims(L, m, q)
+
+
+@pytest.mark.parametrize("L", range(2, 13))
+def test_weyl_bound_below_bendixson_bound(L):
+    blocks = sector_blocks(L, 1.0)
+    for re in (*np.linspace(-3.0, 3.0, 25), 1.0, 1.0 + 1e-9, 1.0 - 1e-9):
+        for (a, d, _), cheap in zip(blocks.stacks, blocks.weyl_bounds(re)):
+            exact = np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2))
+                                       + re * d[:, None, :] * np.eye(d.shape[-1]))[:, 0]
+            assert np.all(cheap <= exact + 1e-12 * max(1.0, abs(re)))
 
 
 # --- partition function -------------------------------------------------------
@@ -612,13 +720,15 @@ def _exhaustive_ground_state(p: XXZParams):
         if win is None or vals[c].real < vals[win].real - 1e-12:
             win = c
     start = 0
-    for (a, d, _), words, momenta in zip(blocks.stacks, blocks.words, blocks.momenta):
+    for (a, d, _), words, coefs, momenta in zip(blocks.stacks, blocks.words, blocks.coefs,
+                                                blocks.momenta):
         count, n = d.shape
         if win < start + count * n:
             i = (win - start) // n
             aniso = np.asarray(p.delta_aniso, dtype=complex)
             es = dense_eig(xxz._block_matrices(a[i:i + 1], d[i:i + 1], aniso)[0])
-            psi = xxz._momentum_state(p.L, words[i], momenta[i], es.right_vectors[:, 0])
+            psi = xxz._momentum_state(p.L, words[i], coefs[i], momenta[i],
+                                      es.right_vectors[:, 0])
             return int(mags[win]), complex(es.values[0]), psi / np.linalg.norm(psi)
         start += count * n
 
@@ -649,12 +759,13 @@ def test_momentum_state_expansion_matches_sector_oracle(L):
         p = XXZParams(J=1.0, delta_aniso=aniso, L=L)
         sectors = [magnon_sector(L, m) for m in range(L + 1)]
         hams = [build_sector_hamiltonian(p, s) for s in sectors]
-        for (a, d, ms), words, momenta in zip(blocks.stacks, blocks.words, blocks.momenta):
+        for (a, d, ms), words, coefs, momenta in zip(blocks.stacks, blocks.words,
+                                                     blocks.coefs, blocks.momenta):
             for i, m in enumerate(ms):
                 vals, vecs = np.linalg.eig(a[i] + aniso * np.diag(d[i]))
                 h = hams[m]
                 for val, vec in zip(vals, vecs.T):
-                    psi = xxz._momentum_state(L, words[i], momenta[i], vec)
+                    psi = xxz._momentum_state(L, words[i], coefs[i], momenta[i], vec)
                     v = psi[sectors[m].basis]
                     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
                     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
