@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -39,14 +40,6 @@ from .errors import DomainError, YangLeeError
 
 
 def _fmt(value) -> str:
-    # exact Python types first: table rows are mostly plain floats
-    kind = type(value)
-    if kind is float:
-        return f"{value:.12g}"
-    if kind is bool:
-        return "1" if value else "0"
-    if kind is int:
-        return str(value)
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -97,22 +90,63 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
 
 
-def _write_table(header, rows, out_path, fmt):
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
+# '%' conversions that print what csv.writer prints for _fmt(value)
+_SPECS = {float: "%.12g", int: "%d", bool: "%d", str: "%s"}
+_BATCH_ROWS = 1024
+
+
+def _plain_field(text: str) -> bool:
+    """True if csv.writer prints ``text`` as it is."""
+    return bool(text) and not any(ch in text for ch in ',"\r\n')
+
+
+def _row_format(rows) -> str | None:
+    """One '%' line for every row, from each column's exact Python type.
+
+    None when a column mixes types, holds any other type, or holds a
+    string that csv.writer would quote, or when the rows differ in length.
+    """
+    if len(set(map(len, rows))) != 1:
+        return None
+    specs = []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        spec = _SPECS.get(kinds.pop()) if len(kinds) == 1 else None
+        if spec is None or (spec == "%s" and not all(map(_plain_field, column))):
+            return None
+        specs.append(spec)
+    return ",".join(specs) + "\n"
+
+
+def _csv_pieces(header, rows) -> list[str]:
+    """The CSV table as consecutive pieces of text."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    line = _row_format(rows) if rows else None
+    if line is None:
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-        text = buf.getvalue()
+        return [buf.getvalue()]
+    # one '%' per batch keeps the argument tuple and format string small
+    pieces = [buf.getvalue()]
+    for i in range(0, len(rows), _BATCH_ROWS):
+        batch = rows[i:i + _BATCH_ROWS]
+        pieces.append((line * len(batch)) % tuple(itertools.chain.from_iterable(batch)))
+    return pieces
+
+
+def _write_table(header, rows, out_path, fmt):
+    if fmt == "csv":
+        pieces = _csv_pieces(header, rows)
     else:
         records = [dict(zip(header, [_fmt(v) for v in row])) for row in rows]
-        text = json.dumps(records, indent=1) + "\n"
+        pieces = [json.dumps(records, indent=1) + "\n"]
     if out_path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return []
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
     return [out_path]
 
 

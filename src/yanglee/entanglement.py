@@ -22,16 +22,31 @@ The engine does only what the entropy needs:
 * the 2x2 blocks g(d) of C for every cell distance d come from one FFT
   of the projectors over the momentum grid;
 * C is one gather g[i - j] over the cell indices;
-* gamma's eigenvalues come from its complex Schur form
-  (``dense_eigvals``), gated on the backward error |gamma Z - Z T|_F /
-  |gamma|_F <= 1e-10;
+* gamma's eigenvalues come from a Schur form (``dense_eigvals``), gated
+  on the backward error |A Z - Z T|_F / |A|_F <= 1e-10;
 * h is summed over all eigenvalues as one array expression.
 
-At an exceptional point |v - w| = u, gamma has real eigenvalues below -1,
-where (1 + x)/2 lies on the branch cut of the principal logarithm.  The
-sign of their rounding-level imaginary parts then picks +-i pi, so Im S
-there is set by rounding while Re S is not.  The Schur gate passes, since
-it bounds the backward error only.
+Real route.  With S = diag(1, i, 1, i, ...), gamma = S (i K) S^-1 for
+K = -i S^-1 gamma S.  K is real when every band energy on the grid is
+real and the grid is symmetric under k -> -k (1/lam and f/lam then have
+real Fourier coefficients): both PT-unbroken phases, u = 0, and the
+exceptional point |v - w| = u on the half-integer grid.  When
+|Im K|_F <= 1e-14 |K|_F, gamma's eigenvalues are i eig(Re K) from the
+real Schur form, whose gate adds |Im K|_F to the backward error, so it
+still bounds the backward error of gamma itself (S is unitary).  Any
+other C (the PT-broken arc, the quarter-shifted grid, an arbitrary C)
+takes the complex Schur form of gamma.
+
+Branch convention.  At an exceptional point gamma has real eigenvalues
+below -1, where (1 + x)/2 lies on the branch cut of the principal
+logarithm.  On the real route the spectrum of Re K is closed under
+conjugation bit for bit, so gamma's is closed under x -> -conj(x), and
+``binary_entropy_sum`` gives each such pair conjugate branches: their
++-i pi terms cancel, and Im S is zero to rounding.  The complex route
+has no such convention: an eigenvalue on the cut takes the branch that
+its rounding-level imaginary part picks, so Im S there is set by
+rounding while Re S is not.  The Schur gate passes either way, since it
+bounds the backward error only.
 
 Many-body route: Schmidt decomposition of an explicit state vector over
 the 2^L spin basis (used for the interacting chain).
@@ -54,12 +69,23 @@ from .ssh import SSHParams, bloch_hamiltonian, dispersion, exceptional_momentum
 
 _FILLINGS = ("im_neg", "im_pos")
 _DEGENERACY_EPS = 1e-14
+_REAL_ROUTE_TOL = 1e-14
 
 
 def binary_entropy_sum(x) -> complex:
-    """sum_j h(x_j) with principal logs; terms with |q| < 1e-14 are exact zeros."""
+    """sum_j h(x_j) with principal logs; terms with |q| < 1e-14 are exact zeros.
+
+    q = (1 +- x)/2 is built per component, so the sign of a zero Im x
+    survives: (1 + x)/2 and (1 - y)/2 are exact conjugates for y = -conj(x),
+    and on the cut their logarithms take -+i pi as a pair.
+    """
     x = np.asarray(x, dtype=complex)
-    q = np.concatenate((0.5 * (1.0 + x), 0.5 * (1.0 - x)))
+    n = x.size
+    q = np.empty(2 * n, dtype=complex)
+    q.real[:n] = 0.5 * (1.0 + x.real)
+    q.real[n:] = 0.5 * (1.0 - x.real)
+    q.imag[:n] = 0.5 * x.imag
+    q.imag[n:] = -0.5 * x.imag
     q = q[np.abs(q) >= _DEGENERACY_EPS]
     return complex(-np.sum(q * np.log(q)))
 
@@ -145,9 +171,50 @@ def ssh_correlation_matrix(p: SSHParams, cells: int, subsystem_cells: int,
     return blocks.transpose(0, 2, 1, 3).reshape(n, n)
 
 
+def _real_rotated_gamma(c: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """(Re K, |Im K|_F) for K = -i S^-1 (I - 2C) S, S = diag(1, i, 1, i, ...),
+    or None when |Im K|_F > 1e-14 |K|_F or C is not square.
+
+    gamma = I - 2C = S (i K) S^-1.  Entry by entry, K = 2i C - i on one
+    sublattice, -2C in the (even row, odd column) blocks and 2C in the
+    (odd, even) ones.  One real buffer holds Im K for its norm, then Re K.
+    """
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        return None
+    n = c.shape[0]
+    cr, ci = c.real, c.imag
+    ev, od = slice(0, None, 2), slice(1, None, 2)
+    k = np.empty((n, n))
+    for rows, cols, src, scale in ((ev, ev, cr, 2.0), (od, od, cr, 2.0),
+                                   (ev, od, ci, -2.0), (od, ev, ci, 2.0)):
+        np.multiply(src[rows, cols], scale, out=k[rows, cols])
+    k.ravel()[::n + 1] -= 1.0
+    im_norm = float(np.linalg.norm(k))
+    for rows, cols, src, scale in ((ev, ev, ci, -2.0), (od, od, ci, -2.0),
+                                   (ev, od, cr, -2.0), (od, ev, cr, 2.0)):
+        np.multiply(src[rows, cols], scale, out=k[rows, cols])
+    if im_norm > _REAL_ROUTE_TOL * math.hypot(np.linalg.norm(k), im_norm):
+        return None
+    return k, im_norm
+
+
 def ee_from_correlation(c: np.ndarray) -> complex:
-    """Complex entropy sum over the eigenvalues of gamma = I - 2C."""
-    return binary_entropy_sum(dense_eigvals(np.eye(c.shape[0]) - 2.0 * c))
+    """Complex entropy sum over the eigenvalues of gamma = I - 2C.
+
+    When K (see ``_real_rotated_gamma``) is real to |Im K|_F <= 1e-14 |K|_F,
+    gamma's eigenvalues are i eig(Re K) from the real Schur form, whose
+    gate counts |Im K|_F.  Any other C takes the complex Schur form of
+    gamma.
+    """
+    rotated = _real_rotated_gamma(c)
+    if rotated is None:
+        return binary_entropy_sum(dense_eigvals(np.eye(c.shape[0]) - 2.0 * c))
+    k, im_norm = rotated
+    mu = dense_eigvals(k, dropped=im_norm)
+    x = np.empty_like(mu)  # i mu, each zero keeping its sign
+    x.real = -mu.imag
+    x.imag = mu.real
+    return binary_entropy_sum(x)
 
 
 def ssh_entropies(p: SSHParams, cells: int, sizes: Sequence[int],

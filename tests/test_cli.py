@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import shlex
@@ -6,9 +8,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import yanglee
+from yanglee import cli
 from yanglee.cli import build_parser, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -41,6 +45,51 @@ def test_csv_determinism(tmp_path):
     assert run(args + ["--out", str(out1)]) == 0
     assert run(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _csv_writer_table(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cli._fmt(v) for v in row])
+    return buf.getvalue()
+
+
+_FLOATS = [0.0, -0.0, 1.0, -2.5, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308,
+           123456789012.5, 1e16, float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("rows", [
+    [(f, i, b, "numeric") for f, i, b in zip(_FLOATS, range(-6, 7), [True, False] * 7)],
+    [(i, 10 ** 30 * i) for i in range(-3, 4)],  # ints of any size
+    [(1.0, "a,b"), (2.0, "plain")],  # quoted by csv.writer
+    [(1.0, 'say "x"'), (2.0, "plain")],
+    [(1.0, "two\nlines"), (2.0, "plain")],
+    [(1.0, "cr\r"), (2.0, "plain")],
+    [(1.0, ""), (2.0, "plain")],  # empty field
+    [(1.0, 2), (2, 1.0)],  # mixed column types
+    [(np.float64(1.5), np.int64(2)), (np.float64(-0.0), np.int64(-3))],
+    [(True, 1.0), (1, 2.0)],  # bool and int in one column
+    [(1.0, 2.0), (3.0,)],  # ragged
+    [(0.25,), (0.5,)],  # one column
+    [("a",), ("b",)],
+    [("",), ("b",)],  # a lone empty field is quoted
+    [(), ()],
+    [],
+])
+def test_table_bytes_match_csv_writer(tmp_path, rows):
+    width = max((len(r) for r in rows), default=2)
+    header = [f"c{j}" for j in range(width)]
+    out = tmp_path / "t.csv"
+    cli._write_table(header, rows, str(out), "csv")
+    assert out.read_bytes() == _csv_writer_table(header, rows).encode()
+
+
+def test_one_format_line_for_plain_tables():
+    rows = [(0.5, 3, True, "numeric"), (-1e-20, -4, False, "analytic")]
+    assert cli._row_format(rows) == "%.12g,%d,%d,%s\n"
+    assert cli._row_format([(0.5, "a,b")]) is None
 
 
 def test_manifest_contents(tmp_path):

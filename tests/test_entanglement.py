@@ -16,7 +16,7 @@ from yanglee.entanglement import (
     state_ee,
 )
 from yanglee.errors import DomainError
-from yanglee.numerics.eig import dense_eigvals
+from yanglee.numerics.eig import EigenDecompositionError, dense_eigvals
 from yanglee.ssh import SSHParams, bloch_hamiltonian, dispersion
 
 
@@ -31,6 +31,16 @@ def test_binary_entropy_pointwise():
 def test_binary_entropy_even_for_real_arguments():
     for x in (0.1, 0.5, 0.99):
         assert abs(binary_entropy_sum([x]) - binary_entropy_sum([-x])) < 1e-14
+
+
+def test_binary_entropy_pairs_branches_of_mirrored_arguments():
+    # x and -conj(x) put conjugate q on the cut, zero signs included, so
+    # their +-i pi terms cancel; one real x alone takes +i pi
+    for a in (0.0, -0.0, 1e-17, -1e-17):
+        s = binary_entropy_sum([complex(-3.0, a), complex(3.0, a)])
+        assert s.imag == 0.0
+        assert abs(s.real - 2.0 * binary_entropy_sum([-3.0]).real) <= 1e-15
+    assert binary_entropy_sum([-3.0]).imag == math.pi
 
 
 # --- correlation-matrix route ---------------------------------------------------
@@ -195,6 +205,78 @@ def test_entropies_equal_per_size_route_bitwise(uvw, filling, convention):
     want = [ee_from_correlation(ssh_correlation_matrix(
         p, 200, la, filling=filling, convention=convention)) for la in sizes]
     assert got.tobytes() == np.array(want, dtype=complex).tobytes()
+
+
+# --- real route: gamma = S (i K) S^-1 with K real ------------------------------
+
+def _spy_solver(monkeypatch):
+    """Record (dtype, dropped) of every dense_eigvals call of the entanglement module."""
+    calls = []
+
+    def spy(a, dropped=0.0):
+        calls.append((np.asarray(a).dtype, dropped))
+        return dense_eigvals(a, dropped=dropped)
+
+    monkeypatch.setattr(entanglement, "dense_eigvals", spy)
+    return calls
+
+
+@pytest.mark.parametrize("uvw", [(1.0, 2.5, 1.0),  # gapped
+                                 (0.0, 2.5, 1.0),  # Hermitian
+                                 (1.0, 2.0, 1.0)])  # exceptional point
+@pytest.mark.parametrize("filling", ["im_neg", "im_pos"])
+def test_real_route_matches_complex_schur(monkeypatch, uvw, filling):
+    calls = _spy_solver(monkeypatch)
+    full = ssh_correlation_matrix(SSHParams(*uvw), 400, 60, filling=filling)
+    for la in (10, 25, 60):
+        c = full[:2 * la, :2 * la]
+        s = ee_from_correlation(c)
+        forced = binary_entropy_sum(dense_eigvals(np.eye(2 * la) - 2.0 * c))
+        assert abs(s.real - forced.real) <= 1e-11
+        assert abs(s.imag) <= 1e-12
+    assert [dtype for dtype, _ in calls] == [np.dtype(float)] * 3
+
+
+def test_exceptional_point_branches_cancel_in_pairs():
+    # gamma has real eigenvalues below -1 here; the complex route leaves Im S
+    # to the sign of rounding, the real route pairs the branches
+    c = ssh_correlation_matrix(SSHParams(1.0, 2.0, 1.0), 1000, 80)
+    x = dense_eigvals(np.eye(160) - 2.0 * c)
+    assert np.sum(x.real < -1.0 - 1e-6) >= 2
+    assert abs(ee_from_correlation(c).imag) <= 1e-15
+
+
+@pytest.mark.parametrize("uvw", [(1.0, 1.0, 1.0), (1.0, 0.9, 1.0)])
+def test_pt_broken_point_takes_complex_route(monkeypatch, uvw):
+    calls = _spy_solver(monkeypatch)
+    ee_from_correlation(ssh_correlation_matrix(SSHParams(*uvw), 200, 20))
+    assert calls == [(np.dtype(complex), 0.0)]
+
+
+def test_quarter_grid_takes_complex_route(monkeypatch):
+    calls = _spy_solver(monkeypatch)
+    assert _momentum_grid(_QUARTER_GRID, 8)[1] == 0.75
+    ee_from_correlation(ssh_correlation_matrix(_QUARTER_GRID, 8, 4))
+    assert calls == [(np.dtype(complex), 0.0)]
+
+
+def test_imaginary_part_above_threshold_falls_back(monkeypatch):
+    calls = _spy_solver(monkeypatch)
+    c = ssh_correlation_matrix(SSHParams(1.0, 2.5, 1.0), 200, 20)
+    ee_from_correlation(c)
+    # a real shift of C's diagonal is an imaginary shift of K's diagonal
+    ee_from_correlation(c + 1e-9 * np.eye(40))
+    assert [dtype for dtype, _ in calls] == [np.dtype(float), np.dtype(complex)]
+    assert 0.0 < calls[0][1] <= 1e-14 * np.linalg.norm(np.eye(40) - 2.0 * c)
+
+
+def test_dropped_imaginary_part_counts_toward_the_gate(monkeypatch):
+    c = ssh_correlation_matrix(SSHParams(1.0, 2.5, 1.0), 200, 20)
+    monkeypatch.setattr(entanglement, "_REAL_ROUTE_TOL", 1.0)
+    assert abs(ee_from_correlation(c + 1e-13 * np.eye(40))
+               - ee_from_correlation(c)) <= 1e-11
+    with pytest.raises(EigenDecompositionError):
+        ee_from_correlation(c + 1e-9 * np.eye(40))
 
 
 def test_entropies_build_one_correlation_matrix(monkeypatch):
