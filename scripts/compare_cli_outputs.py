@@ -18,7 +18,11 @@ the residuals and the other columns, and names (``NOT MEASURED``) each
 task whose exit code, stderr or table shape differs or whose changed
 field is not a finite number on both sides.  It also prints, per seed and for the README examples, how many
 ``partition_scaled`` calls each side makes and over how many points,
-and how many correlation matrices ``ssh_correlation_matrix`` builds.
+how many correlation matrices ``ssh_correlation_matrix`` builds, how
+many XXZ block eigensolves take each route of ``block_eigvals``
+(general or Hermitian, counted in matrices) and how many
+``inverse_iteration`` calls ``ground_state`` makes; a side whose
+sources predate that layer reads ``n/a`` there.
 Run from the root of a checkout:
 
     python scripts/compare_cli_outputs.py --base HEAD~1 --seeds 1-8
@@ -88,6 +92,22 @@ def run_tasks(src: str) -> None:
     counts = {"calls": 0, "points": 0, "corr": 0}
     partition_scaled = xxz.partition_scaled
     correlation_matrix = entanglement.ssh_correlation_matrix
+    if hasattr(xxz, "block_eigvals") and hasattr(xxz, "inverse_iteration"):
+        counts.update(general=0, hermitian=0, inverse=0)
+        block_eigvals, inverse_iteration = xxz.block_eigvals, xxz.inverse_iteration
+
+        def counted_blocks(a, hermitian):
+            mask = xxz.np.broadcast_to(hermitian, a.shape[:-2])
+            counts["hermitian"] += int(mask.sum())
+            counts["general"] += int(mask.size - mask.sum())
+            return block_eigvals(a, hermitian)
+
+        def counted_inverse(a, value):
+            counts["inverse"] += 1
+            return inverse_iteration(a, value)
+
+        xxz.block_eigvals = counted_blocks
+        xxz.inverse_iteration = counted_inverse
 
     def counted_partition(L, J, beta, aniso):
         counts["calls"] += 1
@@ -103,7 +123,7 @@ def run_tasks(src: str) -> None:
     results = []
     for label, argv in json.load(sys.stdin):
         out, err = io.StringIO(), io.StringIO()
-        counts.update(calls=0, points=0, corr=0)
+        counts.update(dict.fromkeys(counts, 0))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run(argv)
         results.append({"label": label, "argv": argv, "code": code,
@@ -171,6 +191,12 @@ def report_moves(base: list[dict], head: list[dict]) -> None:
         print(f"NOT MEASURED: {line}")
 
 
+def routes(tally: dict) -> str:
+    if tally["general"] == "n/a":
+        return "n/a"
+    return f"{tally['general']}/{tally['hermitian']}"
+
+
 def seed_range(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -200,13 +226,16 @@ def main() -> int:
             differ += 1
             print(f"DIFFERS {b['label']}: {' '.join(b['argv'])}")
     report_moves(base, head)
+    keys = ("calls", "points", "corr", "general", "hermitian", "inverse")
     for label in dict.fromkeys(r["label"] for r in base):
-        tally = [{key: sum(r[key] for r in rs if r["label"] == label)
-                  for key in ("calls", "points", "corr")} for rs in (base, head)]
+        tally = [{key: (sum(r[key] for r in rs if r["label"] == label)
+                        if key in rs[0] else "n/a") for key in keys} for rs in (base, head)]
         print(f"{label}: partition_scaled calls/points "
               f"{tally[0]['calls']}/{tally[0]['points']} -> "
               f"{tally[1]['calls']}/{tally[1]['points']}; correlation matrices "
-              f"{tally[0]['corr']} -> {tally[1]['corr']}")
+              f"{tally[0]['corr']} -> {tally[1]['corr']}; block eigensolves "
+              f"general/Hermitian {routes(tally[0])} -> {routes(tally[1])}; "
+              f"inverse iterations {tally[0]['inverse']} -> {tally[1]['inverse']}")
     print(f"{len(todo) - differ} of {len(todo)} outputs byte-identical to {args.base}")
     return 1 if differ else 0
 

@@ -23,7 +23,8 @@ The engine does only what the entropy needs:
   of the projectors over the momentum grid;
 * C is one gather g[i - j] over the cell indices;
 * gamma's eigenvalues come from a Schur form (``dense_eigvals``), gated
-  on the backward error |A Z - Z T|_F / |A|_F <= 1e-10;
+  on the backward error |A Z - Z T|_F / |A|_F <= 1e-10, or, for a
+  Hermitian gamma, from ``hermitian_eigvals`` under the same gate;
 * h is summed over all eigenvalues as one array expression.
 
 Real route.  With S = diag(1, i, 1, i, ...), gamma = S (i K) S^-1 for
@@ -33,9 +34,17 @@ real Fourier coefficients): both PT-unbroken phases, u = 0, and the
 exceptional point |v - w| = u on the half-integer grid.  When
 |Im K|_F <= 1e-14 |K|_F, gamma's eigenvalues are i eig(Re K) from the
 real Schur form, whose gate adds |Im K|_F to the backward error, so it
-still bounds the backward error of gamma itself (S is unitary).  Any
-other C (the PT-broken arc, the quarter-shifted grid, an arbitrary C)
-takes the complex Schur form of gamma.
+still bounds the backward error of gamma itself (S is unitary).
+
+Hermitian route.  Otherwise, when |gamma - gamma^dag|_F <= 1e-14
+|gamma|_F, gamma's eigenvalues come from ``eigh``, gated on the backward
+error of its vectors like the Schur forms: they are real and,
+for a C that is a restricted projector, lie in [-1, 1].  The RR
+convention gives such a C (each P P^dag / tr(P P^dag) is Hermitian, so
+g(-d) = g(d)^dag).  LR's C is Hermitian only at u = 0, where K is real
+and the real route comes first.  Any other C (the PT-broken arc, the
+quarter-shifted grid, an arbitrary C) takes the complex Schur form of
+gamma.
 
 Branch convention.  At an exceptional point gamma has real eigenvalues
 below -1, where (1 + x)/2 lies on the branch cut of the principal
@@ -64,12 +73,13 @@ import numpy as np
 from .errors import DomainError
 # dense_eig is not called here; perfbench's span recorder wraps
 # entanglement.dense_eig.
-from .numerics.eig import dense_eig, dense_eigvals  # noqa: F401
+from .numerics.eig import dense_eig, dense_eigvals, hermitian_eigvals  # noqa: F401
 from .ssh import SSHParams, bloch_hamiltonian, dispersion, exceptional_momentum
 
 _FILLINGS = ("im_neg", "im_pos")
 _DEGENERACY_EPS = 1e-14
 _REAL_ROUTE_TOL = 1e-14
+_HERMITIAN_ROUTE_TOL = 1e-14
 
 
 def binary_entropy_sum(x) -> complex:
@@ -203,12 +213,17 @@ def ee_from_correlation(c: np.ndarray) -> complex:
 
     When K (see ``_real_rotated_gamma``) is real to |Im K|_F <= 1e-14 |K|_F,
     gamma's eigenvalues are i eig(Re K) from the real Schur form, whose
-    gate counts |Im K|_F.  Any other C takes the complex Schur form of
-    gamma.
+    gate counts |Im K|_F.  Otherwise a gamma that is Hermitian to
+    |gamma - gamma^dag|_F <= 1e-14 |gamma|_F takes ``eigh``, and any other
+    C the complex Schur form of gamma.
     """
     rotated = _real_rotated_gamma(c)
     if rotated is None:
-        return binary_entropy_sum(dense_eigvals(np.eye(c.shape[0]) - 2.0 * c))
+        gamma = np.eye(c.shape[0]) - 2.0 * c
+        if (np.linalg.norm(gamma - gamma.conj().T)
+                <= _HERMITIAN_ROUTE_TOL * np.linalg.norm(gamma)):
+            return binary_entropy_sum(hermitian_eigvals(gamma, backward_error=True))
+        return binary_entropy_sum(dense_eigvals(gamma))
     k, im_norm = rotated
     mu = dense_eigvals(k, dropped=im_norm)
     x = np.empty_like(mu)  # i mu, each zero keeping its sign

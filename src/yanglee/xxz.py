@@ -69,7 +69,8 @@ import numpy as np
 import scipy  # scipy.linalg loads on first use, not at import
 
 from .errors import DomainError, YangLeeError
-from .numerics.eig import dense_eig
+# dense_eig is not called here; perfbench's span recorder wraps xxz.dense_eig.
+from .numerics.eig import block_eigvals, dense_eig, inverse_iteration  # noqa: F401
 from .numerics.newton import newton_system
 from .numerics.polynomials import ComplexPolynomial, roots_of_polynomial
 
@@ -167,11 +168,19 @@ class SectorBlocks:
     def eigvals(self, aniso) -> np.ndarray:
         """The distinct eigenvalues at each anisotropy: shape aniso.shape + (columns,).
 
-        One ``np.linalg.eigvals`` call per block size serves every
-        anisotropy in ``aniso`` at once.
+        One ``block_eigvals`` call per block size serves every anisotropy
+        in ``aniso`` at once.  At a real anisotropy every block is
+        Hermitian (A is, and d is real), so that point's blocks take the
+        Hermitian kernel; the route is chosen per point, so each point's
+        values are those of the scalar call.
         """
         aniso = np.asarray(aniso, dtype=complex)
-        out = [np.linalg.eigvals(_block_matrices(a, d, aniso))
+        real = aniso.imag == 0
+        count = np.count_nonzero(real)
+        # a bool routes every block alike, with no mask work on the hot
+        # all-complex call
+        route = bool(count) if count in (0, real.size) else real[..., None]
+        out = [block_eigvals(_block_matrices(a, d, aniso), route)
                .reshape(aniso.shape + (-1,)) for a, d, _ in self.stacks]
         return np.concatenate(out, axis=-1)
 
@@ -389,26 +398,31 @@ def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
     computed levels thus all lie more than the chain above m, so they
     could neither win nor change a sector's candidate where it matters,
     and the selection is the one a search of every block makes.  Each
-    solved block goes through the same stacked ``np.linalg.eigvals`` as
-    ``SectorBlocks.eigvals``, so its values are the same to the bit.
+    solved block goes through the same ``block_eigvals`` route as
+    ``SectorBlocks.eigvals`` (Hermitian at real Delta), so its values are
+    the same to the bit.
 
-    One ``dense_eig`` on the winning block then gives the vector, a
-    symmetric momentum eigenstate expanded into the spin basis.  When the
-    winning level is degenerate across blocks of one M, the state is the
-    eigenstate of the first such block, the one whose computed eigenvalue
-    sorts first, not a mixture of the blocks; of a pair k, -k it is
-    always the +q block, q <= L/2, since only that one is built.
+    The energy is the winning eigenvalue itself.  Its vector comes from
+    ``inverse_iteration`` on the winning block at that eigenvalue: one LU,
+    gated on |H v - E v| / |H|_F <= 1e-10, which also certifies E as an
+    eigenvalue of the block.  The vector, a symmetric momentum eigenstate,
+    is expanded into the spin basis.  When the winning level is
+    degenerate across blocks of one M, the state is the eigenstate of the
+    first such block, the one whose computed eigenvalue sorts first, not a
+    mixture of the blocks; of a pair k, -k it is always the +q block,
+    q <= L/2, since only that one is built.
     """
     L = p.L
     blocks = sector_blocks(L, p.J)
     aniso = np.asarray(p.delta_aniso, dtype=complex)
+    real = bool(aniso.imag == 0)  # every block is then Hermitian
     cheap = blocks.weyl_bounds(float(aniso.real))
     margin = 1e-9 * max(1.0, max((an + abs(aniso) * dn).max()
                                  for _, _, _, an, dn in blocks.bounds))
     s0 = min(range(len(cheap)), key=lambda s: cheap[s].min())
     i0 = int(cheap[s0].argmin())
     a, d, _ = blocks.stacks[s0]
-    first = np.linalg.eigvals(_block_matrices(a[i0:i0 + 1], d[i0:i0 + 1], aniso))
+    first = block_eigvals(_block_matrices(a[i0:i0 + 1], d[i0:i0 + 1], aniso), real)
     least = first.real.min()
     vals = np.full(blocks.magnons.size, np.inf, dtype=complex)  # inf: not solved
     columns = np.cumsum([d.size for _, d, _ in blocks.stacks])  # end of each stack
@@ -423,7 +437,7 @@ def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
             h = _block_matrices(a[pick], d[pick], aniso)
             lb = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))[:, 0]
             near = lb <= least + margin
-            mine[pick[near]] = np.linalg.eigvals(h[near])
+            mine[pick[near]] = block_eigvals(h[near], real)
     mags = blocks.magnons
     order = np.lexsort((vals.imag, vals.real, mags))
     candidates = order[np.diff(mags[order], prepend=-1) != 0]  # per M, M ascending
@@ -435,14 +449,10 @@ def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
     s = int(np.searchsorted(columns, win, side="right"))
     a, d, _ = blocks.stacks[s]
     i = (win - (columns[s] - d.size)) // d.shape[-1]
-    es = dense_eig(_block_matrices(a[i:i + 1], d[i:i + 1], aniso)[0])
-    if not abs(es.values[0] - vals[win]) <= 1e-10:
-        raise YangLeeError(f"winning block eigenvalue {vals[win]} not reproduced "
-                           f"by its eigendecomposition ({es.values[0]})")
-    psi = _momentum_state(L, blocks.words[s][i], blocks.coefs[s][i], blocks.momenta[s][i],
-                          es.right_vectors[:, 0])
+    vec = inverse_iteration(_block_matrices(a[i:i + 1], d[i:i + 1], aniso)[0], vals[win])
+    psi = _momentum_state(L, blocks.words[s][i], blocks.coefs[s][i], blocks.momenta[s][i], vec)
     psi /= np.linalg.norm(psi)
-    return int(mags[win]), complex(es.values[0]), psi
+    return int(mags[win]), complex(vals[win]), psi
 
 
 def _momentum_state(L: int, words: np.ndarray, coefs: np.ndarray, q: int,

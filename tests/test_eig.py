@@ -4,7 +4,15 @@ import scipy.linalg
 import scipy.optimize
 
 from yanglee.errors import DomainError
-from yanglee.numerics import EigenDecompositionError, dense_eig, dense_eigvals
+from yanglee.numerics import (
+    EigenDecompositionError,
+    block_eigvals,
+    dense_eig,
+    dense_eigvals,
+    hermitian_eigvals,
+    inverse_iteration,
+)
+from yanglee.numerics.eig import _check_residual
 from yanglee.ssh import SSHParams, bloch_hamiltonian
 
 
@@ -178,3 +186,146 @@ def test_real_input_stays_real():
         dense_eigvals(np.eye(3, dtype=int))
         dense_eigvals(np.eye(3) + 0j)
     assert calls == [(np.dtype(float), "real"), (np.dtype(complex), "complex")]
+
+
+# --- one gate at every dimension -------------------------------------------------
+
+def test_gate_holds_above_five_thousand():
+    # the bound is 1e-10 at every dimension; only a nan or inf used to fail
+    # above 5,000
+    _check_residual(5e-11, 6000)
+    for bad in (2e-10, np.nan, np.inf):
+        with pytest.raises(EigenDecompositionError):
+            _check_residual(bad, 6000)
+    with pytest.raises(EigenDecompositionError):
+        _check_residual(2e-10, 10)
+
+
+# --- Hermitian kernel ------------------------------------------------------------
+
+def _random_hermitian(rng, shape, n):
+    a = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+    return a + a.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("backward_error", [False, True])
+def test_hermitian_eigvals_match_scipy_on_a_stack(backward_error):
+    rng = np.random.default_rng(21)
+    a = _random_hermitian(rng, (2, 3), 12)
+    got = hermitian_eigvals(a, backward_error=backward_error)
+    assert got.shape == (2, 3, 12) and got.dtype == float
+    for idx in np.ndindex(2, 3):
+        want = scipy.linalg.eigvalsh(a[idx])
+        assert np.max(np.abs(got[idx] - want)) <= 1e-12 * np.max(np.abs(want))
+    # any memory layout: a Fortran-ordered stack gives the same values
+    fortran = hermitian_eigvals(np.asfortranarray(a), backward_error=backward_error)
+    assert np.array_equal(fortran, got)
+
+
+def test_hermitian_eigvals_per_matrix_bits_do_not_depend_on_the_stack():
+    a = _random_hermitian(np.random.default_rng(5), (6,), 9)
+    whole = hermitian_eigvals(a)
+    for i in range(6):
+        assert hermitian_eigvals(a[i:i + 1]).tobytes() == whole[i:i + 1].tobytes()
+
+
+def test_hermitian_eigvals_solve_the_hermitian_part():
+    # a block that is zero but for rounding noise off the Hermitian part
+    # passes: its Hermitian part is exactly zero
+    assert np.array_equal(hermitian_eigvals(np.array([[[1e-17j]]])), [[0.0]])
+    a = np.array([[2.0, 1.0 + 1e-17j], [1.0, 2.0]])
+    assert np.allclose(hermitian_eigvals(a), [1.0, 3.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("backward_error", [False, True])
+def test_hermitian_gate_fires_on_a_wrong_spectrum(monkeypatch, backward_error):
+    a = _random_hermitian(np.random.default_rng(9), (3,), 8)
+    if backward_error:
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda h: (real_eigh(h)[0] * (1 + 1e-6), real_eigh(h)[1]))
+    else:
+        real_eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: real_eigvalsh(h) * (1 + 1e-6))
+    with pytest.raises(EigenDecompositionError):
+        hermitian_eigvals(a, backward_error=backward_error)
+
+
+def test_hermitian_eigvals_reject_bad_input():
+    with pytest.raises(DomainError):
+        hermitian_eigvals(np.ones((3, 2, 3)))
+    with pytest.raises(DomainError):
+        hermitian_eigvals(np.array([[[np.nan, 0], [0, 1]]]))
+
+
+def test_block_eigvals_route_per_matrix():
+    rng = np.random.default_rng(2)
+    a = _random_hermitian(rng, (4,), 6).astype(complex)
+    a[1] += rng.standard_normal((6, 6))  # not Hermitian
+    mask = np.array([True, False, True, True])
+    got = block_eigvals(a, mask)
+    assert got.dtype == complex
+    assert np.array_equal(got[mask], hermitian_eigvals(a[mask]))
+    assert np.array_equal(got[1], np.linalg.eigvals(a[1:2])[0])
+    # a bool routes the whole stack
+    assert np.array_equal(block_eigvals(a[1:2], False), np.linalg.eigvals(a[1:2]))
+    assert np.array_equal(block_eigvals(a[mask], True), hermitian_eigvals(a[mask]))
+
+
+# --- inverse iteration -------------------------------------------------------------
+
+def _unit_overlap(u, v):
+    return abs(np.vdot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
+
+
+def test_inverse_iteration_one_by_one():
+    # the unperturbed shift would make the only pivot exactly zero
+    for value in (3.0, 0.0, -2.5 + 1.5j):
+        v = inverse_iteration(np.array([[value]]), value)
+        assert v.shape == (1,) and abs(abs(v[0]) - 1.0) <= 1e-15
+
+
+def test_inverse_iteration_start_orthogonal_to_the_eigenvector():
+    # the all-ones start lies along the eigenvector of +1, orthogonal to
+    # the one wanted at -1
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    v = inverse_iteration(a, -1.0)
+    assert _unit_overlap(v, [1.0, -1.0]) >= 1.0 - 1e-15
+    assert np.linalg.norm(a @ v + v) <= 1e-15
+    assert _unit_overlap(inverse_iteration(a, 1.0), [1.0, 1.0]) >= 1.0 - 1e-15
+
+
+def test_inverse_iteration_jordan_block():
+    # documented behaviour at a defective eigenvalue: the single eigenvector
+    # e_1, with a residual at the size of the shift
+    a = np.array([[2.0, 1.0], [0.0, 2.0]])
+    v = inverse_iteration(a, 2.0)
+    assert _unit_overlap(v, [1.0, 0.0]) >= 1.0 - 1e-15
+    assert np.linalg.norm(a @ v - 2.0 * v) <= 1e-14 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_inverse_iteration_matches_scipy_up_to_phase(n):
+    rng = np.random.default_rng(1000 + n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    values, vectors = scipy.linalg.eig(a)
+    for k in (0, n // 2, n - 1):
+        v = inverse_iteration(a, values[k])
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+        assert np.linalg.norm(a @ v - values[k] * v) <= 1e-10 * np.linalg.norm(a)
+        assert _unit_overlap(v, vectors[:, k]) >= 1.0 - 1e-10
+
+
+def test_inverse_iteration_gate_fires_away_from_the_spectrum():
+    with pytest.raises(EigenDecompositionError):
+        inverse_iteration(np.diag([1.0, 2.0, 3.0]), 1.5)
+
+
+def test_inverse_iteration_rejects_bad_input():
+    for bad in (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[np.inf]])):
+        with pytest.raises(DomainError):
+            inverse_iteration(bad, 1.0)
+    with pytest.raises(DomainError):
+        inverse_iteration(np.eye(2), complex("nan"))
+    with pytest.raises(DomainError):
+        inverse_iteration(np.ones((2, 3)), 1.0)

@@ -16,7 +16,7 @@ from yanglee.entanglement import (
     state_ee,
 )
 from yanglee.errors import DomainError
-from yanglee.numerics.eig import EigenDecompositionError, dense_eigvals
+from yanglee.numerics.eig import EigenDecompositionError, dense_eigvals, hermitian_eigvals
 from yanglee.ssh import SSHParams, bloch_hamiltonian, dispersion
 
 
@@ -277,6 +277,44 @@ def test_dropped_imaginary_part_counts_toward_the_gate(monkeypatch):
                - ee_from_correlation(c)) <= 1e-11
     with pytest.raises(EigenDecompositionError):
         ee_from_correlation(c + 1e-9 * np.eye(40))
+
+
+# --- Hermitian route: RR's C is Hermitian ---------------------------------------
+
+def _spy_hermitian(monkeypatch):
+    """Record the backward_error flag of every hermitian_eigvals call of the module."""
+    calls = []
+
+    def spy(a, backward_error=False):
+        calls.append(backward_error)
+        return hermitian_eigvals(a, backward_error=backward_error)
+
+    monkeypatch.setattr(entanglement, "hermitian_eigvals", spy)
+    return calls
+
+
+@pytest.mark.parametrize("uvw", [(1.0, 2.5, 1.0), (1.0, 2.0, 1.0)])  # gapped, EP
+def test_rr_takes_hermitian_route_matching_complex_schur(monkeypatch, uvw):
+    calls = _spy_hermitian(monkeypatch)
+    sizes = [10, 25, 60]
+    got = ssh_entropies(SSHParams(*uvw), 400, sizes, convention="RR")
+    full = ssh_correlation_matrix(SSHParams(*uvw), 400, 60, convention="RR")
+    for la, s in zip(sizes, got):
+        gamma = np.eye(2 * la) - 2.0 * full[:2 * la, :2 * la]
+        assert abs(s - binary_entropy_sum(dense_eigvals(gamma))) <= 1e-12
+        assert s.imag == 0.0
+        x = hermitian_eigvals(gamma, backward_error=True)
+        # real, and in [-1, 1] up to the rounding of a backward-stable eigh
+        assert x.dtype == float and np.all(np.abs(x) <= 1.0 + 1e-13)
+    assert calls == [True] * len(sizes)
+
+
+@pytest.mark.parametrize("uvw", [(1.0, 2.5, 1.0), (1.0, 0.9, 1.0), (0.0, 2.5, 1.0)])
+def test_lr_never_takes_hermitian_route(monkeypatch, uvw):
+    # LR's C is Hermitian only at u = 0, where the real route comes first
+    calls = _spy_hermitian(monkeypatch)
+    ssh_entropies(SSHParams(*uvw), 200, [5, 20])
+    assert calls == []
 
 
 def test_entropies_build_one_correlation_matrix(monkeypatch):

@@ -13,7 +13,7 @@ from scipy.special import roots_gegenbauer
 from yanglee import xxz
 from yanglee.entanglement import state_ee
 from yanglee.errors import DomainError, YangLeeError
-from yanglee.numerics.eig import dense_eig
+from yanglee.numerics.eig import dense_eig, inverse_iteration
 from yanglee.xxz import (
     XXZParams,
     analytic_zeros,
@@ -575,6 +575,20 @@ def test_first_order_slope_from_ed():
     assert abs(slope - target) <= 1e-6 * target
 
 
+@pytest.mark.parametrize("L", range(2, 11))
+@pytest.mark.parametrize("delta_re", [-0.05, 0.3])
+@pytest.mark.parametrize("J", [1.0, 0.7])
+def test_ed_gap_matches_sector_oracle(L, delta_re, J):
+    # oracle: eigvalsh of every plain M sector; the largest difference
+    # measured over these cases is 1.1e-14
+    p = XXZParams(J=J, delta_aniso=1.0 + delta_re, L=L)
+    levels = np.sort(np.concatenate([
+        np.linalg.eigvalsh(build_sector_hamiltonian(p, magnon_sector(L, m)))
+        for m in range(L + 1)]))
+    oracle = levels[levels > levels[0] + 1e-12][0] - levels[0]
+    assert abs(xxz.ed_gap(L, J, delta_re) - oracle) <= 5e-14
+
+
 def test_zero_density_value_and_scaling():
     g = zero_density(6, 100.0, 1.0)
     assert abs(g - 100.0 * 9.0 / (2.0 * math.pi * 5.0)) < 1e-12
@@ -710,7 +724,12 @@ def test_ground_state_matches_sector_oracle(L, J):
 
 
 def _exhaustive_ground_state(p: XXZParams):
-    """ground_state's selection over the eigenvalues of every (M, k) block."""
+    """ground_state's selection over the eigenvalues of every (M, k) block.
+
+    (M, energy, psi, winning block matrix, its words, coefs, q).  The vector
+    comes from the same inverse iteration as in ground_state, so that a
+    byte comparison isolates the pruning.
+    """
     blocks = sector_blocks(p.L, p.J)
     vals, mags = blocks.eigvals(p.delta_aniso), blocks.magnons
     win = None
@@ -726,10 +745,11 @@ def _exhaustive_ground_state(p: XXZParams):
         if win < start + count * n:
             i = (win - start) // n
             aniso = np.asarray(p.delta_aniso, dtype=complex)
-            es = dense_eig(xxz._block_matrices(a[i:i + 1], d[i:i + 1], aniso)[0])
+            h = xxz._block_matrices(a[i:i + 1], d[i:i + 1], aniso)[0]
             psi = xxz._momentum_state(p.L, words[i], coefs[i], momenta[i],
-                                      es.right_vectors[:, 0])
-            return int(mags[win]), complex(es.values[0]), psi / np.linalg.norm(psi)
+                                      inverse_iteration(h, vals[win]))
+            return (int(mags[win]), complex(vals[win]), psi / np.linalg.norm(psi),
+                    h, words[i], coefs[i], momenta[i])
         start += count * n
 
 
@@ -743,10 +763,17 @@ def test_pruned_ground_state_equals_exhaustive(L, J, re, im):
     # the lowest level; the result must be the one the full spectrum picks
     p = XXZParams(J=J, delta_aniso=complex(re, im), L=L)
     m, energy, psi = ground_state(p)
-    m_ref, energy_ref, psi_ref = _exhaustive_ground_state(p)
+    m_ref, energy_ref, psi_ref, h, words, coefs, q = _exhaustive_ground_state(p)
     assert m == m_ref
     assert np.array([energy]).tobytes() == np.array([energy_ref]).tobytes()
     assert psi.tobytes() == psi_ref.tobytes()
+    # independently of inverse iteration: where the level is simple in its
+    # block, psi is the vector of a full eigendecomposition of that block
+    es = dense_eig(h)
+    near = np.abs(es.values - energy) <= 1e-8
+    if np.sum(near) == 1:
+        vec = xxz._momentum_state(L, words, coefs, q, es.right_vectors[:, np.argmax(near)])
+        assert abs(np.vdot(vec, psi)) / np.linalg.norm(vec) >= 1.0 - 1e-10
 
 
 @pytest.mark.parametrize("L", range(2, 9))
