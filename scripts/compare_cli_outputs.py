@@ -21,8 +21,10 @@ field is not a finite number on both sides.  It also prints, per seed and for th
 how many correlation matrices ``ssh_correlation_matrix`` builds, how
 many XXZ block eigensolves take each route of ``block_eigvals``
 (general or Hermitian, counted in matrices) and how many
-``inverse_iteration`` calls ``ground_state`` makes; a side whose
-sources predate that layer reads ``n/a`` there.
+``inverse_iteration`` calls ``ground_state`` makes, and at how many
+momentum nodes ``ssh.corr_momentum`` is evaluated (the node-doubling
+schedule of ``ssh-corr``); a side whose sources predate a layer reads
+``n/a`` there.
 Run from the root of a checkout:
 
     python scripts/compare_cli_outputs.py --base HEAD~1 --seeds 1-8
@@ -87,9 +89,9 @@ def tasks(seeds: list[int]) -> list[tuple[str, list[str]]]:
 def run_tasks(src: str) -> None:
     """Child side: run the tasks read from stdin against ``src``, print JSON results."""
     sys.path.insert(0, src)
-    from yanglee import cli, entanglement, xxz
+    from yanglee import cli, entanglement, ssh, xxz
 
-    counts = {"calls": 0, "points": 0, "corr": 0}
+    counts = {"calls": 0, "points": 0, "corr": 0, "nodes": 0}
     partition_scaled = xxz.partition_scaled
     correlation_matrix = entanglement.ssh_correlation_matrix
     if hasattr(xxz, "block_eigvals") and hasattr(xxz, "inverse_iteration"):
@@ -118,8 +120,15 @@ def run_tasks(src: str) -> None:
         counts["corr"] += 1
         return correlation_matrix(*args, **kwargs)
 
+    corr_momentum = ssh.corr_momentum
+
+    def counted_nodes(p, k, channel):
+        counts["nodes"] += xxz.np.size(k)
+        return corr_momentum(p, k, channel)
+
     xxz.partition_scaled = counted_partition
     entanglement.ssh_correlation_matrix = counted_correlation
+    ssh.corr_momentum = counted_nodes
     results = []
     for label, argv in json.load(sys.stdin):
         out, err = io.StringIO(), io.StringIO()
@@ -226,7 +235,7 @@ def main() -> int:
             differ += 1
             print(f"DIFFERS {b['label']}: {' '.join(b['argv'])}")
     report_moves(base, head)
-    keys = ("calls", "points", "corr", "general", "hermitian", "inverse")
+    keys = ("calls", "points", "corr", "general", "hermitian", "inverse", "nodes")
     for label in dict.fromkeys(r["label"] for r in base):
         tally = [{key: (sum(r[key] for r in rs if r["label"] == label)
                         if key in rs[0] else "n/a") for key in keys} for rs in (base, head)]
@@ -235,7 +244,8 @@ def main() -> int:
               f"{tally[1]['calls']}/{tally[1]['points']}; correlation matrices "
               f"{tally[0]['corr']} -> {tally[1]['corr']}; block eigensolves "
               f"general/Hermitian {routes(tally[0])} -> {routes(tally[1])}; "
-              f"inverse iterations {tally[0]['inverse']} -> {tally[1]['inverse']}")
+              f"inverse iterations {tally[0]['inverse']} -> {tally[1]['inverse']}; "
+              f"corr_momentum nodes {tally[0]['nodes']} -> {tally[1]['nodes']}")
     print(f"{len(todo) - differ} of {len(todo)} outputs byte-identical to {args.base}")
     return 1 if differ else 0
 

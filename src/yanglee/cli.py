@@ -206,8 +206,9 @@ def _cmd_ssh_corr(args):
             a = ssh.corr_asymptotic(p, float(x), args.channel)
         except YangLeeError:
             a = complex("nan")
-        # far from criticality K0 underflows: a zero or subnormal asymptote has no ratio
-        ratio = abs(c / a) if abs(a) >= sys.float_info.min else float("nan")
+        # a ratio means something only where the asymptote exceeds the row's
+        # absolute accuracy; below it C sits at its rounding floor
+        ratio = abs(c / a) if abs(a) > args.tol else float("nan")
         rows.append((x, c.real, c.imag, a.real, a.imag, ratio))
     return ["x", "re_corr", "im_corr", "re_asym", "im_asym", "abs_ratio"], rows
 

@@ -15,12 +15,13 @@ gamma is then non-normal, its eigenvalues wander off [-1, 1], and h is
 taken with principal-branch logarithms; Re S carries the scaling.
 (Chang, You, Wen & Ryu, Phys. Rev. Research 2, 033069 (2020).)
 
-The engine does only what the entropy needs:
-* one array expression over the momentum grid gives the filled-band
-  projectors of both conventions: the LR projector P = (H + lam)/(2 lam)
-  and, for the right state alone (RR), P P^dag / tr(P P^dag);
-* the 2x2 blocks g(d) of C for every cell distance d come from one FFT
-  of the projectors over the momentum grid;
+The filled band itself lives in ``ssh``, shared with the correlator rows
+of ``ssh.corr_row``: ``ssh.filled_projector`` gives the projector of
+either convention at every momentum of the grid (the LR projector
+P = (H + lam)/(2 lam) and, for the right state alone (RR),
+P P^dag / tr(P P^dag)), and ``ssh.fourier_table`` the 2x2 blocks g(d) of
+C for every cell distance d from one FFT over the grid.  This module
+gathers C and takes the entropy:
 * C is one gather g[i - j] over the cell indices;
 * gamma's eigenvalues come from a Schur form (``dense_eigvals``), gated
   on the backward error |A Z - Z T|_F / |A|_F <= 1e-10, or, for a
@@ -74,7 +75,7 @@ from .errors import DomainError
 # dense_eig is not called here; perfbench's span recorder wraps
 # entanglement.dense_eig.
 from .numerics.eig import dense_eig, dense_eigvals, hermitian_eigvals  # noqa: F401
-from .ssh import SSHParams, bloch_hamiltonian, dispersion, exceptional_momentum
+from .ssh import SSHParams, filled_projector, fourier_table, near_exceptional
 
 _FILLINGS = ("im_neg", "im_pos")
 _DEGENERACY_EPS = 1e-14
@@ -100,56 +101,13 @@ def binary_entropy_sum(x) -> complex:
     return complex(-np.sum(q * np.log(q)))
 
 
-def _filled_projectors(p: SSHParams, grid: np.ndarray, filling: str,
-                       convention: str) -> np.ndarray:
-    """Spectral projectors of the filled band, one 2x2 matrix per momentum.
-
-    Fills the -E branch (negative real part, or negative imaginary part
-    on the broken arc); ``im_pos`` flips the choice on the arc only.
-    The LR projector P = (H + lam) / (2 lam) = r l^dag / (l^dag r) is one
-    array expression over the grid.  P P^dag is proportional to r r^dag,
-    so the RR projector r r^dag / (r^dag r) is P P^dag / tr(P P^dag).
-    """
-    h = bloch_hamiltonian(p, grid)
-    e = dispersion(p, grid)
-    if np.min(np.abs(e)) < 1e-12:
-        raise DomainError("projector undefined at a band degeneracy")
-    fill_upper = (filling == "im_pos") & (np.abs(e.real) < 1e-12)
-    lam = np.where(fill_upper, e, -e)
-    lr = (h + lam[:, None, None] * np.eye(2)) / (2.0 * lam)[:, None, None]
-    if convention == "LR":
-        return lr
-    pp = lr @ lr.conj().transpose(0, 2, 1)
-    return pp / np.trace(pp, axis1=1, axis2=2)[:, None, None]
-
-
 def _momentum_grid(p: SSHParams, cells: int) -> tuple[np.ndarray, float]:
     """k_m = 2 pi (m + offset) / cells, offset 0.5 or (near an EP) 0.75."""
-    k_e = exceptional_momentum(p)
     for offset in (0.5, 0.75):
         grid = 2.0 * math.pi * (np.arange(cells) + offset) / cells
-        if k_e is None:
-            return grid, offset
-        # Compare against both +-k_E folded into [0, 2 pi).
-        dist = np.minimum(np.abs(grid - k_e),
-                          np.abs(grid - (2.0 * math.pi - k_e)))
-        if np.min(dist) > 1e-8 and np.min(np.abs(dispersion(p, grid))) > 1e-10:
+        if not near_exceptional(p, grid):
             return grid, offset
     raise DomainError("momentum grid keeps hitting an exceptional point")
-
-
-def _distance_table(projectors: np.ndarray, offset: float,
-                    subsystem_cells: int) -> np.ndarray:
-    """g(d) = (1/N) sum_m exp(i k_m d) P(k_m) for |d| < subsystem_cells.
-
-    On k_m = 2 pi (m + offset) / N this is
-    exp(2 pi i offset d / N) * ifft(P)[d mod N]; row d + subsystem_cells - 1
-    of the (2 L_A - 1, 2, 2) result holds g(d).
-    """
-    cells = projectors.shape[0]
-    dists = np.arange(-(subsystem_cells - 1), subsystem_cells)
-    table = np.fft.ifft(projectors, axis=0)[dists % cells]
-    return np.exp(2j * math.pi * offset * dists / cells)[:, None, None] * table
 
 
 def ssh_correlation_matrix(p: SSHParams, cells: int, subsystem_cells: int,
@@ -173,8 +131,8 @@ def ssh_correlation_matrix(p: SSHParams, cells: int, subsystem_cells: int,
     if convention not in ("LR", "RR"):
         raise DomainError("convention must be 'LR' or 'RR'")
     grid, offset = _momentum_grid(p, cells)
-    projectors = _filled_projectors(p, grid, filling, convention)
-    g = _distance_table(projectors, offset, subsystem_cells)
+    g = fourier_table(filled_projector(p, grid, filling, convention), offset,
+                      np.arange(1 - subsystem_cells, subsystem_cells))
     cell = np.arange(subsystem_cells)
     blocks = g[cell[:, None] - cell[None, :] + subsystem_cells - 1]
     n = 2 * subsystem_cells

@@ -25,11 +25,18 @@ solve cos k_n = (u^2 - t_n^2 - v^2 - w^2) / (2 v w) with
 t_n = (2n+1) pi / beta, and the admissible n have closed-form bounds.
 The region scan is one array pass: the bounds of every (T, w - v) cell
 come from one broadcast call of the routine that ``chi_count`` calls
-with scalars.  A whole row of correlators C(1..x_max) is one trapezoidal
-sum over an equispaced momentum grid, taken by one FFT.  In the gapped
-phases the momentum integrand is periodic and analytic in the strip
-|Im k| < 1/xi, so that sum converges geometrically in the node count
-(Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).
+with scalars.
+
+The T = 0 two-point function of the filled band is built once, here,
+for both the correlator rows and the entanglement engine:
+``filled_projector`` gives the band projector at any array of momenta,
+``near_exceptional`` is the one test for a momentum too close to +-k_E,
+and ``fourier_table`` turns projector values on an equispaced grid into
+the two-point function at a list of cell distances by one FFT.  A whole
+row of correlators C(1..x_max) is that trapezoidal sum for one channel.
+In the gapped phases the momentum integrand is periodic and analytic in
+the strip |Im k| < 1/xi, so the sum converges geometrically in the node
+count (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).
 """
 
 from __future__ import annotations
@@ -332,6 +339,55 @@ def zeros_region_scan(u: float, wv_values, temperatures) -> RegionScan:
                       has_zeros=has, chi=chi, boundary=boundary)
 
 
+# --- the filled band: projector and Fourier table --------------------------
+
+def near_exceptional(p: SSHParams, k) -> bool:
+    """Whether some momentum in k lies within 1e-8 of +-k_E (mod 2 pi)."""
+    k_e = exceptional_momentum(p)
+    if k_e is None:
+        return False
+    folded = np.abs(np.mod(np.asarray(k, dtype=float) + math.pi,
+                           2.0 * math.pi) - math.pi)
+    return bool(np.min(np.abs(folded - k_e)) < _EXCEPTIONAL_RADIUS)
+
+
+def filled_projector(p: SSHParams, k, filling: str = "im_neg",
+                     convention: str = "LR") -> np.ndarray:
+    """Spectral projector of the filled band at momenta k, shape k.shape + (2, 2).
+
+    Fills the -E branch (negative real part, or negative imaginary part
+    on the broken arc); ``im_pos`` flips the choice on the arc only.
+    The LR projector P = (H + lam) / (2 lam) = r l^dag / (l^dag r) is one
+    array expression over the momenta.  P P^dag is proportional to
+    r r^dag, so the RR projector r r^dag / (r^dag r) is P P^dag / tr(P P^dag).
+    """
+    h = bloch_hamiltonian(p, k)
+    e = np.asarray(dispersion(p, k))
+    if np.min(np.abs(e)) < 1e-12:
+        raise DomainError("projector undefined at a band degeneracy")
+    fill_upper = (filling == "im_pos") & (np.abs(e.real) < 1e-12)
+    lam = np.where(fill_upper, e, -e)[..., None, None]
+    lr = (h + lam * np.eye(2)) / (2.0 * lam)
+    if convention == "LR":
+        return lr
+    pp = lr @ lr.conj().swapaxes(-1, -2)
+    return pp / np.trace(pp, axis1=-2, axis2=-1)[..., None, None]
+
+
+def fourier_table(values: np.ndarray, offset: float, dists: np.ndarray) -> np.ndarray:
+    """(1/N) sum_m exp(i k_m d) values[m] for each distance d in ``dists``.
+
+    On the grid k_m = 2 pi (m + offset) / N, with m running over axis 0 of
+    ``values``, this is exp(2 pi i offset d / N) * ifft(values)[d mod N].
+    Row j of the result holds distance dists[j]; the trailing axes of
+    ``values`` are kept.
+    """
+    n = values.shape[0]
+    phase = np.exp(2j * math.pi * offset * dists / n)
+    table = np.fft.ifft(values, axis=0)[dists % n]
+    return phase.reshape(phase.shape + (1,) * (values.ndim - 1)) * table
+
+
 # --- correlation functions ------------------------------------------------
 
 _CHANNELS = ("AA", "AB", "BA", "BB")
@@ -340,35 +396,22 @@ _CHANNELS = ("AA", "AB", "BA", "BB")
 def corr_momentum(p: SSHParams, k, channel: str):
     """T = 0 two-point function <c_alpha^dag c_beta> at momentum k (LR ground pair).
 
-    The lower band is fully occupied and the upper one empty, which
-    needs a real gap at k.  Vectorized in k.
+    The entry P[beta, alpha] of the LR ``filled_projector``.  The lower
+    band is fully occupied and the upper one empty, which needs a real
+    gap at k.  Vectorized in k.
     """
     if channel not in _CHANNELS:
         raise DomainError(f"channel must be one of {_CHANNELS}")
-    k_e = exceptional_momentum(p)
-    if k_e is not None:
-        folded = np.abs(np.mod(np.asarray(k, dtype=float) + math.pi,
-                               2.0 * math.pi) - math.pi)
-        if np.min(np.abs(folded - k_e)) < _EXCEPTIONAL_RADIUS:
-            raise SingularPointError(
-                "momentum within the exclusion radius of an exceptional point")
+    if near_exceptional(p, k):
+        raise SingularPointError(
+            "momentum within the exclusion radius of an exceptional point")
     e = dispersion(p, k)
     if np.min(np.abs(e)) < 1e-12:
         raise SingularPointError("dispersion vanishes: exceptional momentum")
     if np.min(np.real(e)) <= _EXCEPTIONAL_RADIUS:
         raise DomainError("T = 0 correlators need a real gap (PT-unbroken mode)")
-    vk = p.v + p.w * np.exp(-1j * np.asarray(k, dtype=float))
-    cos_phi = 1j * p.u / e
-    if channel == "AA":
-        out = 0.5 * (1.0 - cos_phi)  # sin^2(phi/2)
-    elif channel == "BB":
-        out = 0.5 * (1.0 + cos_phi)  # cos^2(phi/2)
-    else:
-        # -sin(phi)/2 = -|v_k| / (2 E_k); a product keeps the signs of zeros
-        cross = (np.abs(vk) / (2.0 * e)) * -1.0
-        phase = np.conj(vk) / np.abs(vk) if channel == "AB" else vk / np.abs(vk)
-        out = phase * cross
-    out = np.asarray(out)
+    alpha, beta = ("AB".index(s) for s in channel)
+    out = filled_projector(p, k)[..., beta, alpha]
     return out if out.ndim else complex(out)
 
 
@@ -380,17 +423,18 @@ def corr_row(p: SSHParams, x_max: int, channel: str,
              tol: float = 1e-9) -> np.ndarray:
     """Zero-temperature correlators C(1..x_max) from one trapezoidal FFT.
 
-    C(x) = (1/2 pi) int_{-pi}^{pi} corr_momentum(k) e^{ikx} dk.  On N
-    equispaced nodes k_j = -pi + 2 pi j / N the trapezoidal rule gives
-    C(x) = (-1)^x ifft(f)[x] for every x at once.  N starts at the
-    larger of 64 and the power of two >= 4 x_max and doubles until two
-    successive rows differ by at most tol, an absolute tolerance on the
-    k-integral: 2 pi max_x |row_N - row_2N| <= tol.  The check also
-    catches aliasing of C(N - x) onto C(x).  Each doubling evaluates
-    only the new midpoints.  Returns the finer row, indexed by x - 1.
-    Raises QuadratureError, carrying that row and its estimate, once
-    2^18 nodes are not enough, and DomainError before any work when the
-    first grid would already reach 2^18 nodes (x_max > 32768).
+    C(x) = (1/2 pi) int_0^{2 pi} corr_momentum(k) e^{ikx} dk.  On N
+    equispaced nodes k_j = 2 pi j / N the trapezoidal rule gives
+    C(x) = ``fourier_table`` of the node values at offset 0, every x at
+    once.  N starts at the larger of 64 and the power of two >= 4 x_max
+    and doubles until two successive rows differ by at most tol, an
+    absolute tolerance on the k-integral: 2 pi max_x |row_N - row_2N|
+    <= tol.  The check also catches aliasing of C(N - x) onto C(x).
+    Each doubling evaluates only the new midpoints.  Returns the finer
+    row, indexed by x - 1.  Raises QuadratureError, carrying that row and
+    its estimate, once 2^18 nodes are not enough, and DomainError before
+    any work when the first grid would already reach 2^18 nodes (x_max >
+    32768).
 
     Valid in the gapped phases |v - w| > u.
     """
@@ -403,19 +447,14 @@ def corr_row(p: SSHParams, x_max: int, channel: str,
     n = max(_FIRST_NODES, 1 << (4 * x_max - 1).bit_length())
     if n >= _MAX_NODES:
         raise DomainError(f"x_max must be at most {_MAX_NODES // 8}")
-    f = corr_momentum(p, -math.pi + 2.0 * math.pi * np.arange(n) / n, channel)
-    sign = (-1.0) ** np.arange(1, x_max + 1)
-
-    def row_of(values):
-        return sign * np.fft.ifft(values)[1:x_max + 1]
-
-    row = row_of(f)
+    dists = np.arange(1, x_max + 1)
+    f = corr_momentum(p, 2.0 * math.pi * np.arange(n) / n, channel)
+    row = fourier_table(f, 0.0, dists)
     while True:
-        mid = corr_momentum(p, -math.pi + math.pi * (2 * np.arange(n) + 1) / n,
-                            channel)
+        mid = corr_momentum(p, math.pi * (2 * np.arange(n) + 1) / n, channel)
         f = np.stack([f, mid], axis=1).ravel()
         n *= 2
-        finer = row_of(f)
+        finer = fourier_table(f, 0.0, dists)
         estimate = 2.0 * math.pi * float(np.max(np.abs(finer - row)))
         row = finer
         if estimate <= tol:

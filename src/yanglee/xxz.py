@@ -70,7 +70,8 @@ import scipy  # scipy.linalg loads on first use, not at import
 
 from .errors import DomainError, YangLeeError
 # dense_eig is not called here; perfbench's span recorder wraps xxz.dense_eig.
-from .numerics.eig import block_eigvals, dense_eig, inverse_iteration  # noqa: F401
+from .numerics.eig import (  # noqa: F401
+    block_eigvals, dense_eig, hermitian_eigvals, inverse_iteration)
 from .numerics.newton import newton_system
 from .numerics.polynomials import ComplexPolynomial, roots_of_polynomial
 
@@ -181,21 +182,20 @@ class SectorBlocks:
         # all-complex call
         route = bool(count) if count in (0, real.size) else real[..., None]
         out = [block_eigvals(_block_matrices(a, d, aniso), route)
-               .reshape(aniso.shape + (-1,)) for a, d, _ in self.stacks]
+               .reshape(aniso.shape + (d.size,)) for a, d, _ in self.stacks]
         return np.concatenate(out, axis=-1)
 
     @cached_property
     def bounds(self) -> tuple[tuple[np.ndarray, ...], ...]:
         """Per stack (floor, d_min, d_max, a_norm, d_norm), each of shape (count,).
 
-        floor = lambda_min(A + diag(d)), the Hermitian block at Delta = 1;
-        then the extremes of d, |A|_F and |d|.  Computed once, on first
-        use: only ground states read them.
+        floor = lambda_min(A + diag(d)), the Hermitian block at Delta = 1,
+        from ``hermitian_eigvals``; then the extremes of d, |A|_F and |d|.
+        Computed once, on first use: only ground states read them.
         """
         out = []
         for a, d, _ in self.stacks:
-            hermitian = 0.5 * (a + a.conj().swapaxes(-1, -2))
-            floor = np.linalg.eigvalsh(_block_matrices(hermitian, d, np.asarray(1.0)))[:, 0]
+            floor = hermitian_eigvals(_block_matrices(a, d, np.asarray(1.0)))[:, 0]
             out.append((floor, d.min(axis=1), d.max(axis=1),
                         np.linalg.norm(a, axis=(1, 2)), np.linalg.norm(d, axis=1)))
             for arr in out[-1]:
@@ -387,7 +387,7 @@ def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
     Math. 25, 359 (1902)), and ``SectorBlocks.weyl_bounds`` bounds lb
     from below with no eigensolve.  The block of least cheap bound is
     solved first; its least Re E is m.  The other blocks whose cheap
-    bound is at most m + margin get the exact lb from one ``eigh`` per
+    bound is at most m + margin get the exact lb from one ``eigvalsh`` per
     block size, and those with lb <= m + margin are solved, with margin
     = 1e-9 max(1, max(|A|_F + |Delta| |d|)) >= 1e-9 max |H|_F.  The
     margin exceeds the 1e-12 hysteresis chain over the at most L/2 + 1
@@ -435,7 +435,7 @@ def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
         pick = np.flatnonzero(pick)
         if pick.size:
             h = _block_matrices(a[pick], d[pick], aniso)
-            lb = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))[:, 0]
+            lb = hermitian_eigvals(h)[:, 0]
             near = lb <= least + margin
             mine[pick[near]] = block_eigvals(h[near], real)
     mags = blocks.magnons
@@ -492,8 +492,8 @@ def partition_scaled(L: int, J: float, beta: float,
     terms = np.exp(-beta * (vals - shift[..., None]))
     # one 1-D dot per point: a batched matrix-vector product sums in
     # another order, so a point's bits would depend on its batch
-    total = np.array([row @ blocks.weights
-                      for row in terms.reshape(-1, terms.shape[-1])]).reshape(shift.shape)
+    total = np.array([row @ blocks.weights for row in terms.reshape(-1, terms.shape[-1])],
+                     dtype=complex).reshape(shift.shape)
     return complex(total) if total.ndim == 0 else total
 
 

@@ -5,8 +5,6 @@ import pytest
 
 from yanglee import entanglement
 from yanglee.entanglement import (
-    _distance_table,
-    _filled_projectors,
     _momentum_grid,
     binary_entropy_sum,
     ee_from_correlation,
@@ -17,7 +15,14 @@ from yanglee.entanglement import (
 )
 from yanglee.errors import DomainError
 from yanglee.numerics.eig import EigenDecompositionError, dense_eigvals, hermitian_eigvals
-from yanglee.ssh import SSHParams, bloch_hamiltonian, dispersion
+from yanglee.ssh import (
+    SSHParams,
+    bloch_hamiltonian,
+    corr_row,
+    dispersion,
+    filled_projector,
+    fourier_table,
+)
 
 
 # --- h function ---------------------------------------------------------------
@@ -127,12 +132,12 @@ _QUARTER_GRID = SSHParams(math.sqrt(2.0 + 2.0 * math.cos(5.0 * math.pi / 8.0)),
 def test_fft_distance_table_matches_phase_sum(p, cells, expected_offset):
     grid, offset = _momentum_grid(p, cells)
     assert offset == expected_offset
-    projectors = _filled_projectors(p, grid, "im_neg", "LR")
+    projectors = filled_projector(p, grid, "im_neg", "LR")
     la = cells // 2
     dists = np.arange(-(la - 1), la)
     direct = np.tensordot(np.exp(1j * np.outer(dists, grid)), projectors,
                           axes=(1, 0)) / cells
-    assert np.max(np.abs(_distance_table(projectors, offset, la) - direct)) <= 1e-13
+    assert np.max(np.abs(fourier_table(projectors, offset, dists) - direct)) <= 1e-13
 
 
 @pytest.mark.parametrize("p, cells, la", [
@@ -141,12 +146,28 @@ def test_fft_distance_table_matches_phase_sum(p, cells, expected_offset):
 ])
 def test_gathered_matrix_equals_block_loop(p, cells, la):
     grid, offset = _momentum_grid(p, cells)
-    g = _distance_table(_filled_projectors(p, grid, "im_neg", "LR"), offset, la)
+    g = fourier_table(filled_projector(p, grid, "im_neg", "LR"), offset,
+                      np.arange(1 - la, la))
     loop = np.empty((2 * la, 2 * la), dtype=complex)
     for i in range(la):
         for j in range(la):
             loop[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = g[(i - j) + la - 1]
     assert np.array_equal(ssh_correlation_matrix(p, cells, la), loop)
+
+
+@pytest.mark.parametrize("uvw", [(0.0, 2.0, 1.0), (0.0, 1.0, 2.5), (1.0, 2.05, 1.0),
+                                 (0.5, 1.0, 2.0), (1.0, 3.0, 0.7)])
+def test_correlation_matrix_column_is_the_correlator_row(uvw):
+    # both read the one filled-band two-point function: C[2x + b, a] is
+    # channel ab at distance x, summed on 1000 cells against corr_row's
+    # converged trapezoid
+    p = SSHParams(*uvw)
+    c = ssh_correlation_matrix(p, 1000, 41)
+    x = np.arange(1, 41)
+    for a, alpha in enumerate("AB"):
+        for b, beta in enumerate("AB"):
+            row = corr_row(p, 40, alpha + beta, tol=1e-13)
+            assert np.max(np.abs(c[2 * x + b, a] - row[x - 1])) <= 1e-14
 
 
 def _entropy_by_numpy(c: np.ndarray) -> complex:
@@ -177,7 +198,7 @@ def test_rr_projectors_match_per_momentum_eig(uvw, filling):
         values, vectors = np.linalg.eig(h)
         r = vectors[:, np.argmin(np.abs(values - target))]
         want[i] = np.outer(r, r.conj()) / np.vdot(r, r)
-    got = _filled_projectors(p, grid, filling, "RR")
+    got = filled_projector(p, grid, filling, "RR")
     assert np.max(np.abs(got - want)) <= 1e-13
 
 

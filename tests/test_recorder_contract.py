@@ -22,3 +22,17 @@ def test_recorder_targets_resolve_and_record(monkeypatch):
         assert cli.run(["xxz-bethe", "--L", "6", "--M", "3"]) == 0
     names = {span[0] for span in rec.spans}
     assert {"cli", "xxz.bethe", "newton"} <= names
+
+
+def test_recorder_times_correlator_nodes(monkeypatch, capsys):
+    # ssh-corr evaluates its momentum nodes through ssh.corr_momentum, the
+    # name the recorder patches for its ssh.corr_momentum metric
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    recorder = importlib.import_module("recorder")
+    rec = recorder.Recorder()
+    with recorder.instrumented(rec):
+        assert cli.run(["ssh-corr", "--u", "1", "--v", "2.05", "--w", "1",
+                        "--x-max", "20"]) == 0
+    capsys.readouterr()
+    names = {span[0] for span in rec.spans}
+    assert {"cli", "ssh.corr_momentum"} <= names

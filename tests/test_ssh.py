@@ -419,6 +419,34 @@ def test_corr_momentum_channel_relations():
     assert abs(corr_momentum(p_small, k, "AA") - 0.5) < 1e-5
 
 
+def _closed_form_corr_momentum(p, k, channel):
+    # the per-channel closed forms in terms of the Bloch angle phi,
+    # cos phi = i u / E_k, kept as a reference for the projector entries
+    e = dispersion(p, k)
+    vk = p.v + p.w * np.exp(-1j * np.asarray(k, dtype=float))
+    cos_phi = 1j * p.u / e
+    if channel == "AA":
+        return 0.5 * (1.0 - cos_phi)  # sin^2(phi/2)
+    if channel == "BB":
+        return 0.5 * (1.0 + cos_phi)  # cos^2(phi/2)
+    # -sin(phi)/2 = -|v_k| / (2 E_k)
+    cross = (np.abs(vk) / (2.0 * e)) * -1.0
+    phase = np.conj(vk) / np.abs(vk) if channel == "AB" else vk / np.abs(vk)
+    return phase * cross
+
+
+@pytest.mark.parametrize("uvw", [(0.0, 2.0, 1.0), (0.0, 1.0, 2.5), (1.0, 2.05, 1.0),
+                                 (0.5, 1.0, 2.0), (1.0, 3.0, 0.7)])
+@pytest.mark.parametrize("channel", ["AA", "AB", "BA", "BB"])
+def test_corr_momentum_matches_closed_forms(uvw, channel):
+    p = SSHParams(*uvw)
+    k = 2.0 * math.pi * np.arange(256) / 256
+    got = corr_momentum(p, k, channel)
+    assert np.max(np.abs(got - _closed_form_corr_momentum(p, k, channel))) <= 1e-15
+    assert abs(corr_momentum(p, 1.3, channel)
+               - _closed_form_corr_momentum(p, 1.3, channel)) <= 1e-15
+
+
 def test_corr_momentum_singularity_guard():
     with pytest.raises(SingularPointError):
         corr_momentum(SSHParams(1, 1, 1), 2.0 * math.pi / 3.0, "AA")

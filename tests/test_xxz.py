@@ -140,6 +140,13 @@ def test_momentum_blocks_match_sector_oracle(L, J):
         assert z.tobytes() == np.complex128(scalar).tobytes()
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (4, 0)])
+def test_partition_scaled_empty_batch(shape):
+    # an empty batch has no eigenvalues to reshape by; it gives an empty result
+    out = partition_scaled(6, 1.0, 10.0, np.zeros(shape, dtype=complex))
+    assert out.shape == shape and out.dtype == complex
+
+
 @pytest.mark.parametrize("L", [2, 6, 8])
 def test_partition_scaled_matches_sector_oracle(L):
     # one point is an L = 6 partition zero, where only the absolute
