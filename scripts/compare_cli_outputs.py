@@ -3,14 +3,12 @@
 Runs, once on the sources of a git revision and once on the working
 tree, and lists each task whose stdout, stderr or exit code differ:
 
-* every ``xxz-zeros`` and ``xxz-verify-zeros`` task of the benchmark's
-  ``zeros`` workload at the given seeds;
-* every ``xxz-ee`` and ``xxz-gap`` task of the ``ground`` workload at
-  the same seeds;
-* every ``ssh-corr``, ``ssh-zeros-scan``, ``ssh-ee`` and ``ssh-chi``
-  task of the ``ssh`` workload at the same seeds;
-* the README's examples of those commands and of every ``ssh-``
-  command, with ``--out`` dropped so that the table goes to stdout.
+* every task of the benchmark's ``zeros``, ``ground`` and ``ssh``
+  workloads at the given seeds;
+* the README's example of every command, with ``--out`` dropped so that
+  the table goes to stdout;
+* each of these once as CSV and once with ``--format json``;
+* ``yanglee --help``.
 
 When bytes differ, it prints the largest absolute and relative move of
 a numeric field per command and column, the zero coordinates apart from
@@ -24,7 +22,7 @@ many XXZ block eigensolves take each route of ``block_eigvals``
 ``inverse_iteration`` calls ``ground_state`` makes, and at how many
 momentum nodes ``ssh.corr_momentum`` is evaluated (the node-doubling
 schedule of ``ssh-corr``); a side whose sources predate a layer reads
-``n/a`` there.
+``n/a`` there.  These counts cover the CSV and the JSON run of each task.
 Run from the root of a checkout:
 
     python scripts/compare_cli_outputs.py --base HEAD~1 --seeds 1-8
@@ -49,23 +47,20 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOAD_COMMANDS = {"zeros": ("xxz-zeros", "xxz-verify-zeros"),
-                     "ground": ("xxz-ee", "xxz-gap"),
-                     "ssh": ("ssh-corr", "ssh-zeros-scan", "ssh-ee", "ssh-chi")}
+WORKLOADS = ("zeros", "ground", "ssh")
 ZERO_COLUMNS = {"re_delta", "im_delta", "re_analytic", "im_analytic",
                 "re_numeric", "im_numeric"}
 RESIDUAL_COLUMNS = {"residual"}
 
 
 def readme_tasks() -> list[list[str]]:
-    """argv of each README example of a compared command or an SSH command."""
+    """argv of each README example."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = text.split("## CLI", 1)[1].split("```", 2)[1]
-    compared = {c for commands in WORKLOAD_COMMANDS.values() for c in commands}
     out = []
     for line in block.splitlines():
         argv = shlex.split(line)[1:] if line.startswith("yanglee ") else []
-        if argv and (argv[0] in compared or argv[0].startswith("ssh-")):
+        if argv:
             if "--out" in argv:
                 i = argv.index("--out")
                 del argv[i:i + 2]
@@ -74,16 +69,24 @@ def readme_tasks() -> list[list[str]]:
 
 
 def tasks(seeds: list[int]) -> list[tuple[str, list[str]]]:
-    """(label, argv) of the README examples and the seeds' compared tasks."""
+    """(label, argv) of --help, then of each README example and seed task in CSV and JSON."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import tasks_for
 
-    out = [("readme", argv) for argv in readme_tasks()]
+    tables = [("readme", argv) for argv in readme_tasks()]
     for seed in seeds:
-        for workload, commands in WORKLOAD_COMMANDS.items():
-            out += [(f"seed {seed}", list(t.argv)) for t in tasks_for(workload, seed)
-                    if t.command in commands]
-    return out
+        tables += [(f"seed {seed}", list(t.argv))
+                   for workload in WORKLOADS for t in tasks_for(workload, seed)]
+    return [("help", ["--help"])] + [(label, argv + extra) for label, argv in tables
+                                     for extra in ([], ["--format", "json"])]
+
+
+def table(result: dict) -> list[list[str]]:
+    """The printed table as rows of fields, the header first."""
+    if "--format" not in result["argv"]:
+        return list(csv.reader(io.StringIO(result["stdout"])))
+    records = json.loads(result["stdout"] or "[]")
+    return [list(records[0]), *(list(r.values()) for r in records)] if records else []
 
 
 def run_tasks(src: str) -> None:
@@ -152,16 +155,20 @@ def side(src: Path, todo) -> list[dict]:
 def numeric_moves(base: list[dict], head: list[dict]):
     """({(command, column): (largest |a - b|, largest relative move)}, [odd tasks]).
 
-    A task is odd when its exit code or stderr differs, its tables differ
-    in shape, or a changed field is not a finite number on both sides.
+    A task is odd when it prints no table (``--help``), its exit code or
+    stderr differs, its tables differ in shape, or a changed field is not
+    a finite number on both sides.
     """
     moves: dict[tuple[str, str], tuple[float, float]] = {}
     odd: dict[str, None] = {}  # ordered set of command lines
     for b, h in zip(base, head):
         if b["stdout"] == h["stdout"] and b["code"] == h["code"] and b["stderr"] == h["stderr"]:
             continue
-        tables = [list(csv.reader(io.StringIO(r["stdout"]))) for r in (b, h)]
-        if (b["code"] != h["code"] or b["stderr"] != h["stderr"] or not tables[0]
+        if b["argv"] == ["--help"] or b["code"] != h["code"] or b["stderr"] != h["stderr"]:
+            odd[" ".join(b["argv"])] = None
+            continue
+        tables = [table(r) for r in (b, h)]
+        if (not tables[0]
                 or [len(row) for row in tables[0]] != [len(row) for row in tables[1]]):
             odd[" ".join(b["argv"])] = None
             continue

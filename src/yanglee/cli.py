@@ -4,27 +4,13 @@ Every subcommand runs one scan or verification, writes a CSV table (or
 JSON with --format json) to --out (stdout by default), and optionally a
 JSON run manifest to --manifest.  No command draws random numbers, so
 output is deterministic for fixed flags.  An empty list flag is a usage
-error.
-
-Column schemas:
-  ssh-zeros-scan      w_minus_v,T,has_zeros,chi
-  ssh-chi             u,v,w,beta,chi,formula,ratio
-  ssh-corr            x,re_corr,im_corr,re_asym,im_asym,abs_ratio
-  ssh-ee              l_a,re_s,im_s
-  xxz-poly            exponent,coefficient
-  xxz-zeros           re_delta,im_delta,provenance,residual
-  xxz-verify-zeros    j,re_analytic,im_analytic,re_numeric,im_numeric,distance,residual
-  xxz-bethe           j,re_zeta,im_zeta
-  xxz-ee              l_a,entropy,log_sin_chord
-  xxz-gap             L,re_delta,gap_ed,gap_predicted,rel_err
-  xxz-susceptibility  abs_delta,chi,sigma_fit
+error.  Each command's columns and their print formats are declared
+once, in ``_TABLES``; ``yanglee --help`` lists the columns.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import math
@@ -37,16 +23,6 @@ import scipy
 
 from . import __version__, entanglement, ssh, xxz
 from .errors import DomainError, YangLeeError
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
-    return str(value)
 
 
 def _nonempty(values: list, text: str) -> list:
@@ -90,57 +66,42 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
 
 
-# '%' conversions that print what csv.writer prints for _fmt(value)
-_SPECS = {float: "%.12g", int: "%d", bool: "%d", str: "%s"}
+# Each command's table: a bare column prints as %.12g, name:d as %d
+# (integers and 0/1 flags) and name:s as %s (plain text, never quoted).
+_TABLES = {
+    "ssh-zeros-scan": "w_minus_v T has_zeros:d chi:d",
+    "ssh-chi": "u v w beta chi:d formula ratio",
+    "ssh-corr": "x:d re_corr im_corr re_asym im_asym abs_ratio",
+    "ssh-ee": "l_a:d re_s im_s",
+    "xxz-poly": "exponent:d coefficient:d",
+    "xxz-zeros": "re_delta im_delta provenance:s residual",
+    "xxz-verify-zeros": "j:d re_analytic im_analytic re_numeric im_numeric distance residual",
+    "xxz-bethe": "j:d re_zeta im_zeta",
+    "xxz-ee": "l_a:d entropy log_sin_chord",
+    "xxz-gap": "L:d re_delta gap_ed gap_predicted rel_err",
+    "xxz-susceptibility": "abs_delta chi sigma_fit",
+}
 _BATCH_ROWS = 1024
 
 
-def _plain_field(text: str) -> bool:
-    """True if csv.writer prints ``text`` as it is."""
-    return bool(text) and not any(ch in text for ch in ',"\r\n')
+def _columns(command: str) -> tuple[list[str], list[str]]:
+    """The names and '%' conversions of the command's table columns."""
+    fields = [f.partition(":") for f in _TABLES[command].split()]
+    return [name for name, _, _ in fields], ["%" + (kind or ".12g") for _, _, kind in fields]
 
 
-def _row_format(rows) -> str | None:
-    """One '%' line for every row, from each column's exact Python type.
-
-    None when a column mixes types, holds any other type, or holds a
-    string that csv.writer would quote, or when the rows differ in length.
-    """
-    if len(set(map(len, rows))) != 1:
-        return None
-    specs = []
-    for column in zip(*rows):
-        kinds = set(map(type, column))
-        spec = _SPECS.get(kinds.pop()) if len(kinds) == 1 else None
-        if spec is None or (spec == "%s" and not all(map(_plain_field, column))):
-            return None
-        specs.append(spec)
-    return ",".join(specs) + "\n"
-
-
-def _csv_pieces(header, rows) -> list[str]:
-    """The CSV table as consecutive pieces of text."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    line = _row_format(rows) if rows else None
-    if line is None:
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        return [buf.getvalue()]
-    # one '%' per batch keeps the argument tuple and format string small
-    pieces = [buf.getvalue()]
-    for i in range(0, len(rows), _BATCH_ROWS):
-        batch = rows[i:i + _BATCH_ROWS]
-        pieces.append((line * len(batch)) % tuple(itertools.chain.from_iterable(batch)))
-    return pieces
-
-
-def _write_table(header, rows, out_path, fmt):
+def _write_table(command, rows, out_path, fmt):
+    names, specs = _columns(command)
     if fmt == "csv":
-        pieces = _csv_pieces(header, rows)
+        line = ",".join(specs) + "\n"
+        pieces = [",".join(names) + "\n"]
+        # one '%' per batch keeps the argument tuple and format string small
+        for i in range(0, len(rows), _BATCH_ROWS):
+            batch = rows[i:i + _BATCH_ROWS]
+            pieces.append((line * len(batch)) % tuple(itertools.chain.from_iterable(batch)))
     else:
-        records = [dict(zip(header, [_fmt(v) for v in row])) for row in rows]
+        records = [{name: spec % v for name, spec, v in zip(names, specs, row)}
+                   for row in rows]
         pieces = [json.dumps(records, indent=1) + "\n"]
     if out_path in (None, "-"):
         sys.stdout.writelines(pieces)
@@ -169,7 +130,7 @@ def _write_manifest(path, command, args, outputs, wall_time):
         fh.write("\n")
 
 
-# --- subcommand bodies: each takes args, returns (header, rows) ---
+# --- subcommand bodies: each takes args, returns the rows of its table ---
 
 
 def _cmd_ssh_zeros_scan(args):
@@ -179,12 +140,11 @@ def _cmd_ssh_zeros_scan(args):
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     scan = ssh.zeros_region_scan(args.u, wv, ts)
     wv_list = scan.wv_values.tolist()
-    rows = [(d, t, has, chi)
+    return [(d, t, has, chi)
             for t, has_row, chi_row in zip(scan.temperatures.tolist(),
                                            scan.has_zeros.tolist(),
                                            scan.chi.tolist())
             for d, has, chi in zip(wv_list, has_row, chi_row)]
-    return ["w_minus_v", "T", "has_zeros", "chi"], rows
 
 
 def _cmd_ssh_chi(args):
@@ -193,8 +153,7 @@ def _cmd_ssh_chi(args):
     gap2 = args.u ** 2 - (args.v - args.w) ** 2
     formula = args.beta * math.sqrt(gap2) / (2.0 * math.pi) if gap2 > 0 else 0.0
     ratio = zero_set.chi / formula if formula > 0 else float("nan")
-    return (["u", "v", "w", "beta", "chi", "formula", "ratio"],
-            [(args.u, args.v, args.w, args.beta, zero_set.chi, formula, ratio)])
+    return [(args.u, args.v, args.w, args.beta, zero_set.chi, formula, ratio)]
 
 
 def _cmd_ssh_corr(args):
@@ -205,27 +164,24 @@ def _cmd_ssh_corr(args):
         try:
             a = ssh.corr_asymptotic(p, float(x), args.channel)
         except YangLeeError:
-            a = complex("nan")
+            a = complex(math.nan, math.nan)
         # a ratio means something only where the asymptote exceeds the row's
         # absolute accuracy; below it C sits at its rounding floor
         ratio = abs(c / a) if abs(a) > args.tol else float("nan")
         rows.append((x, c.real, c.imag, a.real, a.imag, ratio))
-    return ["x", "re_corr", "im_corr", "re_asym", "im_asym", "abs_ratio"], rows
+    return rows
 
 
 def _cmd_ssh_ee(args):
     p = ssh.SSHParams(u=args.u, v=args.v, w=args.w)
     entropies = entanglement.ssh_entropies(p, args.cells, args.subsystems,
                                            filling=args.filling)
-    return ["l_a", "re_s", "im_s"], [(la, s.real, s.imag)
-                                     for la, s in zip(args.subsystems, entropies)]
+    return [(la, s.real, s.imag) for la, s in zip(args.subsystems, entropies)]
 
 
 def _cmd_xxz_poly(args):
     poly = xxz.zero_polynomial(args.L)
-    rows = [(m, int(round(c.real)))
-            for m, c in enumerate(poly.coeffs) if c != 0]
-    return ["exponent", "coefficient"], rows
+    return [(m, int(round(c.real))) for m, c in enumerate(poly.coeffs) if c != 0]
 
 
 def _cmd_xxz_zeros(args):
@@ -241,17 +197,14 @@ def _cmd_xxz_zeros(args):
                                        grid_n=args.grid_n)
     for z, r in zip(numeric.zeros, numeric.residuals):
         rows.append((z.real, z.imag, "numeric", r))
-    return ["re_delta", "im_delta", "provenance", "residual"], rows
+    return rows
 
 
 def _cmd_xxz_verify_zeros(args):
     pairing = xxz.verify_analytic_zeros(args.L, args.beta, args.J)
-    rows = []
-    for j, (a, n, d, r) in enumerate(zip(pairing.analytic, pairing.numeric,
-                                         pairing.distances, pairing.residuals)):
-        rows.append((j, a.real, a.imag, n.real, n.imag, d, r))
-    return (["j", "re_analytic", "im_analytic", "re_numeric", "im_numeric",
-             "distance", "residual"], rows)
+    return [(j, a.real, a.imag, n.real, n.imag, d, r)
+            for j, (a, n, d, r) in enumerate(zip(pairing.analytic, pairing.numeric,
+                                                 pairing.distances, pairing.residuals))]
 
 
 def _cmd_xxz_bethe(args):
@@ -259,8 +212,7 @@ def _cmd_xxz_bethe(args):
     print(f"# sum rules: |sum zeta| = {roots.sum_rule_linear:.3e}, "
           f"|sum zeta^2 + M(M-1)/(L-1)| = {roots.sum_rule_quadratic:.3e}",
           file=sys.stderr)
-    rows = [(j, z.real, z.imag) for j, z in enumerate(roots.zeta)]
-    return ["j", "re_zeta", "im_zeta"], rows
+    return [(j, z.real, z.imag) for j, z in enumerate(roots.zeta)]
 
 
 def _cmd_xxz_ee(args):
@@ -271,12 +223,13 @@ def _cmd_xxz_ee(args):
     for cut in range(1, args.L):
         s = entanglement.state_ee(psi, args.L, cut)
         rows.append((cut, s, math.log(math.sin(math.pi * cut / args.L))))
-    return ["l_a", "entropy", "log_sin_chord"], rows
+    return rows
 
 
 def _cmd_xxz_gap(args):
     if args.delta_re >= 0:
-        # the prediction is the gapless-side level spacing -J Re delta / (L - 1)
+        # the prediction is the gapless-side level spacing, -J Re delta / (L - 1)
+        # at even L and twice that at odd L
         raise DomainError("xxz-gap compares the gapless side: needs Re delta < 0")
     rows = []
     for length in args.L_list:
@@ -284,13 +237,12 @@ def _cmd_xxz_gap(args):
         pred = xxz.magnon_energy_and_gap(length, length // 2, args.J,
                                          args.delta_re).gap_gapless
         rows.append((length, args.delta_re, gap, pred, abs(gap - pred) / pred))
-    return ["L", "re_delta", "gap_ed", "gap_predicted", "rel_err"], rows
+    return rows
 
 
 def _cmd_xxz_susceptibility(args):
     scan = xxz.susceptibility_scaling(args.L, args.J, args.deltas)
-    rows = [(m, c, scan.sigma_fit) for m, c in scan.table]
-    return ["abs_delta", "chi", "sigma_fit"], rows
+    return [(m, c, scan.sigma_fit) for m, c in scan.table]
 
 
 # --- parser ------------------------------------------------------------------
@@ -313,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="yanglee", allow_abbrev=False,
         description=("Partition-function zeros, correlations and entanglement "
                      "scaling for two one-dimensional lattice models"),
-        epilog=__doc__.split("Column schemas:")[1] if __doc__ else None,
+        epilog="\n".join(f"  {name:<20}{','.join(_columns(name)[0])}"
+                         for name in _TABLES),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -421,11 +374,11 @@ def run(argv) -> int:
         return 0 if exc.code == 0 else 1
     start = time.perf_counter()
     try:
-        header, rows = args.func(args)
+        rows = args.func(args)
     except YangLeeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    outputs = _write_table(header, rows, args.out, args.format)
+    outputs = _write_table(args.command, rows, args.out, args.format)
     wall = time.perf_counter() - start
     _write_manifest(args.manifest, args.command, args, outputs, wall)
     return 0

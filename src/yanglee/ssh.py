@@ -498,40 +498,35 @@ def corr_asymptotic(p: SSHParams, x: float, channel: str) -> complex:
     """Near-critical closed form of the gapped T = 0 correlator.
 
     All four channels decay as exp(-x/xi)/sqrt(x) through K0(x/xi) with
-    the correlation length xi of ``correlation_length``.  The staggered
-    factor exp(i pi x) reflects the band minimum sitting at k = pi.
-    AA and BB carry the prefactor -+ i u / (2 pi sqrt(vw)); the
-    off-diagonal channels combine neighboring-distance K0 terms through
-    the intracell/intercell split of the hopping structure factor.
+    the correlation length xi of ``correlation_length``, at integer
+    distances x.  The staggered factor (-1)^x reflects the band minimum
+    sitting at k = pi.  AA and BB carry the prefactor -+ i u / (2 pi
+    sqrt(vw)), so they are imaginary; the real off-diagonal channels
+    combine neighboring-distance K0 terms through the intracell/intercell
+    split of the hopping structure factor.
     """
     if channel not in _CHANNELS:
         raise DomainError(f"channel must be one of {_CHANNELS}")
     delta = abs(p.v - p.w) - p.u
     if delta <= 0:
         raise DomainError("corr_asymptotic needs delta = |v - w| - u > 0")
-    if p.u <= 0 or x <= 0:
-        raise DomainError("corr_asymptotic needs u > 0 and x > 0")
+    if p.u <= 0 or x <= 0 or x % 1 != 0:
+        raise DomainError("corr_asymptotic needs u > 0 and an integer x > 0")
     if channel == "BA" and x <= 1:
         raise DomainError("BA asymptotic needs x > 1")
     xi = correlation_length(p)
     amp = _k0_matched_amplitude(p)
-    stagger = np.exp(1j * math.pi * x)
 
     def kernel(y: float) -> float:
         return amp * bessel_k0(y / xi)
 
-    if channel == "AA":
-        return complex(-stagger * (1j * p.u / (4.0 * math.pi)) * kernel(x))
-    if channel == "BB":
-        return complex(+stagger * (1j * p.u / (4.0 * math.pi)) * kernel(x))
-    if channel == "AB":
-        # -(1/4pi) [v I(x) + w I(x+1)] with I the staggered K0 transform
-        return complex(-(1.0 / (4.0 * math.pi))
-                       * (p.v * stagger * kernel(x)
-                          + p.w * stagger * np.exp(1j * math.pi) * kernel(x + 1)))
-    return complex(-(1.0 / (4.0 * math.pi))
-                   * (p.v * stagger * kernel(x)
-                      + p.w * stagger * np.exp(-1j * math.pi) * kernel(x - 1)))
+    # -(1/4pi) (-1)^x [a K(x) + b K(x + d)]; AB is -(1/4pi) [v I(x) + w I(x + 1)]
+    # with I(y) = (-1)^y K(y) the staggered K0 transform, BA the same at x - 1
+    a, b, d = {"AA": (1j * p.u, 0.0, 0), "BB": (-1j * p.u, 0.0, 0),
+               "AB": (p.v, -p.w, 1), "BA": (p.v, -p.w, -1)}[channel]
+    c = (-(1.0 / (4.0 * math.pi)) * (-1.0 if x % 2 else 1.0)
+         * (a * kernel(x) + (b * kernel(x + d) if d else 0.0)))
+    return complex(c.real + 0.0, c.imag + 0.0)  # + 0.0: an exact zero is 0, not -0
 
 
 @dataclass

@@ -852,8 +852,10 @@ def magnon_energy_and_gap(L: int, M: int, J: float, delta: complex) -> MagnonEne
     """First-order multiplet energy and the two phase-resolved gap formulas.
 
     E_M = -J L (1 + delta) / 4 + J delta M (L - M) / (L - 1).  On the
-    gapless side (Re delta < 0, even L) adjacent multiplet levels sit
-    -J Re delta / (L - 1) apart; on the gapped side the gap is
+    gapless side (Re delta < 0) the lowest level is M = L/2 at even L,
+    and the next one M = L/2 -+ 1 lies -J Re delta / (L - 1) above it; at
+    odd L the lowest two, M = (L -+ 1)/2, are degenerate, and the next,
+    M = (L -+ 3)/2, lies twice as far up.  On the gapped side the gap is
     J Re delta above the ferromagnetic doublet.
     """
     if L < 2:
@@ -862,7 +864,7 @@ def magnon_energy_and_gap(L: int, M: int, J: float, delta: complex) -> MagnonEne
     e0 = -J * L * (1.0 + delta) / 4.0
     energy = e0 + J * delta * M * (L - M) / (L - 1)
     return MagnonEnergy(energy=complex(energy),
-                        gap_gapless=-J * delta.real / (L - 1),
+                        gap_gapless=-J * delta.real * (1 + L % 2) / (L - 1),
                         gap_gapped=J * delta.real)
 
 

@@ -47,13 +47,39 @@ def test_csv_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def _csv_writer_table(header, rows):
+def _fmt(value) -> str:
+    """The reference text of one field, chosen by the value's type."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.12g}"
+    return str(value)
+
+
+def _header(command):
+    return [column.split(":")[0] for column in cli._TABLES[command].split()]
+
+
+def _reference_tables(header, rows):
+    """The CSV and JSON bytes a csv.writer over ``_fmt`` fields gives."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([cli._fmt(v) for v in row])
-    return buf.getvalue()
+        writer.writerow([_fmt(v) for v in row])
+    records = [dict(zip(header, [_fmt(v) for v in row])) for row in rows]
+    return {"csv": buf.getvalue(), "json": json.dumps(records, indent=1) + "\n"}
+
+
+def _written_tables(command, rows, tmp_path):
+    out = tmp_path / "t.txt"
+    written = {}
+    for fmt in ("csv", "json"):
+        cli._write_table(command, rows, str(out), fmt)
+        written[fmt] = out.read_text()
+    return written
 
 
 _FLOATS = [0.0, -0.0, 1.0, -2.5, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308,
@@ -62,34 +88,118 @@ _FLOATS = [0.0, -0.0, 1.0, -2.5, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308,
 
 @pytest.mark.parametrize("rows", [
     [(f, i, b, "numeric") for f, i, b in zip(_FLOATS, range(-6, 7), [True, False] * 7)],
-    [(i, 10 ** 30 * i) for i in range(-3, 4)],  # ints of any size
-    [(1.0, "a,b"), (2.0, "plain")],  # quoted by csv.writer
-    [(1.0, 'say "x"'), (2.0, "plain")],
-    [(1.0, "two\nlines"), (2.0, "plain")],
-    [(1.0, "cr\r"), (2.0, "plain")],
-    [(1.0, ""), (2.0, "plain")],  # empty field
-    [(1.0, 2), (2, 1.0)],  # mixed column types
-    [(np.float64(1.5), np.int64(2)), (np.float64(-0.0), np.int64(-3))],
-    [(True, 1.0), (1, 2.0)],  # bool and int in one column
-    [(1.0, 2.0), (3.0,)],  # ragged
-    [(0.25,), (0.5,)],  # one column
-    [("a",), ("b",)],
-    [("",), ("b",)],  # a lone empty field is quoted
-    [(), ()],
+    [(0.5, 10 ** 30 * i, i, "x") for i in range(-3, 4)],  # ints of any size
+    [(np.float64(1.5), np.int64(2), np.int32(-1), "a"),
+     (np.float64(-0.0), np.int64(-3), np.uint8(255), "b")],
+    [(1.5, 1, 1, "a"), (np.float64(2.5), 2, 2, "b")],  # float and float64 in a column
+    [(1.0, True, 1, "a"), (2.0, 1, False, "b")],  # bool and int in a column
+    [(np.float64("nan"), np.int64(2 ** 62), np.int8(-128), "a"),
+     (np.float64("-inf"), np.int64(-(2 ** 63)), np.uint64(2 ** 64 - 1), "b")],
+    [(np.float32(0.1), 0, 0, "a")],  # a narrower float prints its own value
+    [(0.1 + 0.2, 0, 0, "a"), (9.9999999999995, 0, 0, "b"), (-123456789012.5, 0, 0, "c")],
+    [(1e-5, 0, 0, "a"), (1e-4, 0, 0, "b"), (1e11, 0, 0, "c"), (1e12, 0, 0, "d")],
+    [(float(j) / 7, j, j % 2 == 0, "numeric") for j in range(1023)],
+    [(float(j) / 7, j, j % 2 == 0, "numeric") for j in range(1024)],  # one full batch
+    [(float(j) / 7, j, j % 2 == 0, "numeric") for j in range(1025)],
+    [(float(j) / 7, j, j % 2 == 0, "analytic") for j in range(2049)],
+    [(2.0 ** -1074, -0, 0, "a"), (-(2.0 ** -1022), 0, 0, "b")],  # subnormal and tiny
+    [(1.0, 0, 0, "")],  # an empty text field beside others is not quoted
     [],
 ])
-def test_table_bytes_match_csv_writer(tmp_path, rows):
-    width = max((len(r) for r in rows), default=2)
-    header = [f"c{j}" for j in range(width)]
-    out = tmp_path / "t.csv"
-    cli._write_table(header, rows, str(out), "csv")
-    assert out.read_bytes() == _csv_writer_table(header, rows).encode()
+def test_table_bytes_match_csv_writer(tmp_path, monkeypatch, rows):
+    # declared columns print each value as csv.writer prints _fmt(value),
+    # in CSV and in JSON, at any row count across the batch boundary
+    monkeypatch.setitem(cli._TABLES, "t", "c0 c1:d c2:d c3:s")
+    assert _written_tables("t", rows, tmp_path) == _reference_tables(_header("t"), rows)
 
 
 def test_one_format_line_for_plain_tables():
-    rows = [(0.5, 3, True, "numeric"), (-1e-20, -4, False, "analytic")]
-    assert cli._row_format(rows) == "%.12g,%d,%d,%s\n"
-    assert cli._row_format([(0.5, "a,b")]) is None
+    assert cli._columns("xxz-zeros") == (["re_delta", "im_delta", "provenance", "residual"],
+                                         ["%.12g", "%.12g", "%s", "%.12g"])
+    assert cli._columns("ssh-zeros-scan")[1] == ["%.12g", "%.12g", "%d", "%d"]
+    for command in cli._TABLES:
+        names, specs = cli._columns(command)
+        assert len(set(names)) == len(names) == len(specs)
+        assert set(specs) <= {"%.12g", "%d", "%s"}
+
+
+def _readme_commands():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("yanglee ")]
+
+
+def _table_tasks():
+    """README examples with --out dropped, then one benchmark task per command."""
+    tasks = []
+    for line in _readme_commands():
+        argv = shlex.split(line)[1:]
+        if "--out" in argv:
+            i = argv.index("--out")
+            del argv[i:i + 2]
+        tasks.append(argv)
+    # one task of each command from the benchmark workloads at seed 1
+    # (xxz-susceptibility is in none of them)
+    for line in ("ssh-zeros-scan --u=1 --wv-steps=200 --t-steps=50",
+                 "ssh-chi --u=1 --v=1.00495937 --w=1 --beta=90275.5911",
+                 "ssh-corr --u=1 --v=2.01651599 --w=1 --channel=BA --x-max=120",
+                 "ssh-ee --u=1 --v=0.928831923 --w=1 --cells=1000",
+                 "xxz-poly --L=12",
+                 "xxz-zeros --L=4 --beta=63.3866219 --grid-n=32 --analytic",
+                 "xxz-verify-zeros --L=7 --beta=25",
+                 "xxz-bethe --L=12 --M=5",
+                 "xxz-ee --L=10 --delta-re=1.02297437 --delta-im=0.0476892251",
+                 "xxz-gap --L-list=6,8,10 --delta-re=-0.039783903"):
+        tasks.append(line.split())
+    return tasks
+
+
+@pytest.mark.parametrize("argv", _table_tasks(), ids=" ".join)
+def test_command_tables_match_csv_writer(argv, tmp_path, monkeypatch, capsys):
+    # a column declared :d would truncate a float, one declared :s would
+    # print a float's repr; the reference formats each value by its type
+    captured = []
+    write_table = cli._write_table
+
+    def keep_rows(command, rows, out_path, fmt):
+        captured.append(rows)
+        return write_table(command, rows, out_path, fmt)
+
+    monkeypatch.setattr(cli, "_write_table", keep_rows)
+    written = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"table.{fmt}"
+        assert run(argv + ["--format", fmt, "--out", str(out)]) == 0
+        written[fmt] = out.read_text()
+    assert captured[0]
+    for rows in captured:
+        assert _reference_tables(_header(argv[0]), rows) == written
+    capsys.readouterr()
+
+
+def test_help_lists_each_printed_header(capsys):
+    assert run(["--help"]) == 0
+    listed = {}
+    for line in capsys.readouterr().out.splitlines():
+        fields = line.split()
+        if len(fields) == 2 and line.startswith("  ") and fields[0] in cli._TABLES:
+            listed[fields[0]] = fields[1]
+    printed = {}
+    for argv in (["xxz-poly", "--L", "3"], ["xxz-gap", "--L-list", "4"],
+                 ["xxz-bethe", "--L", "4", "--M", "2"],
+                 ["xxz-susceptibility", "--L", "4"],
+                 ["xxz-ee", "--L", "4", "--delta-re", "0.9"],
+                 ["xxz-verify-zeros", "--L", "3", "--beta", "25"],
+                 ["xxz-zeros", "--L", "2", "--beta", "25", "--grid-n", "8"],
+                 ["ssh-chi", "--u", "1", "--v", "1", "--w", "1", "--beta", "10"],
+                 ["ssh-corr", "--u", "1", "--v", "2.5", "--w", "1", "--x-max", "2"],
+                 ["ssh-ee", "--u", "1", "--v", "2.5", "--w", "1", "--cells", "20",
+                  "--subsystems", "2"],
+                 ["ssh-zeros-scan", "--wv-steps", "2", "--t-steps", "2"]):
+        assert run(argv) == 0
+        printed[argv[0]] = capsys.readouterr().out.splitlines()[0]
+    assert listed == printed
+    assert sorted(printed) == sorted(cli._TABLES)
 
 
 def test_manifest_contents(tmp_path):
@@ -175,8 +285,8 @@ def test_help_exits_zero(capsys):
 
 def test_numerical_failure_exits_two(capsys):
     # T = 0 correlators are undefined in the PT-broken phase, the
-    # predicted gap -J Re delta / (L - 1) of xxz-gap is the gapless-side
-    # one, and x_max > 32768 puts the first correlator grid at the node cap
+    # predicted gap of xxz-gap is the gapless-side level spacing, and
+    # x_max > 32768 puts the first correlator grid at the node cap
     for argv in (["ssh-corr", "--u", "1", "--v", "1", "--w", "1", "--x-max", "3"],
                  ["xxz-gap", "--L-list", "6", "--delta-re=0"],
                  ["xxz-gap", "--L-list", "6", "--delta-re=0.05"],
@@ -301,9 +411,7 @@ def test_bethe_csv(capsys):
 
 def test_readme_cli_commands_parse():
     # every line of README's CLI block must be accepted as written
-    text = README.read_text(encoding="utf-8")
-    block = text.split("## CLI", 1)[1].split("```", 2)[1]
-    commands = [line for line in block.splitlines() if line.startswith("yanglee ")]
+    commands = _readme_commands()
     assert len(commands) >= 10
     parser = build_parser()
     rejected = []
@@ -318,9 +426,7 @@ def test_readme_cli_commands_parse():
 def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
     # every line of README's CLI block runs as written; --out paths are
     # relative, so run in a scratch directory
-    text = README.read_text(encoding="utf-8")
-    block = text.split("## CLI", 1)[1].split("```", 2)[1]
-    commands = [line for line in block.splitlines() if line.startswith("yanglee ")]
+    commands = _readme_commands()
     assert len(commands) >= 10
     monkeypatch.chdir(tmp_path)
     failed = []

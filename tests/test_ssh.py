@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from yanglee import ssh
 from yanglee.errors import DomainError
@@ -559,6 +559,29 @@ def test_corr_asymptotic_bb_is_minus_aa():
 def test_corr_asymptotic_domain():
     with pytest.raises(DomainError):
         corr_asymptotic(SSHParams(1.0, 1.5, 1.0), 5.0, "AA")  # delta < 0
+    with pytest.raises(DomainError):
+        corr_asymptotic(SSHParams(1.0, 2.5, 1.0), 5.5, "AA")  # not an integer
+
+
+@pytest.mark.parametrize("channel", ["AA", "BB", "AB", "BA"])
+def test_corr_asymptotic_component_zero_by_symmetry_is_exact(channel):
+    # AA and BB are imaginary, AB and BA real; the other part is +0, not
+    # the rounding residue of exp(i pi x), and the nonzero part is the
+    # e^{i pi x} closed form
+    p = SSHParams(1.0, 2.05, 0.9)
+    xi, amp = correlation_length(p), ssh._k0_matched_amplitude(p)
+    for x in range(2, 14):
+        k = [amp * special.k0(y / xi) for y in (x - 1, x, x + 1)]
+        stagger = np.exp(1j * math.pi * x)
+        expected = {"AA": -stagger * 1j * p.u / (4 * math.pi) * k[1],
+                    "BB": stagger * 1j * p.u / (4 * math.pi) * k[1],
+                    "AB": -stagger / (4 * math.pi) * (p.v * k[1] - p.w * k[2]),
+                    "BA": -stagger / (4 * math.pi) * (p.v * k[1] - p.w * k[0])}[channel]
+        a = corr_asymptotic(p, float(x), channel)
+        zero, part = (a.real, a.imag) if channel in ("AA", "BB") else (a.imag, a.real)
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+        assert part == pytest.approx(
+            expected.imag if channel in ("AA", "BB") else expected.real, rel=1e-14)
 
 
 def test_correlation_length_small_delta_limit():

@@ -566,6 +566,17 @@ def test_gap_formulas():
     assert abs(res.gap_gapped - 0.05) < 1e-12
 
 
+def test_gapless_spacing_doubles_at_odd_length():
+    # at odd L the lowest multiplets M = (L -+ 1)/2 are degenerate, so the
+    # gap is to M = (L -+ 3)/2, twice the even-L spacing; at L = 3 the
+    # first-order levels are exact
+    assert magnon_energy_and_gap(5, 2, 1.0, -0.03).gap_gapless == pytest.approx(0.015)
+    assert magnon_energy_and_gap(6, 3, 1.0, -0.03).gap_gapless == pytest.approx(0.006)
+    for length, rel in ((3, 1e-12), (5, 0.01), (7, 0.02), (9, 0.02)):
+        pred = magnon_energy_and_gap(length, length // 2, 1.0, -0.03).gap_gapless
+        assert abs(xxz.ed_gap(length, 1.0, -0.03) / pred - 1.0) < rel, length
+
+
 def test_first_order_slope_from_ed():
     # d(sector minimum)/d(delta) at the isotropic point, with the polarized
     # drift -J L / 4 removed, must equal J M (L - M) / (L - 1)
