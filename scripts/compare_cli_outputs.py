@@ -8,7 +8,8 @@ tree, and lists each task whose stdout, stderr or exit code differ:
 * the README's example of every command, with ``--out`` dropped so that
   the table goes to stdout;
 * each of these once as CSV and once with ``--format json``;
-* ``yanglee --help``.
+* ``yanglee --help`` and ``yanglee <command> --help`` for every command
+  of the README.
 
 When bytes differ, it prints the largest absolute and relative move of
 a numeric field per command and column, the zero coordinates apart from
@@ -21,8 +22,10 @@ many XXZ block eigensolves take each route of ``block_eigvals``
 (general or Hermitian, counted in matrices) and how many
 ``inverse_iteration`` calls ``ground_state`` makes, and at how many
 momentum nodes ``ssh.corr_momentum`` is evaluated (the node-doubling
-schedule of ``ssh-corr``); a side whose sources predate a layer reads
-``n/a`` there.  These counts cover the CSV and the JSON run of each task.
+schedule of ``ssh-corr``), and how many ``ssh.corr_asymptotic`` and
+``ssh.bessel_k0`` calls each side makes; a side whose sources predate a
+layer reads ``n/a`` there.  These counts cover the CSV and the JSON run
+of each task.
 Run from the root of a checkout:
 
     python scripts/compare_cli_outputs.py --base HEAD~1 --seeds 1-8
@@ -69,16 +72,18 @@ def readme_tasks() -> list[list[str]]:
 
 
 def tasks(seeds: list[int]) -> list[tuple[str, list[str]]]:
-    """(label, argv) of --help, then of each README example and seed task in CSV and JSON."""
+    """(label, argv) of each --help, then of each README example and seed task in CSV and JSON."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import tasks_for
 
     tables = [("readme", argv) for argv in readme_tasks()]
+    commands = dict.fromkeys(argv[0] for _, argv in tables)
+    helps = [("help", ["--help"])] + [("help", [c, "--help"]) for c in commands]
     for seed in seeds:
         tables += [(f"seed {seed}", list(t.argv))
                    for workload in WORKLOADS for t in tasks_for(workload, seed)]
-    return [("help", ["--help"])] + [(label, argv + extra) for label, argv in tables
-                                     for extra in ([], ["--format", "json"])]
+    return helps + [(label, argv + extra) for label, argv in tables
+                    for extra in ([], ["--format", "json"])]
 
 
 def table(result: dict) -> list[list[str]]:
@@ -94,12 +99,18 @@ def run_tasks(src: str) -> None:
     sys.path.insert(0, src)
     from yanglee import cli, entanglement, ssh, xxz
 
-    counts = {"calls": 0, "points": 0, "corr": 0, "nodes": 0}
+    counts = {"calls": 0, "points": 0, "corr": 0, "nodes": 0, "asym": 0, "k0": 0}
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
     partition_scaled = xxz.partition_scaled
-    correlation_matrix = entanglement.ssh_correlation_matrix
     if hasattr(xxz, "block_eigvals") and hasattr(xxz, "inverse_iteration"):
         counts.update(general=0, hermitian=0, inverse=0)
-        block_eigvals, inverse_iteration = xxz.block_eigvals, xxz.inverse_iteration
+        block_eigvals = xxz.block_eigvals
 
         def counted_blocks(a, hermitian):
             mask = xxz.np.broadcast_to(hermitian, a.shape[:-2])
@@ -107,21 +118,13 @@ def run_tasks(src: str) -> None:
             counts["general"] += int(mask.size - mask.sum())
             return block_eigvals(a, hermitian)
 
-        def counted_inverse(a, value):
-            counts["inverse"] += 1
-            return inverse_iteration(a, value)
-
         xxz.block_eigvals = counted_blocks
-        xxz.inverse_iteration = counted_inverse
+        xxz.inverse_iteration = counted("inverse", xxz.inverse_iteration)
 
     def counted_partition(L, J, beta, aniso):
         counts["calls"] += 1
         counts["points"] += xxz.np.size(aniso)
         return partition_scaled(L, J, beta, aniso)
-
-    def counted_correlation(*args, **kwargs):
-        counts["corr"] += 1
-        return correlation_matrix(*args, **kwargs)
 
     corr_momentum = ssh.corr_momentum
 
@@ -130,8 +133,10 @@ def run_tasks(src: str) -> None:
         return corr_momentum(p, k, channel)
 
     xxz.partition_scaled = counted_partition
-    entanglement.ssh_correlation_matrix = counted_correlation
+    entanglement.ssh_correlation_matrix = counted("corr", entanglement.ssh_correlation_matrix)
     ssh.corr_momentum = counted_nodes
+    ssh.corr_asymptotic = counted("asym", ssh.corr_asymptotic)
+    ssh.bessel_k0 = counted("k0", ssh.bessel_k0)
     results = []
     for label, argv in json.load(sys.stdin):
         out, err = io.StringIO(), io.StringIO()
@@ -164,7 +169,7 @@ def numeric_moves(base: list[dict], head: list[dict]):
     for b, h in zip(base, head):
         if b["stdout"] == h["stdout"] and b["code"] == h["code"] and b["stderr"] == h["stderr"]:
             continue
-        if b["argv"] == ["--help"] or b["code"] != h["code"] or b["stderr"] != h["stderr"]:
+        if "--help" in b["argv"] or b["code"] != h["code"] or b["stderr"] != h["stderr"]:
             odd[" ".join(b["argv"])] = None
             continue
         tables = [table(r) for r in (b, h)]
@@ -242,7 +247,8 @@ def main() -> int:
             differ += 1
             print(f"DIFFERS {b['label']}: {' '.join(b['argv'])}")
     report_moves(base, head)
-    keys = ("calls", "points", "corr", "general", "hermitian", "inverse", "nodes")
+    keys = ("calls", "points", "corr", "general", "hermitian", "inverse", "nodes",
+            "asym", "k0")
     for label in dict.fromkeys(r["label"] for r in base):
         tally = [{key: (sum(r[key] for r in rs if r["label"] == label)
                         if key in rs[0] else "n/a") for key in keys} for rs in (base, head)]
@@ -252,7 +258,9 @@ def main() -> int:
               f"{tally[0]['corr']} -> {tally[1]['corr']}; block eigensolves "
               f"general/Hermitian {routes(tally[0])} -> {routes(tally[1])}; "
               f"inverse iterations {tally[0]['inverse']} -> {tally[1]['inverse']}; "
-              f"corr_momentum nodes {tally[0]['nodes']} -> {tally[1]['nodes']}")
+              f"corr_momentum nodes {tally[0]['nodes']} -> {tally[1]['nodes']}; "
+              f"corr_asymptotic/bessel_k0 calls {tally[0]['asym']}/{tally[0]['k0']} -> "
+              f"{tally[1]['asym']}/{tally[1]['k0']}")
     print(f"{len(todo) - differ} of {len(todo)} outputs byte-identical to {args.base}")
     return 1 if differ else 0
 

@@ -159,17 +159,15 @@ def _cmd_ssh_chi(args):
 def _cmd_ssh_corr(args):
     p = ssh.SSHParams(u=args.u, v=args.v, w=args.w)
     row = ssh.corr_row(p, args.x_max, args.channel, tol=args.tol)
-    rows = []
-    for x, c in enumerate(row.tolist(), start=1):
-        try:
-            a = ssh.corr_asymptotic(p, float(x), args.channel)
-        except YangLeeError:
-            a = complex(math.nan, math.nan)
-        # a ratio means something only where the asymptote exceeds the row's
-        # absolute accuracy; below it C sits at its rounding floor
-        ratio = abs(c / a) if abs(a) > args.tol else float("nan")
-        rows.append((x, c.real, c.imag, a.real, a.imag, ratio))
-    return rows
+    try:
+        asym = ssh.corr_asymptotic(p, range(1, args.x_max + 1), args.channel)
+    except YangLeeError:  # u = 0, or no correlation length
+        asym = np.full(args.x_max, complex(math.nan, math.nan))
+    # a ratio means something only where the asymptote exceeds the row's
+    # absolute accuracy; below it C sits at its rounding floor
+    return [(x, c.real, c.imag, a.real, a.imag,
+             abs(c / a) if abs(a) > args.tol else math.nan)
+            for x, (c, a) in enumerate(zip(row.tolist(), asym.tolist()), start=1)]
 
 
 def _cmd_ssh_ee(args):
@@ -185,19 +183,18 @@ def _cmd_xxz_poly(args):
 
 
 def _cmd_xxz_zeros(args):
-    rows = []
-    if args.analytic:
-        locus = xxz.analytic_zeros(args.L, args.beta, args.J,
-                                   n_window=range(args.n_min, args.n_max + 1))
-        for z, r in zip(locus.zeros, locus.residuals):
-            rows.append((z.real, z.imag, "analytic", r))
+    # the numeric search first: its L cap is checked before the analytic
+    # zeros build a companion matrix of degree L^2/4
     numeric = xxz.locate_zeros_numeric(args.L, args.beta, args.J,
                                        (args.re_min, args.re_max),
                                        (args.im_min, args.im_max),
                                        grid_n=args.grid_n)
-    for z, r in zip(numeric.zeros, numeric.residuals):
-        rows.append((z.real, z.imag, "numeric", r))
-    return rows
+    loci = [numeric]
+    if args.analytic:
+        loci.insert(0, xxz.analytic_zeros(args.L, args.beta, args.J,
+                                          n_window=range(args.n_min, args.n_max + 1)))
+    return [(z.real, z.imag, locus.provenance, r)
+            for locus in loci for z, r in zip(locus.zeros, locus.residuals)]
 
 
 def _cmd_xxz_verify_zeros(args):
@@ -270,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, func, **kwargs):
-        subparser = sub.add_parser(name, parents=[common], allow_abbrev=False,
-                                   **kwargs)
+    def add_parser(name, func, parents=(), **kwargs):
+        subparser = sub.add_parser(name, parents=[common, *parents],
+                                   allow_abbrev=False, **kwargs)
         subparser.set_defaults(func=func)
         return subparser
 
@@ -286,28 +283,23 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--t-max", type=float, default=0.5)
     s.add_argument("--t-steps", type=_positive_int, default=50)
 
-    s = add_parser("ssh-chi", _cmd_ssh_chi,
+    model = argparse.ArgumentParser(add_help=False)
+    for flag in ("--u", "--v", "--w"):
+        model.add_argument(flag, type=float, required=True)
+
+    s = add_parser("ssh-chi", _cmd_ssh_chi, parents=[model],
                    help="zero count vs the closed-form density")
-    s.add_argument("--u", type=float, required=True)
-    s.add_argument("--v", type=float, required=True)
-    s.add_argument("--w", type=float, required=True)
     s.add_argument("--beta", type=float, required=True)
 
-    s = add_parser("ssh-corr", _cmd_ssh_corr,
+    s = add_parser("ssh-corr", _cmd_ssh_corr, parents=[model],
                    help="gapped T=0 correlator vs its asymptotic")
-    s.add_argument("--u", type=float, required=True)
-    s.add_argument("--v", type=float, required=True)
-    s.add_argument("--w", type=float, required=True)
     s.add_argument("--channel", choices=("AA", "AB", "BA", "BB"), default="AA")
     s.add_argument("--x-max", type=int, default=40)
     s.add_argument("--tol", type=float, default=1e-9,
                    help="absolute tolerance of the correlator row")
 
-    s = add_parser("ssh-ee", _cmd_ssh_ee,
+    s = add_parser("ssh-ee", _cmd_ssh_ee, parents=[model],
                    help="subsystem entropy scaling (free fermions)")
-    s.add_argument("--u", type=float, required=True)
-    s.add_argument("--v", type=float, required=True)
-    s.add_argument("--w", type=float, required=True)
     s.add_argument("--cells", type=int, default=400)
     s.add_argument("--subsystems", type=_int_list, default="10:80:5",
                    help="comma list or lo:hi:step")

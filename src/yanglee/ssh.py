@@ -488,13 +488,7 @@ def correlation_length(p: SSHParams) -> float:
     return 1.0 / float(np.arccosh(c))
 
 
-def _k0_matched_amplitude(p: SSHParams) -> float:
-    """Amplitude of K0 matched to the exact branch point of 1/E_k."""
-    kappa = 1.0 / correlation_length(p)
-    return 2.0 / math.sqrt(p.v * p.w * math.sinh(kappa) / kappa)
-
-
-def corr_asymptotic(p: SSHParams, x: float, channel: str) -> complex:
+def corr_asymptotic(p: SSHParams, x, channel: str):
     """Near-critical closed form of the gapped T = 0 correlator.
 
     All four channels decay as exp(-x/xi)/sqrt(x) through K0(x/xi) with
@@ -504,29 +498,36 @@ def corr_asymptotic(p: SSHParams, x: float, channel: str) -> complex:
     sqrt(vw)), so they are imaginary; the real off-diagonal channels
     combine neighboring-distance K0 terms through the intracell/intercell
     split of the hopping structure factor.
+
+    ``x`` is an integer >= 1 or an array of them; the result is complex, of
+    the same shape.  Each K0 term is one elementwise ``bessel_k0`` call
+    over every distance.  BA at x = 1 would need K0(0): that entry is nan + nan i.
     """
     if channel not in _CHANNELS:
         raise DomainError(f"channel must be one of {_CHANNELS}")
     delta = abs(p.v - p.w) - p.u
     if delta <= 0:
         raise DomainError("corr_asymptotic needs delta = |v - w| - u > 0")
-    if p.u <= 0 or x <= 0 or x % 1 != 0:
+    x = np.asarray(x)
+    if p.u <= 0 or not np.all((x > 0) & (x % 1 == 0)):
         raise DomainError("corr_asymptotic needs u > 0 and an integer x > 0")
-    if channel == "BA" and x <= 1:
-        raise DomainError("BA asymptotic needs x > 1")
     xi = correlation_length(p)
-    amp = _k0_matched_amplitude(p)
+    kappa = 1.0 / xi
+    amp = 2.0 / math.sqrt(p.v * p.w * math.sinh(kappa) / kappa)  # at 1/E_k's branch point
 
-    def kernel(y: float) -> float:
+    def kernel(y):
         return amp * bessel_k0(y / xi)
 
     # -(1/4pi) (-1)^x [a K(x) + b K(x + d)]; AB is -(1/4pi) [v I(x) + w I(x + 1)]
     # with I(y) = (-1)^y K(y) the staggered K0 transform, BA the same at x - 1
     a, b, d = {"AA": (1j * p.u, 0.0, 0), "BB": (-1j * p.u, 0.0, 0),
                "AB": (p.v, -p.w, 1), "BA": (p.v, -p.w, -1)}[channel]
-    c = (-(1.0 / (4.0 * math.pi)) * (-1.0 if x % 2 else 1.0)
-         * (a * kernel(x) + (b * kernel(x + d) if d else 0.0)))
-    return complex(c.real + 0.0, c.imag + 0.0)  # + 0.0: an exact zero is 0, not -0
+    y = np.maximum(x, 1 - d)  # BA's x = 1 is evaluated at 2, then set to nan
+    c = (-(1.0 / (4.0 * math.pi)) * np.where(x % 2, -1.0, 1.0)
+         * (a * kernel(y) + (b * kernel(y + d) if d else 0.0)))
+    # + 0.0: an exact zero is 0, not -0
+    c = np.where(x + d > 0, c + 0.0, complex(math.nan, math.nan))
+    return c if c.ndim else complex(c)
 
 
 @dataclass

@@ -524,7 +524,7 @@ class ZeroLocus:
 
 
 def analytic_zeros(L: int, beta: float, J: float = 1.0,
-                   n_window=(0,), tol: float = 1e-12) -> ZeroLocus:
+                   n_window=(0,)) -> ZeroLocus:
     """First-order zeros Delta_j = 1 - (L-1) Log(z_j)/(beta J) + i(L-1)2 pi n/(beta J).
 
     z_j are the roots of ``zero_polynomial(L)``; z is the Boltzmann
@@ -533,7 +533,7 @@ def analytic_zeros(L: int, beta: float, J: float = 1.0,
     """
     if not all(math.isfinite(x) and x > 0 for x in (beta, J)):
         raise DomainError(f"beta and J must be positive and finite, got {beta}, {J}")
-    roots = roots_of_polynomial(zero_polynomial(L), tol=tol)
+    roots = roots_of_polynomial(zero_polynomial(L), tol=1e-12)
     zeros = []
     scale = (L - 1) / (beta * J)
     for n in n_window:
@@ -598,7 +598,7 @@ def _drive(f: Callable[[np.ndarray], np.ndarray], iterations: list) -> list:
 
 
 def _winding_cells(f: Callable[[np.ndarray], np.ndarray], res: np.ndarray,
-                   ims: np.ndarray, chunk: int) -> list[tuple[int, int]]:
+                   ims: np.ndarray) -> list[tuple[int, int]]:
     """The plaquettes (i, j) of the lattice res x ims around which arg f winds by >= pi.
 
     A plaquette's winding is the sum of the wrapped phase steps around
@@ -607,7 +607,7 @@ def _winding_cells(f: Callable[[np.ndarray], np.ndarray], res: np.ndarray,
     sum of its plaquettes'.  Starting from the whole window, every
     rectangle with |W| >= pi is split at the lattice midpoint of its
     longer side, and only the new lattice points on the cut are
-    evaluated, one level at a time in batches of at most ``chunk``
+    evaluated, one level at a time in batches of at most ``res.size``
     points.  When no plaquette winds negatively (f entire and the
     lattice fine enough), this returns the cells a scan of every
     plaquette flags, sorted by (i, j).
@@ -615,8 +615,8 @@ def _winding_cells(f: Callable[[np.ndarray], np.ndarray], res: np.ndarray,
     phase = np.empty((res.size, ims.size))
 
     def evaluate(points: list[tuple[int, int]]) -> None:
-        for start in range(0, len(points), chunk):
-            i, j = np.array(points[start:start + chunk]).T
+        for start in range(0, len(points), res.size):
+            i, j = np.array(points[start:start + res.size]).T
             phase[i, j] = np.angle(f(res[i] + 1j * ims[j]))
 
     def boundary(i0, i1, j0, j1):  # counterclockwise, closed
@@ -654,7 +654,7 @@ def _winding_cells(f: Callable[[np.ndarray], np.ndarray], res: np.ndarray,
 def locate_zeros_numeric(L: int, beta: float, J: float,
                          re_window: tuple[float, float],
                          im_window: tuple[float, float],
-                         grid_n: int = 60) -> ZeroLocus:
+                         grid_n: int) -> ZeroLocus:
     """Zeros of Z on a rectangle of the complex Delta plane.
 
     The window carries a grid_n x grid_n lattice.  Candidate cells are
@@ -685,8 +685,7 @@ def locate_zeros_numeric(L: int, beta: float, J: float,
         raise DomainError("windows must be nonempty intervals")
     res = np.linspace(re0, re1, grid_n)
     ims = np.linspace(im0, im1, grid_n)
-    cells = _winding_cells(lambda aniso: partition_scaled(L, J, beta, aniso),
-                           res, ims, chunk=grid_n)
+    cells = _winding_cells(lambda aniso: partition_scaled(L, J, beta, aniso), res, ims)
     centers = [complex(0.5 * (res[i] + res[i + 1]) - 1.0, 0.5 * (ims[j] + ims[j + 1]))
                for i, j in cells]
     steps = [0.1 * complex(res[i + 1] - res[i], ims[j + 1] - ims[j]) for i, j in cells]
@@ -750,6 +749,7 @@ def verify_analytic_zeros(L: int, beta: float, J: float = 1.0) -> ZeroPairing:
     which shrinks as beta grows.  Raises ``YangLeeError`` when a seed
     yields no distinct partner.
     """
+    sector_blocks(L, J)  # checks L <= 14 and J before np.roots meets degree L^2/4
     locus = analytic_zeros(L, beta, J)
 
     def f(d):

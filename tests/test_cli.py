@@ -295,6 +295,19 @@ def test_numerical_failure_exits_two(capsys):
         assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, cap", [
+    (["xxz-zeros", "--L", "2000", "--beta", "100", "--analytic"], "L = 10"),
+    (["xxz-verify-zeros", "--L", "2000", "--beta", "100"], "L = 14"),
+])
+def test_oversized_length_exits_two(argv, cap, capsys):
+    # the analytic zeros used to hand np.roots a companion matrix of
+    # degree 10^6 (14.6 TiB) before any L cap was read
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err and cap in captured.err
+
+
 @pytest.mark.parametrize("flags, name", [
     (["--beta=-5"], "beta"),
     (["--beta=0"], "beta"),

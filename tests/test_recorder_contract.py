@@ -36,3 +36,18 @@ def test_recorder_times_correlator_nodes(monkeypatch, capsys):
     capsys.readouterr()
     names = {span[0] for span in rec.spans}
     assert {"cli", "ssh.corr_momentum"} <= names
+
+
+def test_recorder_sees_one_asymptote_call_per_table(monkeypatch, capsys):
+    # ssh-corr evaluates the K0 asymptote of every distance in one
+    # ssh.corr_asymptotic call, with its K0 terms through ssh.bessel_k0
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    recorder = importlib.import_module("recorder")
+    rec = recorder.Recorder()
+    with recorder.instrumented(rec):
+        assert cli.run(["ssh-corr", "--u", "1", "--v", "2.05", "--w", "1",
+                        "--channel", "AB", "--x-max", "20"]) == 0
+    capsys.readouterr()
+    names = [span[0] for span in rec.spans]
+    assert names.count("ssh.corr_asymptotic") == 1
+    assert names.count("k0") >= 1

@@ -561,6 +561,57 @@ def test_corr_asymptotic_domain():
         corr_asymptotic(SSHParams(1.0, 1.5, 1.0), 5.0, "AA")  # delta < 0
     with pytest.raises(DomainError):
         corr_asymptotic(SSHParams(1.0, 2.5, 1.0), 5.5, "AA")  # not an integer
+    with pytest.raises(DomainError):
+        corr_asymptotic(SSHParams(0.0, 2.5, 1.0), [1, 2, 3], "AA")  # u = 0
+    for xs in ([1, 0, 2], [1.0, 2.5], [3, -1]):
+        with pytest.raises(DomainError):
+            corr_asymptotic(SSHParams(1.0, 2.5, 1.0), xs, "AB")
+
+
+def _asymptote_loop(p, x, channel):
+    """The K0 closed form at one distance in Python float and complex arithmetic."""
+    xi = correlation_length(p)
+    kappa = 1.0 / xi
+    amp = 2.0 / math.sqrt(p.v * p.w * math.sinh(kappa) / kappa)
+    a, b, d = {"AA": (1j * p.u, 0.0, 0), "BB": (-1j * p.u, 0.0, 0),
+               "AB": (p.v, -p.w, 1), "BA": (p.v, -p.w, -1)}[channel]
+    if x + d < 1:
+        return complex(math.nan, math.nan)
+
+    def kernel(y):
+        return amp * float(special.k0(y / xi))
+
+    c = (-(1.0 / (4.0 * math.pi)) * (-1.0 if x % 2 else 1.0)
+         * (a * kernel(x) + (b * kernel(x + d) if d else 0.0)))
+    return complex(c.real + 0.0, c.imag + 0.0)
+
+
+@pytest.mark.parametrize("u, v, w", [(1.0, 2.05, 1.0), (0.7, 1.83, 1.1)])
+@pytest.mark.parametrize("channel", ["AA", "AB", "BA", "BB"])
+def test_corr_asymptotic_array_equals_scalar_calls(u, v, w, channel):
+    # one call over every distance rounds like one call per distance and
+    # like the per-distance loop in Python arithmetic, bit for bit, signed
+    # zeros and NaN payloads included
+    p = SSHParams(u, v, w)
+    xs = np.arange(1, 301)
+    row = corr_asymptotic(p, xs, channel)
+    assert row.shape == xs.shape and row.dtype == complex
+    scalars = [corr_asymptotic(p, int(x), channel) for x in xs]
+    assert all(type(a) is complex for a in scalars)
+    loop = [_asymptote_loop(p, int(x), channel) for x in xs]
+    bits = row.view(np.uint64).tolist()
+    assert bits == np.array(scalars).view(np.uint64).tolist()
+    assert bits == np.array(loop).view(np.uint64).tolist()
+
+
+def test_corr_asymptotic_ba_at_one_is_nan():
+    # BA at x = 1 would need K0(0): the entry is undefined in both parts,
+    # and the rest of the row is not
+    p = SSHParams(1.0, 2.05, 1.0)
+    row = corr_asymptotic(p, range(1, 5), "BA")
+    for a in (row[0], corr_asymptotic(p, 1, "BA")):
+        assert math.isnan(a.real) and math.isnan(a.imag)
+    assert np.isfinite(row[1:]).all()
 
 
 @pytest.mark.parametrize("channel", ["AA", "BB", "AB", "BA"])
@@ -569,7 +620,8 @@ def test_corr_asymptotic_component_zero_by_symmetry_is_exact(channel):
     # the rounding residue of exp(i pi x), and the nonzero part is the
     # e^{i pi x} closed form
     p = SSHParams(1.0, 2.05, 0.9)
-    xi, amp = correlation_length(p), ssh._k0_matched_amplitude(p)
+    xi = correlation_length(p)
+    amp = 2.0 / math.sqrt(p.v * p.w * math.sinh(1.0 / xi) * xi)
     for x in range(2, 14):
         k = [amp * special.k0(y / xi) for y in (x - 1, x, x + 1)]
         stagger = np.exp(1j * math.pi * x)

@@ -412,7 +412,7 @@ def test_bisected_cells_equal_full_scan(L, beta, grid_n, re0, re_width, im0, im_
         visited[i, j] += 1
         return grid[i, j]
 
-    cells = xxz._winding_cells(lookup, res, ims, chunk=grid_n)
+    cells = xxz._winding_cells(lookup, res, ims)
     expect, negative = _scan_cells(grid)
     # a bisected cell is a plaquette the scan flags; a plaquette that winds
     # by -2 pi (aliasing on a coarse lattice) can cancel a zero's +2 pi in
