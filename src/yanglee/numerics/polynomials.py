@@ -64,13 +64,13 @@ class ComplexPolynomial:
         return ComplexPolynomial(self.coeffs[1:] * m)
 
 
-def _aberth_polish(monic: np.ndarray, z: np.ndarray, target: float, max_iter: int = 80):
-    """Simultaneous refinement of all roots of a monic polynomial."""
+def _aberth_polish(monic: np.ndarray, z: np.ndarray, target: float):
+    """Simultaneous refinement of all roots of a monic polynomial, 80 steps at most."""
     p = ComplexPolynomial(monic)
     dp = p.derivative()
     best = z.copy()
     best_res = np.max(np.abs(p(best)))
-    for _ in range(max_iter):
+    for _ in range(80):
         pv = p(z)
         res = np.max(np.abs(pv))
         if res < best_res:
@@ -96,10 +96,13 @@ def roots_of_polynomial(p: ComplexPolynomial, tol: float = 1e-10) -> np.ndarray:
     """All ``degree`` roots of ``p`` (with multiplicity), sorted by (Re, Im).
 
     Every returned root r satisfies |p(r)| <= tol * max|coeff|; otherwise a
-    RootFindingError carrying the best iterate is raised.
+    RootFindingError carrying the best iterate is raised.  Raises
+    DomainError before any work above degree 1024: the companion matrix
+    and the Aberth pair table grow as degree^2 in memory and the companion
+    eigensolve as degree^3 in time.
     """
-    if p.degree < 1:
-        raise DomainError("root finding needs degree >= 1")
+    if not 1 <= p.degree <= 1024:
+        raise DomainError(f"root finding needs 1 <= degree <= 1024, got {p.degree}")
     if tol <= 0:
         raise DomainError("tol must be positive")
     monic = p.coeffs / p.coeffs[-1]

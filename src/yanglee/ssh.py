@@ -43,22 +43,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, YangLeeError
+from .errors import DomainError
 from .numerics.bessel import bessel_k0
 # adaptive_integrate is not called here; perfbench's span recorder wraps
 # ssh.adaptive_integrate.
 from .numerics.quadrature import QuadratureError, adaptive_integrate  # noqa: F401
 
 _EXCEPTIONAL_RADIUS = 1e-8
-
-
-class SingularPointError(YangLeeError):
-    """Evaluation at (or too close to) an exceptional momentum."""
 
 
 @dataclass(frozen=True)
@@ -85,20 +80,6 @@ def _check_params(u, v, w) -> None:
         raise DomainError("u, v, w must be nonnegative")
     if ((v == 0) & (w == 0)).any():
         raise DomainError("at least one of v, w must be positive")
-
-
-class PhaseLabel(str, Enum):
-    TRIVIAL_PT_UNBROKEN = "TrivialPTUnbroken"
-    PT_BROKEN_GAPLESS = "PTBrokenGapless"
-    TOPOLOGICAL_PT_UNBROKEN = "TopologicalPTUnbroken"
-    BOUNDARY = "Boundary"
-
-
-@dataclass
-class PhaseDiagnosis:
-    label: PhaseLabel
-    gap: float
-    exceptional_momenta: Optional[tuple[float, float]]
 
 
 @dataclass
@@ -149,28 +130,14 @@ def exceptional_momentum(p: SSHParams) -> Optional[float]:
     return float(np.arccos(c)) if exists else None
 
 
-def phase_diagnostics(p: SSHParams) -> PhaseDiagnosis:
-    d = p.w - p.v
-    if abs(abs(d) - p.u) <= 1e-12:
-        return PhaseDiagnosis(PhaseLabel.BOUNDARY, 0.0, None)
-    if abs(d) > p.u:
-        gap = 2.0 * math.sqrt(d * d - p.u * p.u)
-        label = (PhaseLabel.TOPOLOGICAL_PT_UNBROKEN if d > 0
-                 else PhaseLabel.TRIVIAL_PT_UNBROKEN)
-        return PhaseDiagnosis(label, gap, None)
-    k_e = exceptional_momentum(p)
-    momenta = (k_e, -k_e) if k_e is not None else None
-    return PhaseDiagnosis(PhaseLabel.PT_BROKEN_GAPLESS, 0.0, momenta)
-
-
 def mode_partition_factor(p: SSHParams, k: float, beta: float) -> complex:
     """(1 + e^{-w})(1 + e^{w}) = 4 cosh^2(w/2), w = beta E_k, for the single mode k.
 
-    Raises ``DomainError`` when |Re w| > 709, where the value overflows
-    float64.
+    Raises ``DomainError`` unless beta is finite and positive, and when
+    |Re w| > 709, where the value overflows float64.
     """
-    if beta <= 0:
-        raise DomainError("beta must be positive")
+    if not (math.isfinite(beta) and beta > 0):
+        raise DomainError("beta must be finite and positive")
     w = beta * dispersion(p, k)
     if abs(w.real) > 709.0:
         raise DomainError(f"|Re beta E_k| = {abs(w.real):.4g} > 709 overflows float64")
@@ -403,11 +370,9 @@ def corr_momentum(p: SSHParams, k, channel: str):
     if channel not in _CHANNELS:
         raise DomainError(f"channel must be one of {_CHANNELS}")
     if near_exceptional(p, k):
-        raise SingularPointError(
+        raise DomainError(
             "momentum within the exclusion radius of an exceptional point")
     e = dispersion(p, k)
-    if np.min(np.abs(e)) < 1e-12:
-        raise SingularPointError("dispersion vanishes: exceptional momentum")
     if np.min(np.real(e)) <= _EXCEPTIONAL_RADIUS:
         raise DomainError("T = 0 correlators need a real gap (PT-unbroken mode)")
     alpha, beta = ("AB".index(s) for s in channel)

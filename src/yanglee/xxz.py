@@ -544,8 +544,7 @@ def analytic_zeros(L: int, beta: float, J: float = 1.0,
                      residuals=[float("nan")] * len(zeros))
 
 
-def _secant_refine(z0: complex, step: complex, tol: float = 1e-11,
-                   max_iter: int = 60, deflate: tuple[complex, ...] = ()
+def _secant_refine(z0: complex, step: complex, deflate: tuple[complex, ...] = ()
                    ) -> Generator[complex, complex, Optional[tuple[complex, float]]]:
     """Secant iteration for a zero of f, started at z0 and z0 + step.
 
@@ -553,7 +552,8 @@ def _secant_refine(z0: complex, step: complex, tol: float = 1e-11,
     ``_drive``).  It returns (root, |f(root)|) or None.  With ``deflate``
     the iteration runs on f(z) / prod_k (z - r_k), which steers it away
     from the known zeros r_k; convergence is still judged on the
-    undeflated |f(z)| < 1e-8.
+    undeflated |f(z)| < 1e-8, together with a step |b - a| < 1e-11, within
+    60 steps.
     """
     def g(z, value):
         return value / np.prod([z - r for r in deflate])
@@ -562,7 +562,7 @@ def _secant_refine(z0: complex, step: complex, tol: float = 1e-11,
     ga = g(a, (yield a))
     fb = yield b
     gb = g(b, fb)
-    for _ in range(max_iter):
+    for _ in range(60):
         if gb == ga:
             return None
         c = b - gb * (b - a) / (gb - ga)
@@ -571,7 +571,7 @@ def _secant_refine(z0: complex, step: complex, tol: float = 1e-11,
         a, ga, b = b, gb, c
         fb = yield b
         gb = g(b, fb)
-        if abs(b - a) < tol and abs(fb) < 1e-8:
+        if abs(b - a) < 1e-11 and abs(fb) < 1e-8:
             return b, abs(fb)
     return (b, abs(fb)) if abs(fb) < 1e-8 else None
 
@@ -804,14 +804,19 @@ class BetheRootSet:
         return float(abs(np.sum(self.zeta ** 2) - target))
 
 
+def _bethe_terms(zeta: np.ndarray) -> np.ndarray:
+    """frac[j, l] = (1 + zeta_l zeta_j) / (zeta_l - zeta_j), 0 on the diagonal."""
+    diff = zeta[None, :] - zeta[:, None]  # diff[j, l] = zeta_l - zeta_j
+    np.fill_diagonal(diff, 1.0)
+    num = 1.0 + zeta[:, None] * zeta[None, :]
+    frac = num / diff
+    np.fill_diagonal(frac, 0.0)
+    return frac
+
+
 def _bethe_residual(L: int):
     def f(zeta: np.ndarray) -> np.ndarray:
-        diff = zeta[None, :] - zeta[:, None]  # diff[j, l] = zeta_l - zeta_j
-        np.fill_diagonal(diff, 1.0)
-        num = 1.0 + zeta[:, None] * zeta[None, :]
-        frac = num / diff
-        np.fill_diagonal(frac, 0.0)
-        return L * zeta - 2.0 * frac.sum(axis=1)
+        return L * zeta - 2.0 * _bethe_terms(zeta).sum(axis=1)
     return f
 
 
@@ -823,8 +828,13 @@ def solve_bethe_roots(L: int, M: int) -> BetheRootSet:
     taken as the eigenvalues of the symmetric tridiagonal Jacobi matrix
     with zero diagonal and off-diagonal
     b_n = sqrt(n (n + 2 lambda - 1) / ((n + lambda)(n + lambda - 1))) / 2.
-    One Newton pass on the Bethe residual certifies them to 1e-12 and
-    polishes them where they fall short (L > 62).
+    One Newton pass on the Bethe residual f certifies them and polishes
+    them where they fall short.  The bound is relative to the term scale
+    S = max_j (L |zeta_j| + 2 sum_l |(1 + zeta_l zeta_j)/(zeta_l - zeta_j)|),
+    taken once from the closed form: max_j |f_j| <= (M + 8) eps S, the
+    order of the rounding error of evaluating f_j (M terms, each a
+    complex product, sum and quotient).  An absolute bound fails at
+    large L M, where that rounding floor itself grows past it.
     """
     if not 1 <= M <= L // 2:
         raise DomainError("need 1 <= M <= L/2 (E_M = E_{L-M} covers the rest)")
@@ -834,7 +844,9 @@ def solve_bethe_roots(L: int, M: int) -> BetheRootSet:
     t = scipy.linalg.eigvalsh_tridiagonal(np.zeros(M), b)
     zeta = np.zeros(M, dtype=complex)  # Re stays +0.0; 1j * t would give -0.0
     zeta.imag = 0.5 * (t - t[::-1])  # the exact set is odd: sum zeta = 0
-    zeta = newton_system(_bethe_residual(L), zeta, tol=1e-12)
+    scale = np.max(L * np.abs(zeta) + 2.0 * np.abs(_bethe_terms(zeta)).sum(axis=1))
+    tol = (M + 8) * np.finfo(float).eps * float(scale)
+    zeta = newton_system(_bethe_residual(L), zeta, tol=tol)
     return BetheRootSet(L=L, M=M, zeta=zeta)
 
 

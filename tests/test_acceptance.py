@@ -258,7 +258,7 @@ def test_criterion_11_property_suite(tmp_path):
 
     # Fock-trace oracle for the single-mode partition factor
     rng = np.random.default_rng(2024)
-    from yanglee.numerics import dense_eig
+    from yanglee.numerics.eig import dense_eig
     worst = 0.0
     for _ in range(10):
         p = ssh.SSHParams(*rng.uniform(0.1, 2.0, 3))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from yanglee.errors import DomainError
-from yanglee.numerics import adaptive_integrate, bessel_k0
+from yanglee.numerics.bessel import bessel_k0
+from yanglee.numerics.quadrature import adaptive_integrate
 
 EULER_GAMMA = 0.5772156649015329
 

@@ -422,6 +422,18 @@ def test_bethe_csv(capsys):
     assert ims[1] == pytest.approx(+1.0 / 3.0 ** 0.5, abs=1e-9)
 
 
+def test_bethe_large_chain_certified(capsys):
+    # an absolute 1e-12 residual gate rejected these roots: at L = 400,
+    # M = 200 Newton stalls at the residual's rounding floor, 1.8e-12
+    assert run(["xxz-bethe", "--L", "400", "--M", "200"]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 201
+    linear, quadratic = (float(part.split(" = ")[1])
+                         for part in captured.err.strip().split(", "))
+    assert linear <= 1e-13 * 200
+    assert quadratic <= 1e-13 * 200 * 199 / 399
+
+
 def test_readme_cli_commands_parse():
     # every line of README's CLI block must be accepted as written
     commands = _readme_commands()

@@ -4,15 +4,15 @@ import scipy.linalg
 import scipy.optimize
 
 from yanglee.errors import DomainError
-from yanglee.numerics import (
+from yanglee.numerics.eig import (
     EigenDecompositionError,
+    _check_residual,
     block_eigvals,
     dense_eig,
     dense_eigvals,
     hermitian_eigvals,
     inverse_iteration,
 )
-from yanglee.numerics.eig import _check_residual
 from yanglee.ssh import SSHParams, bloch_hamiltonian
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from yanglee.numerics import NewtonError, newton_system
+from yanglee.numerics.newton import NewtonError, newton_system
 
 
 def test_scalar_square_root():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from yanglee.errors import DomainError
-from yanglee.numerics import ComplexPolynomial, roots_of_polynomial
+from yanglee.numerics.polynomials import ComplexPolynomial, roots_of_polynomial
 
 
 def test_quadratic_roots():
@@ -59,6 +59,15 @@ def test_deterministic():
 def test_degree_zero_rejected():
     with pytest.raises(DomainError):
         roots_of_polynomial(ComplexPolynomial([3.0]))
+
+
+def test_degree_above_cap_rejected(monkeypatch):
+    # degree 1025 is refused before np.roots builds its companion matrix
+    def no_companion(_):
+        raise AssertionError("np.roots called")
+    monkeypatch.setattr(np, "roots", no_companion)
+    with pytest.raises(DomainError, match="degree <= 1024, got 1025"):
+        roots_of_polynomial(ComplexPolynomial(np.ones(1026)))
 
 
 def test_trailing_zeros_stripped():

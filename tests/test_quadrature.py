@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from yanglee.errors import DomainError
-from yanglee.numerics import QuadratureError, adaptive_integrate, bessel_k0
+from yanglee.numerics.bessel import bessel_k0
+from yanglee.numerics.quadrature import QuadratureError, adaptive_integrate
 
 
 def test_cosine_over_half_period():

@@ -8,10 +8,9 @@ from scipy import integrate, special
 
 from yanglee import ssh
 from yanglee.errors import DomainError
-from yanglee.numerics import QuadratureError, dense_eig
+from yanglee.numerics.eig import dense_eig
+from yanglee.numerics.quadrature import QuadratureError
 from yanglee.ssh import (
-    PhaseLabel,
-    SingularPointError,
     SSHParams,
     bloch_hamiltonian,
     chi_count,
@@ -26,7 +25,6 @@ from yanglee.ssh import (
     fit_exponents,
     mode_partition_factor,
     params_from_detuning,
-    phase_diagnostics,
     yang_lee_root_count,
     zeros_region_scan,
 )
@@ -62,34 +60,41 @@ def test_particle_hole_pairing():
     assert abs(es.values[0] + es.values[1]) < 1e-12
 
 
-# --- phases -----------------------------------------------------------------
+# --- phases: PT-broken where |v - w| < u ------------------------------------
+
+def _phase(p):
+    """(broken, e_max) from the one phase rule, ``ssh._broken_band_edges``."""
+    broken, _, e_max = ssh._broken_band_edges(p.u, p.v, p.w)
+    return bool(broken), float(e_max)
+
 
 def test_phase_trivial_gapped():
-    d = phase_diagnostics(SSHParams(1.0, 2.5, 1.0))
-    assert d.label is PhaseLabel.TRIVIAL_PT_UNBROKEN
-    assert abs(d.gap - 2.0 * math.sqrt(1.5 ** 2 - 1.0)) < 1e-12
-    assert d.exceptional_momenta is None
+    p = SSHParams(1.0, 2.5, 1.0)
+    assert _phase(p) == (False, 0.0)
+    assert abs(2.0 * dispersion(p, math.pi) - 2.0 * math.sqrt(1.5 ** 2 - 1.0)) < 1e-12
+    assert exceptional_momentum(p) is None
 
 
 def test_phase_topological_gapped():
-    d = phase_diagnostics(SSHParams(1.0, 1.0, 2.5))
-    assert d.label is PhaseLabel.TOPOLOGICAL_PT_UNBROKEN
+    p = SSHParams(1.0, 1.0, 2.5)
+    assert _phase(p) == (False, 0.0)
+    assert abs(2.0 * dispersion(p, math.pi) - 2.0 * math.sqrt(1.5 ** 2 - 1.0)) < 1e-12
 
 
 def test_phase_broken_with_exceptional_momenta():
-    d = phase_diagnostics(SSHParams(1.0, 1.0, 1.5))
-    assert d.label is PhaseLabel.PT_BROKEN_GAPLESS
-    assert d.gap == 0.0
-    k_e, k_e_neg = d.exceptional_momenta
+    p = SSHParams(1.0, 1.0, 1.5)
+    broken, e_max = _phase(p)
+    assert broken and abs(e_max - math.sqrt(1.0 - 0.5 ** 2)) < 1e-12
+    assert (2.0 * dispersion(p, math.pi)).real == 0.0
+    k_e = exceptional_momentum(p)
     assert abs(k_e - math.acos(-0.75)) < 1e-12
-    assert k_e_neg == -k_e
-    assert abs(dispersion(SSHParams(1.0, 1.0, 1.5), k_e)) < 1e-7
+    assert abs(dispersion(p, k_e)) < 1e-7
 
 
 def test_phase_boundary():
-    d = phase_diagnostics(SSHParams(1.0, 1.0, 2.0))
-    assert d.label is PhaseLabel.BOUNDARY
-    assert d.gap == 0.0
+    p = SSHParams(1.0, 1.0, 2.0)
+    assert _phase(p) == (False, 0.0)
+    assert 2.0 * dispersion(p, math.pi) == 0.0
 
 
 # --- single-mode partition factor -------------------------------------------
@@ -131,6 +136,12 @@ def test_mode_factor_overflow_guard():
     assert val == pytest.approx(math.exp(708.0), rel=1e-12)
     with pytest.raises(DomainError, match="709"):
         mode_partition_factor(SSHParams(0, 1, 2), 0.0, 237.0)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0])
+def test_mode_factor_rejects_bad_beta(beta):
+    with pytest.raises(DomainError, match="finite and positive"):
+        mode_partition_factor(SSHParams(1, 1, 1), 0.3, beta)
 
 
 # --- zero counting ----------------------------------------------------------
@@ -448,7 +459,7 @@ def test_corr_momentum_matches_closed_forms(uvw, channel):
 
 
 def test_corr_momentum_singularity_guard():
-    with pytest.raises(SingularPointError):
+    with pytest.raises(DomainError, match="exceptional point"):
         corr_momentum(SSHParams(1, 1, 1), 2.0 * math.pi / 3.0, "AA")
 
 

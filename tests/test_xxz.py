@@ -318,7 +318,7 @@ def test_zero_polynomial_small_sizes():
     assert np.allclose(zero_polynomial(2).coeffs, [2, 1])
     p3 = zero_polynomial(3)
     assert np.allclose(p3.coeffs, [2, 0, 2])
-    from yanglee.numerics import roots_of_polynomial
+    from yanglee.numerics.polynomials import roots_of_polynomial
     assert np.allclose(sorted(roots_of_polynomial(p3), key=lambda z: z.imag),
                        [-1j, 1j], atol=1e-12)
     p4 = zero_polynomial(4)
@@ -525,7 +525,8 @@ def test_bethe_invalid_sector():
 
 def test_bethe_roots_are_gegenbauer_zeros():
     # scipy's Gegenbauer nodes are an independent kernel for the closed form;
-    # 63 and 92 are sectors where the Newton pass polishes (residual > 1e-12)
+    # past L = 62 closed-form residuals exceed 1e-12, and at L = 200, M = 54
+    # the Newton pass polishes
     worst = 0.0
     for length in (*range(2, 63), 63, 92, 200):
         for m in range(1, length // 2 + 1):
@@ -646,6 +647,12 @@ def test_susceptibility_closed_form():
 def test_susceptibility_rejects_bad_chain(length, j):
     with pytest.raises(DomainError):
         susceptibility_scaling(length, j, [-0.02, -0.05])
+
+
+def test_analytic_zeros_degree_cap():
+    # L = 2000 has degree 10^6: its companion matrix would need 14.6 TiB
+    with pytest.raises(DomainError, match="degree <= 1024"):
+        analytic_zeros(2000, 100.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
