@@ -178,8 +178,7 @@ def _cmd_ssh_ee(args):
 
 
 def _cmd_xxz_poly(args):
-    poly = xxz.zero_polynomial(args.L)
-    return [(m, int(round(c.real))) for m, c in enumerate(poly.coeffs) if c != 0]
+    return xxz.zero_polynomial_terms(args.L)
 
 
 def _cmd_xxz_zeros(args):

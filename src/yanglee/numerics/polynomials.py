@@ -17,7 +17,7 @@ from ..errors import DomainError, YangLeeError
 
 
 class RootFindingError(YangLeeError):
-    """Root refinement failed; carries the best iterate seen."""
+    """Root refinement failed; carries the best iterate and its backward error."""
 
     def __init__(self, message: str, best=None, residual: float | None = None):
         super().__init__(message)
@@ -40,44 +40,28 @@ class ComplexPolynomial:
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
         if c.ndim != 1 or c.size == 0:
             raise DomainError("coefficient list must be a nonempty 1-d sequence")
-        top = c.size - 1
-        while top > 0 and c[top] == 0:
-            top -= 1
-        self.coeffs = c[: top + 1]
+        nonzero = np.flatnonzero(c)
+        self.coeffs = c[: nonzero[-1] + 1] if nonzero.size else c[:1]
 
     @property
     def degree(self) -> int:
         return self.coeffs.size - 1
 
-    def __call__(self, z):
-        """Evaluate by Horner's scheme; accepts scalars or arrays."""
-        z = np.asarray(z, dtype=complex)
-        acc = np.full_like(z, self.coeffs[-1])
-        for c in self.coeffs[-2::-1]:
-            acc = acc * z + c
-        return acc if acc.ndim else complex(acc)
-
-    def derivative(self) -> "ComplexPolynomial":
-        if self.degree == 0:
-            return ComplexPolynomial(np.zeros(1, dtype=complex))
-        m = np.arange(1, self.coeffs.size)
-        return ComplexPolynomial(self.coeffs[1:] * m)
-
 
 def _aberth_polish(monic: np.ndarray, z: np.ndarray, target: float):
     """Simultaneous refinement of all roots of a monic polynomial, 80 steps at most."""
-    p = ComplexPolynomial(monic)
-    dp = p.derivative()
+    high = monic[::-1]  # np.polyval's order: highest power first
+    d_high = np.polyder(high)
     best = z.copy()
-    best_res = np.max(np.abs(p(best)))
+    best_res = np.max(np.abs(np.polyval(high, best)))
     for _ in range(80):
-        pv = p(z)
+        pv = np.polyval(high, z)
         res = np.max(np.abs(pv))
         if res < best_res:
             best, best_res = z.copy(), res
         if res <= target:
             break
-        dv = dp(z)
+        dv = np.polyval(d_high, z)
         dv = np.where(np.abs(dv) < 1e-300, 1e-300, dv)
         newton = pv / dv
         diff = z[:, None] - z[None, :]
@@ -92,20 +76,23 @@ def _aberth_polish(monic: np.ndarray, z: np.ndarray, target: float):
     return best, best_res
 
 
-def roots_of_polynomial(p: ComplexPolynomial, tol: float = 1e-10) -> np.ndarray:
+def roots_of_polynomial(p: ComplexPolynomial) -> np.ndarray:
     """All ``degree`` roots of ``p`` (with multiplicity), sorted by (Re, Im).
 
-    Every returned root r satisfies |p(r)| <= tol * max|coeff|; otherwise a
-    RootFindingError carrying the best iterate is raised.  Raises
-    DomainError before any work above degree 1024: the companion matrix
-    and the Aberth pair table grow as degree^2 in memory and the companion
-    eigensolve as degree^3 in time.
+    A factor z^low of p gives low exact zeros.  Every other root r has a
+    backward error |p(r)| / sum_m |c_m| |r|^m <= 4 (degree - low + 1) eps:
+    p(r) is zero to within the rounding floor of Horner's scheme at r
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 5.1);
+    otherwise a RootFindingError carries the best iterate and its worst
+    backward error.  Raises DomainError before any work above degree
+    1024: the companion matrix and the Aberth pair table grow as
+    degree^2 in memory and the companion eigensolve as degree^3 in time.
     """
     if not 1 <= p.degree <= 1024:
         raise DomainError(f"root finding needs 1 <= degree <= 1024, got {p.degree}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    monic = p.coeffs / p.coeffs[-1]
+    low = int(np.flatnonzero(p.coeffs)[0])
+    q = p.coeffs[low:]
+    monic = q / q[-1]
     # numpy's roots() is companion-matrix based; it provides the starting set.
     z = np.roots(monic[::-1]).astype(complex)
     # Coincident starting points break the Aberth update; split them slightly
@@ -114,14 +101,15 @@ def roots_of_polynomial(p: ComplexPolynomial, tol: float = 1e-10) -> np.ndarray:
     for i in range(z.size):
         while np.any(np.abs(z[:i] - z[i]) == 0.0):
             z[i] += (rng.standard_normal() + 1j * rng.standard_normal()) * 1e-12
-    scale = float(np.max(np.abs(p.coeffs)))
-    target = 0.01 * tol * float(np.max(np.abs(monic)))
-    z, _ = _aberth_polish(monic, z, target)
-    residual = float(np.max(np.abs(p(z))))
-    if residual > tol * scale:
-        raise RootFindingError(
-            f"root residual {residual:.3e} above {tol * scale:.3e}",
-            best=z,
-            residual=residual,
-        )
+    if z.size:
+        z, _ = _aberth_polish(monic, z, 1e-14 * float(np.max(np.abs(monic))))
+    high = q[::-1]
+    # the divisor is at least |q(0)| > 0
+    error = np.abs(np.polyval(high, z)) / np.polyval(np.abs(high), np.abs(z))
+    worst = float(np.max(error, initial=0.0))
+    bound = 4 * q.size * np.finfo(float).eps
+    if not worst <= bound:
+        raise RootFindingError(f"root backward error {worst:.3e} above {bound:.3e}",
+                               best=z, residual=worst)
+    z = np.concatenate([z, np.zeros(low)])
     return z[np.lexsort((z.imag, z.real))]

@@ -76,6 +76,19 @@ from .numerics.newton import newton_system
 from .numerics.polynomials import ComplexPolynomial, roots_of_polynomial
 
 
+def _check_chain(L: int, J: float = 1.0) -> None:
+    """DomainError unless the exchange J is finite and > 0 and L >= 2."""
+    if not (math.isfinite(J) and J > 0):
+        raise DomainError(f"J must be positive and finite, got {J}")
+    if L < 2:
+        raise DomainError(f"L must be at least 2, got {L}")
+
+
+def _check_beta(beta: float) -> None:
+    if not (math.isfinite(beta) and beta > 0):
+        raise DomainError(f"beta must be positive and finite, got {beta}")
+
+
 @dataclass(frozen=True)
 class XXZParams:
     """Exchange J > 0, complex anisotropy, chain length; periodic chain."""
@@ -85,10 +98,7 @@ class XXZParams:
     L: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.J) and self.J > 0):
-            raise DomainError(f"J must be positive and finite, got {self.J}")
-        if self.L < 2:
-            raise DomainError("L must be at least 2")
+        _check_chain(self.L, self.J)
         if not cmath.isfinite(self.delta_aniso):
             raise DomainError(f"anisotropy Delta must be finite, got {self.delta_aniso}")
 
@@ -250,10 +260,7 @@ def sector_blocks(L: int, J: float) -> SectorBlocks:
     bases (sec. 4.2-4.3).  The zz energy is the same on a and on its
     image, so every sub-block keeps the form A + Delta diag(d).
     """
-    if not (math.isfinite(J) and J > 0):
-        raise DomainError(f"J must be positive and finite, got {J}")
-    if L < 2:
-        raise DomainError("L must be at least 2")
+    _check_chain(L, J)
     if L > 14:
         raise DomainError("dense diagonalization capped at L = 14")
     n = 1 << L
@@ -500,18 +507,23 @@ def partition_scaled(L: int, J: float, beta: float,
 # --- zero structure around the ferromagnetic point -------------------------
 
 
-def zero_polynomial(L: int) -> ComplexPolynomial:
-    """sum_{M=0}^{L} z^{M(L-M)} as an explicit coefficient list.
+def zero_polynomial_terms(L: int) -> list[tuple[int, int]]:
+    """The nonzero terms (exponent, coefficient) of sum_{M=0}^{L} z^{M(L-M)}.
 
-    Degree (L/2)^2 for even L, (L^2-1)/4 for odd L; the constant
-    coefficient is always 2 (from M = 0 and M = L).
+    M and L - M share the exponent M(L - M), which rises with M up to
+    L/2: coefficient 2 for M < L/2 and 1 at M = L/2 (even L).  The last
+    exponent is the degree, floor(L^2/4).
     """
-    if L < 2:
-        raise DomainError("L must be at least 2")
-    degree = (L * L) // 4
-    coeffs = np.zeros(degree + 1, dtype=complex)
-    for m in range(L + 1):
-        coeffs[m * (L - m)] += 1.0
+    _check_chain(L)
+    return [(m * (L - m), 1 if 2 * m == L else 2) for m in range(L // 2 + 1)]
+
+
+def zero_polynomial(L: int) -> ComplexPolynomial:
+    """sum_{M=0}^{L} z^{M(L-M)} as an explicit coefficient list."""
+    terms = zero_polynomial_terms(L)
+    coeffs = np.zeros(terms[-1][0] + 1, dtype=complex)
+    for exponent, c in terms:
+        coeffs[exponent] = c
     return ComplexPolynomial(coeffs)
 
 
@@ -531,9 +543,9 @@ def analytic_zeros(L: int, beta: float, J: float = 1.0,
     weight per unit of the multiplet exponent M(L-M), so its logarithm
     enters with a minus sign.
     """
-    if not all(math.isfinite(x) and x > 0 for x in (beta, J)):
-        raise DomainError(f"beta and J must be positive and finite, got {beta}, {J}")
-    roots = roots_of_polynomial(zero_polynomial(L), tol=1e-12)
+    _check_chain(L, J)
+    _check_beta(beta)
+    roots = roots_of_polynomial(zero_polynomial(L))
     zeros = []
     scale = (L - 1) / (beta * J)
     for n in n_window:
@@ -673,8 +685,7 @@ def locate_zeros_numeric(L: int, beta: float, J: float,
     """
     if L > 10:
         raise DomainError("grid search capped at L = 10")
-    if not (math.isfinite(beta) and beta > 0):
-        raise DomainError(f"beta must be positive and finite, got {beta}")
+    _check_beta(beta)
     if grid_n < 2:
         raise DomainError(f"grid_n must be at least 2, got {grid_n}")
     re0, re1 = re_window
@@ -870,9 +881,12 @@ def magnon_energy_and_gap(L: int, M: int, J: float, delta: complex) -> MagnonEne
     M = (L -+ 3)/2, lies twice as far up.  On the gapped side the gap is
     J Re delta above the ferromagnetic doublet.
     """
-    if L < 2:
-        raise DomainError("L must be at least 2")
+    _check_chain(L, J)
+    if not 0 <= M <= L:
+        raise DomainError(f"need 0 <= M <= L, got M = {M}, L = {L}")
     delta = complex(delta)
+    if not cmath.isfinite(delta):
+        raise DomainError(f"delta must be finite, got {delta}")
     e0 = -J * L * (1.0 + delta) / 4.0
     energy = e0 + J * delta * M * (L - M) / (L - 1)
     return MagnonEnergy(energy=complex(energy),
@@ -893,9 +907,9 @@ def ed_gap(L: int, J: float, delta_re: float) -> float:
 
 def zero_density(L: int, beta: float, J: float = 1.0) -> float:
     """Zeros per unit imaginary anisotropy along the locus: beta J N / (2 pi (L-1))."""
-    if not all(math.isfinite(x) and x > 0 for x in (beta, J)):
-        raise DomainError(f"beta and J must be positive and finite, got {beta}, {J}")
-    n_roots = zero_polynomial(L).degree
+    _check_chain(L, J)
+    _check_beta(beta)
+    n_roots = zero_polynomial_terms(L)[-1][0]
     return beta * J * n_roots / (2.0 * math.pi * (L - 1))
 
 
@@ -915,10 +929,7 @@ def susceptibility_scaling(L: int, J: float, delta_res) -> SusceptibilityScan:
     chi = 2 (L/2 - M*) / (L h) = -(L - 1) / (L J delta) holds at every h.
     The log-log slope of chi against |delta| is the fitted exponent.
     """
-    if not (math.isfinite(J) and J > 0):
-        raise DomainError(f"J must be positive and finite, got {J}")
-    if L < 2:
-        raise DomainError("L must be at least 2")
+    _check_chain(L, J)
     deltas = np.asarray(delta_res, dtype=float)
     if not np.all(np.isfinite(deltas) & (deltas < 0)):
         raise DomainError("susceptibility scan needs finite Re delta < 0 (gapless)")

@@ -2,33 +2,57 @@ import numpy as np
 import pytest
 
 from yanglee.errors import DomainError
-from yanglee.numerics.polynomials import ComplexPolynomial, roots_of_polynomial
+from yanglee.numerics import polynomials
+from yanglee.numerics.polynomials import (
+    ComplexPolynomial, RootFindingError, roots_of_polynomial)
 
 
 def test_quadratic_roots():
-    roots = roots_of_polynomial(ComplexPolynomial([1, 0, 1]), tol=1e-12)
+    roots = roots_of_polynomial(ComplexPolynomial([1, 0, 1]))
     assert np.allclose(sorted(roots, key=lambda z: z.imag), [-1j, 1j], atol=1e-12)
 
 
 def test_multiplet_polynomial_l2():
     # exponents M(L-M) for L=2 are {0, 1, 0}: polynomial z + 2
-    roots = roots_of_polynomial(ComplexPolynomial([2, 1]), tol=1e-12)
+    roots = roots_of_polynomial(ComplexPolynomial([2, 1]))
     assert np.allclose(roots, [-2.0])
+
+
+def _backward_errors(coeffs, roots):
+    high = np.asarray(coeffs, dtype=complex)[::-1]
+    return np.abs(np.polyval(high, roots)) / np.polyval(np.abs(high), np.abs(roots))
 
 
 def test_multiplet_polynomial_l4_residuals():
     p = ComplexPolynomial([2, 0, 0, 2, 1])  # z^4 + 2 z^3 + 2
-    roots = roots_of_polynomial(p, tol=1e-10)
+    roots = roots_of_polynomial(p)
     assert roots.size == 4
-    assert np.max(np.abs(p(roots))) <= 1e-10
+    assert np.max(np.abs(np.polyval(p.coeffs[::-1], roots))) <= 1e-10
 
 
 def test_residual_contract_scales_with_coefficients():
+    # the certificate is relative: |p(r)| <= 4 (degree + 1) eps sum |c_m| |r|^m,
+    # the same for p and for any multiple of p
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    p = ComplexPolynomial(coeffs)
-    roots = roots_of_polynomial(p, tol=1e-10)
-    assert np.max(np.abs(p(roots))) <= 1e-10 * np.max(np.abs(coeffs))
+    bound = 4 * 9 * np.finfo(float).eps
+    for scale in (1.0, 1e-8, 1e8):
+        roots = roots_of_polynomial(ComplexPolynomial(scale * coeffs))
+        assert np.max(_backward_errors(scale * coeffs, roots)) <= bound
+
+
+def test_failed_certificate_carries_backward_error(monkeypatch):
+    # an Aberth pass that returns its start unpolished leaves the
+    # perturbed starting set, whose backward error is far above the bound
+    def perturbed(monic, z, target):
+        return z + 1e-3, None
+    monkeypatch.setattr(polynomials, "_aberth_polish", perturbed)
+    coeffs = [2, 0, 0, 2, 1]
+    with pytest.raises(RootFindingError) as info:
+        roots_of_polynomial(ComplexPolynomial(coeffs))
+    err = info.value
+    assert err.residual == pytest.approx(np.max(_backward_errors(coeffs, err.best)))
+    assert err.residual > 4 * 5 * np.finfo(float).eps
 
 
 def test_vieta_sum_on_random_polynomials():
@@ -38,15 +62,20 @@ def test_vieta_sum_on_random_polynomials():
         c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         c[-1] += 2.0  # keep the leading coefficient well away from zero
         p = ComplexPolynomial(c)
-        roots = roots_of_polynomial(p, tol=1e-9)
+        roots = roots_of_polynomial(p)
         assert abs(roots.sum() - (-c[-2] / c[-1])) < 1e-8
 
 
 def test_repeated_roots_with_multiplicity():
     # (z - 1)^3 = z^3 - 3 z^2 + 3 z - 1
-    roots = roots_of_polynomial(ComplexPolynomial([-1, 3, -3, 1]), tol=1e-6)
+    roots = roots_of_polynomial(ComplexPolynomial([-1, 3, -3, 1]))
     assert roots.size == 3
     assert np.allclose(roots, 1.0, atol=1e-4)
+    # z = 0 is exact: z^2 (z + 1) and 3 z^4 need no iteration there
+    assert np.array_equal(roots_of_polynomial(ComplexPolynomial([0, 0, 1, 1])),
+                          [-1.0, 0.0, 0.0])
+    assert np.array_equal(roots_of_polynomial(ComplexPolynomial([0, 0, 0, 0, 3])),
+                          np.zeros(4))
 
 
 def test_deterministic():

@@ -51,3 +51,18 @@ def test_recorder_sees_one_asymptote_call_per_table(monkeypatch, capsys):
     names = [span[0] for span in rec.spans]
     assert names.count("ssh.corr_asymptotic") == 1
     assert names.count("k0") >= 1
+
+
+def test_recorder_sums_polynomial_degrees(monkeypatch, capsys):
+    # xxz-zeros --analytic finds its roots in one xxz.roots_of_polynomial
+    # call; the recorder reads the degree of its ComplexPolynomial argument
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    recorder = importlib.import_module("recorder")
+    rec = recorder.Recorder()
+    with recorder.instrumented(rec):
+        assert cli.run(["xxz-zeros", "--L", "4", "--beta", "50", "--grid-n", "8",
+                        "--analytic"]) == 0
+    capsys.readouterr()
+    names = [span[0] for span in rec.spans]
+    assert names.count("poly") == 1
+    assert rec.counts["poly.degree_sum"] == 4

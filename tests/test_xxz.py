@@ -30,7 +30,9 @@ from yanglee.xxz import (
     verify_analytic_zeros,
     zero_density,
     zero_polynomial,
+    zero_polynomial_terms,
 )
+from yanglee.numerics.polynomials import roots_of_polynomial
 
 
 # --- sector Hamiltonians -----------------------------------------------------
@@ -318,7 +320,6 @@ def test_zero_polynomial_small_sizes():
     assert np.allclose(zero_polynomial(2).coeffs, [2, 1])
     p3 = zero_polynomial(3)
     assert np.allclose(p3.coeffs, [2, 0, 2])
-    from yanglee.numerics.polynomials import roots_of_polynomial
     assert np.allclose(sorted(roots_of_polynomial(p3), key=lambda z: z.imag),
                        [-1j, 1j], atol=1e-12)
     p4 = zero_polynomial(4)
@@ -334,6 +335,34 @@ def test_zero_polynomial_coefficient_structure():
             else (length * length - 1) // 4
         assert poly.degree == expected_degree
         assert poly.coeffs[-1] == (1.0 if length % 2 == 0 else 2.0)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(length=st.integers(2, 300), beta=st.floats(1e-3, 1e3), j=st.floats(1e-3, 1e3))
+def test_zero_polynomial_terms_match_dense_form(length, beta, j):
+    # oracle: one unit per M = 0..L scattered into the dense coefficient list
+    dense = np.zeros(length * length // 4 + 1)
+    for m in range(length + 1):
+        dense[m * (length - m)] += 1.0
+    exponents = np.flatnonzero(dense)
+    assert zero_polynomial_terms(length) == [(int(e), int(dense[e])) for e in exponents]
+    assert np.array_equal(zero_polynomial(length).coeffs, dense.astype(complex))
+    assert zero_density(length, beta, j) == \
+        beta * j * (dense.size - 1) / (2.0 * math.pi * (length - 1))
+
+
+@pytest.mark.parametrize("length", [18, 20, 24, 30, 31])
+def test_analytic_zeros_certified_by_backward_error(length):
+    # each of these failed an absolute residual gate of 1e-12 max|c_m|:
+    # roots off the unit circle make |z|^degree, and so |p(z)|, large
+    locus = analytic_zeros(length, 100.0)
+    assert len(locus.zeros) == length * length // 4
+    p = zero_polynomial(length)
+    z = roots_of_polynomial(p)
+    high = p.coeffs[::-1]
+    backward = np.abs(np.polyval(high, z)) / np.polyval(np.abs(high), np.abs(z))
+    assert np.max(backward) <= 4 * (p.degree + 1) * np.finfo(float).eps
+    assert np.allclose(locus.zeros, 1.0 - (length - 1) / 100.0 * np.log(z), rtol=0, atol=1e-12)
 
 
 def test_analytic_zeros_l2_position():
@@ -565,6 +594,9 @@ def test_gap_formulas():
     assert abs(res.gap_gapless - 0.01) < 1e-12
     res = magnon_energy_and_gap(6, 0, 1.0, 0.05)
     assert abs(res.gap_gapped - 0.05) < 1e-12
+    for m in (-1, 7):
+        with pytest.raises(DomainError, match="0 <= M <= L"):
+            magnon_energy_and_gap(6, m, 1.0, 0.05)
 
 
 def test_gapless_spacing_doubles_at_odd_length():
@@ -647,6 +679,8 @@ def test_susceptibility_closed_form():
 def test_susceptibility_rejects_bad_chain(length, j):
     with pytest.raises(DomainError):
         susceptibility_scaling(length, j, [-0.02, -0.05])
+    with pytest.raises(DomainError):
+        magnon_energy_and_gap(length, 0, j, -0.05)
 
 
 def test_analytic_zeros_degree_cap():
@@ -665,7 +699,10 @@ def test_non_finite_coupling_and_temperature_rejected(bad):
                  lambda: zero_density(4, bad),
                  lambda: zero_density(4, 50.0, bad),
                  lambda: susceptibility_scaling(4, bad, [-0.02, -0.05]),
-                 lambda: susceptibility_scaling(4, 1.0, [-bad, -0.05])):
+                 lambda: susceptibility_scaling(4, 1.0, [-bad, -0.05]),
+                 lambda: magnon_energy_and_gap(4, 2, bad, -0.05),
+                 lambda: magnon_energy_and_gap(4, 2, 1.0, bad),
+                 lambda: magnon_energy_and_gap(4, 2, 1.0, complex(-0.05, bad))):
         with pytest.raises(DomainError, match="finite"):
             call()
 
