@@ -1,0 +1,104 @@
+"""Run recorded mutations of the program against the tests meant to catch them.
+
+Each entry of ``MUTANTS`` names one deliberate fault: a source file, a
+text that occurs in it exactly once, the text that replaces it, and the
+test files that must fail under it.  For each entry the script extracts
+a git revision (``git archive``) into a temporary directory, applies
+that one change there, and runs only the listed test files, one after
+another, each stopping at its first failure.  It reports the mutant as
+
+* ``caught`` when a listed test file fails (it names the first failing
+  test);
+* ``missed`` when every listed test file passes;
+* ``STALE`` when the old text does not occur exactly once: the code it
+  mutated has changed, and the entry must follow it.
+
+A missed mutant is answered by a new test, never by dropping the entry.
+Run from the root of a checkout:
+
+    python scripts/mutants.py --rev HEAD
+
+Exit status 0 when every mutant is caught, 1 otherwise.  BLAS runs on
+one thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = [
+    Mutant("block diagonal: Delta d overwrites A's own diagonal instead of adding to it",
+           "src/yanglee/xxz.py",
+           "h.reshape(aniso.shape + (count, n * n))[..., :: n + 1] += (",
+           "h.reshape(aniso.shape + (count, n * n))[..., :: n + 1] = (",
+           ("tests/test_xxz.py",)),
+    Mutant("momentum state: e^(+ikr) in place of e^(-ikr)",
+           "src/yanglee/xxz.py",
+           "phase = np.exp(-2j * math.pi * q * r / L)",
+           "phase = np.exp(2j * math.pi * q * r / L)",
+           ("tests/test_xxz.py",)),
+    Mutant("Weyl bound: min d and max d swapped",
+           "src/yanglee/xxz.py",
+           "(lo if tilt > 0 else hi)",
+           "(hi if tilt > 0 else lo)",
+           ("tests/test_xxz.py",)),
+]
+
+
+def run_mutant(rev: str, mutant: Mutant) -> str:
+    """The report line of one mutant, applied to a fresh copy of ``rev``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        source = Path(tmp) / mutant.path
+        text = source.read_text(encoding="utf-8")
+        found = text.count(mutant.old)
+        if found != 1:
+            return f"STALE   {mutant.name}: old text found {found} times in {mutant.path}"
+        source.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        for test in mutant.tests:
+            proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q",
+                                   "-p", "no:cacheprovider", test],
+                                  cwd=tmp, env=env, capture_output=True, text=True)
+            if proc.returncode != 0:
+                failed = [line.split()[1] for line in proc.stdout.splitlines()
+                          if line.startswith(("FAILED ", "ERROR "))]
+                return f"caught  {mutant.name}: {(failed or [test])[0]} fails"
+    return f"missed  {mutant.name}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rev", default="HEAD", help="git revision (or tree) to mutate")
+    args = parser.parse_args()
+    lines = []
+    for mutant in MUTANTS:
+        lines.append(run_mutant(args.rev, mutant))
+        print(lines[-1], flush=True)
+    caught = sum(line.startswith("caught") for line in lines)
+    print(f"{caught} of {len(MUTANTS)} mutants caught at {args.rev}")
+    return 0 if caught == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

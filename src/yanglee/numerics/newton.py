@@ -31,19 +31,19 @@ def _fd_jacobian(f, x, fx):
     return jac
 
 
-def newton_system(f, x0, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
+def newton_system(f, x0, tol: float = 1e-12) -> np.ndarray:
     """Solve f(x) = 0 from x0; returns x with ||f(x)||_inf <= tol.
 
     Backtracking halves the step up to six times when the residual does
-    not decrease.  Raises NewtonError on a singular Jacobian or when
-    ``max_iter`` runs out.
+    not decrease.  Raises NewtonError on a singular Jacobian or after
+    100 steps.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=complex)).copy()
     history = []
     fx = np.atleast_1d(np.asarray(f(x), dtype=complex))
     best = x.copy()
     best_norm = float(np.max(np.abs(fx)))
-    for _ in range(max_iter):
+    for _ in range(100):
         norm = float(np.max(np.abs(fx)))
         history.append(norm)
         if norm < best_norm:
@@ -82,6 +82,6 @@ def newton_system(f, x0, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
     if norm <= tol:
         return x
     raise NewtonError(
-        f"no convergence after {max_iter} iterations, residual {norm:.3e}",
+        f"no convergence after 100 iterations, residual {norm:.3e}",
         best=best, history=history,
     )

@@ -506,19 +506,17 @@ class CorrelationSample:
     xi_closed: float
 
 
-def collect_correlation_samples(u: float, w: float, deltas, channel: str = "AA",
-                                x_lo: float = 2.0, x_hi: float = 6.0,
-                                tol: float = 1e-11) -> list[CorrelationSample]:
-    """Sample the T = 0 correlator on x in [x_lo*xi, x_hi*xi], v = u + w + delta.
+def collect_correlation_samples(u: float, w: float, deltas) -> list[CorrelationSample]:
+    """Sample the T = 0 AA correlator on x in [2 xi, 6 xi], v = u + w + delta.
 
-    Each detuning takes its values from one ``corr_row`` call.
+    Each detuning takes its values from one ``corr_row`` call, to 1e-11.
     """
     samples = []
     for delta in deltas:
         p = SSHParams(u=u, v=u + w + delta, w=w)
         xi = correlation_length(p)
-        xs = np.arange(max(1, math.ceil(x_lo * xi)), math.ceil(x_hi * xi) + 1)
-        vals = corr_row(p, int(xs[-1]), channel, tol=tol)[xs - 1]
+        xs = np.arange(max(1, math.ceil(2.0 * xi)), math.ceil(6.0 * xi) + 1)
+        vals = corr_row(p, int(xs[-1]), "AA", tol=1e-11)[xs - 1]
         samples.append(CorrelationSample(delta=float(delta), params=p, xs=xs,
                                          values=vals, xi_closed=xi))
     return samples

@@ -62,7 +62,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Generator, Optional
 
 import numpy as np
@@ -156,22 +156,19 @@ class SectorBlocks:
     (L - M, k) and reflection (M, -k) the same spectrum at every complex
     Delta.  The (M, k) blocks with k in {0, pi} are split further by
     reflection parity and those with M = L/2 by spin inversion.
-    ``stacks[i] = (A, d, m)``: A has shape (count, n, n), d (count, n),
-    and m holds the magnon number of each of the count blocks.  Basis
-    state j of block b is sum_t ``coefs[i][b, j, t]`` |``words[i][b, j,
-    t]``, k> over momentum states (see ``sector_blocks``), and
-    ``momenta[i]`` (count,) holds the momentum index q of each block.
-    For every column that ``eigvals`` returns, ``magnons`` gives its M,
-    ``repeats`` the number of k-blocks of that sector it stands for (2
-    for 0 < q < L/2, else 1) and ``weights`` the number of the 2^L
-    levels it stands for (``repeats``, doubled for M < L/2).  A sub-block
-    has the M, repeats and weights of the (M, k) block it was split from.
+    ``stacks[i] = (A, d, m, q, words, coefs)``: A has shape (count, n,
+    n), d (count, n), m and q (count,) hold the magnon number and the
+    momentum index of each of the count blocks, and basis state j of
+    block b is sum_t ``coefs[b, j, t]`` |``words[b, j, t]``, k> over
+    momentum states (see ``sector_blocks``).  For every column that
+    ``eigvals`` returns, ``magnons`` gives its M, ``repeats`` the number
+    of k-blocks of that sector it stands for (2 for 0 < q < L/2, else 1)
+    and ``weights`` the number of the 2^L levels it stands for
+    (``repeats``, doubled for M < L/2).  A sub-block has the M, repeats
+    and weights of the (M, k) block it was split from.
     """
 
-    stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    words: tuple[np.ndarray, ...]
-    coefs: tuple[np.ndarray, ...]
-    momenta: tuple[np.ndarray, ...]
+    stacks: tuple[tuple[np.ndarray, ...], ...]
     magnons: np.ndarray
     repeats: np.ndarray
     weights: np.ndarray
@@ -192,7 +189,7 @@ class SectorBlocks:
         # all-complex call
         route = bool(count) if count in (0, real.size) else real[..., None]
         out = [block_eigvals(_block_matrices(a, d, aniso), route)
-               .reshape(aniso.shape + (d.size,)) for a, d, _ in self.stacks]
+               .reshape(aniso.shape + (d.size,)) for a, d, *_ in self.stacks]
         return np.concatenate(out, axis=-1)
 
     @cached_property
@@ -204,7 +201,7 @@ class SectorBlocks:
         Computed once, on first use: only ground states read them.
         """
         out = []
-        for a, d, _ in self.stacks:
+        for a, d, *_ in self.stacks:
             floor = hermitian_eigvals(_block_matrices(a, d, np.asarray(1.0)))[:, 0]
             out.append((floor, d.min(axis=1), d.max(axis=1),
                         np.linalg.norm(a, axis=(1, 2)), np.linalg.norm(d, axis=1)))
@@ -303,24 +300,16 @@ def sector_blocks(L: int, J: float) -> SectorBlocks:
             maps = [(pos[rep[g]], np.exp(-2j * math.pi * q * shift[g] / L)) for g in images]
             for sub, keep, w, cf in _split(block, maps):
                 by_size.setdefault(keep.size, []).append(
-                    (sub, zz[mine[keep]], m, mine[w], cf, q))
-    fields = []
-    for size in sorted(by_size):
-        blocks, diags, ms, ws, cfs, qs = (np.array(x) for x in zip(*by_size[size]))
-        for arr in (blocks, diags, ms, ws, cfs, qs):
-            arr.setflags(write=False)
-        fields.append(((blocks, diags, ms), ws, cfs, qs))
-    stacks, stack_words, stack_coefs, stack_momenta = zip(*fields)
-    column_magnons = np.concatenate([np.repeat(ms, d.shape[-1]) for _, d, ms in stacks])
-    column_q = np.concatenate([np.repeat(q, d.shape[-1])
-                               for (_, d, _), q in zip(stacks, stack_momenta)])
+                    (sub, zz[mine[keep]], m, q, mine[w], cf))
+    stacks = tuple(tuple(np.array(x) for x in zip(*by_size[size])) for size in sorted(by_size))
+    column_magnons = np.concatenate([np.repeat(m, d.shape[-1]) for _, d, m, *_ in stacks])
+    column_q = np.concatenate([np.repeat(q, d.shape[-1]) for _, d, _, q, *_ in stacks])
     repeats = np.where((column_q > 0) & (2 * column_q < L), 2, 1)
     weights = (repeats * np.where(2 * column_magnons < L, 2, 1)).astype(float)
-    for arr in (column_magnons, repeats, weights):
+    for arr in (*chain(*stacks), column_magnons, repeats, weights):
         arr.setflags(write=False)
-    return SectorBlocks(stacks=stacks, words=stack_words, coefs=stack_coefs,
-                        momenta=stack_momenta, magnons=column_magnons,
-                        repeats=repeats, weights=weights)
+    return SectorBlocks(stacks=stacks, magnons=column_magnons, repeats=repeats,
+                        weights=weights)
 
 
 def _split(block: np.ndarray, maps: list) -> Generator:
@@ -405,9 +394,9 @@ def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
     computed levels thus all lie more than the chain above m, so they
     could neither win nor change a sector's candidate where it matters,
     and the selection is the one a search of every block makes.  Each
-    solved block goes through the same ``block_eigvals`` route as
-    ``SectorBlocks.eigvals`` (Hermitian at real Delta), so its values are
-    the same to the bit.
+    solved block takes the kernel of ``SectorBlocks.eigvals``, so its
+    values are the same to the bit; at real Delta a block is its own
+    Hermitian part, so the solve that gave its exact lb gave them.
 
     The energy is the winning eigenvalue itself.  Its vector comes from
     ``inverse_iteration`` on the winning block at that eigenvalue: one LU,
@@ -428,12 +417,12 @@ def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
                                  for _, _, _, an, dn in blocks.bounds))
     s0 = min(range(len(cheap)), key=lambda s: cheap[s].min())
     i0 = int(cheap[s0].argmin())
-    a, d, _ = blocks.stacks[s0]
+    a, d, *_ = blocks.stacks[s0]
     first = block_eigvals(_block_matrices(a[i0:i0 + 1], d[i0:i0 + 1], aniso), real)
     least = first.real.min()
     vals = np.full(blocks.magnons.size, np.inf, dtype=complex)  # inf: not solved
-    columns = np.cumsum([d.size for _, d, _ in blocks.stacks])  # end of each stack
-    for s, ((a, d, _), bound) in enumerate(zip(blocks.stacks, cheap)):
+    columns = np.cumsum([d.size for _, d, *_ in blocks.stacks])  # end of each stack
+    for s, ((a, d, *_), bound) in enumerate(zip(blocks.stacks, cheap)):
         mine = vals[columns[s] - d.size:columns[s]].reshape(d.shape)
         pick = bound <= least + margin
         if s == s0:
@@ -442,9 +431,12 @@ def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
         pick = np.flatnonzero(pick)
         if pick.size:
             h = _block_matrices(a[pick], d[pick], aniso)
-            lb = hermitian_eigvals(h)[:, 0]
-            near = lb <= least + margin
-            mine[pick[near]] = block_eigvals(h[near], real)
+            lb = hermitian_eigvals(h)
+            near = lb[:, 0] <= least + margin
+            if real:  # h is its own Hermitian part: lb is already its spectrum
+                mine[pick[near]] = lb[near]
+            elif near.any():
+                mine[pick[near]] = block_eigvals(h[near], False)
     mags = blocks.magnons
     order = np.lexsort((vals.imag, vals.real, mags))
     candidates = order[np.diff(mags[order], prepend=-1) != 0]  # per M, M ascending
@@ -454,10 +446,10 @@ def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
             win = c
     # the winning column lies in block i of stack s
     s = int(np.searchsorted(columns, win, side="right"))
-    a, d, _ = blocks.stacks[s]
+    a, d, _, q, words, coefs = blocks.stacks[s]
     i = (win - (columns[s] - d.size)) // d.shape[-1]
     vec = inverse_iteration(_block_matrices(a[i:i + 1], d[i:i + 1], aniso)[0], vals[win])
-    psi = _momentum_state(L, blocks.words[s][i], blocks.coefs[s][i], blocks.momenta[s][i], vec)
+    psi = _momentum_state(L, words[i], coefs[i], q[i], vec)
     psi /= np.linalg.norm(psi)
     return int(mags[win]), complex(vals[win]), psi
 
@@ -568,7 +560,7 @@ def _secant_refine(z0: complex, step: complex, deflate: tuple[complex, ...] = ()
     60 steps.
     """
     def g(z, value):
-        return value / np.prod([z - r for r in deflate])
+        return value / np.prod([z - r for r in deflate]) if deflate else value
 
     a, b = z0, z0 + step
     ga = g(a, (yield a))
@@ -686,8 +678,8 @@ def locate_zeros_numeric(L: int, beta: float, J: float,
     if L > 10:
         raise DomainError("grid search capped at L = 10")
     _check_beta(beta)
-    if grid_n < 2:
-        raise DomainError(f"grid_n must be at least 2, got {grid_n}")
+    if not 2 <= grid_n <= 4096:  # the grid_n^2 phase lattice takes 128 MiB at the cap
+        raise DomainError(f"grid_n must lie in 2..4096, got {grid_n}")
     re0, re1 = re_window
     im0, im1 = im_window
     if not all(map(math.isfinite, (re0, re1, im0, im1))):

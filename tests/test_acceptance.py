@@ -67,8 +67,7 @@ def test_criterion_2_root_count_density():
 def test_criterion_3_correlation_asymptotics():
     start = time.perf_counter()
     deltas = [0.02, 0.05, 0.1]
-    samples = ssh.collect_correlation_samples(1.0, 1.0, deltas, "AA",
-                                              x_lo=2.0, x_hi=6.0, tol=1e-11)
+    samples = ssh.collect_correlation_samples(1.0, 1.0, deltas)
     worst_ratio_dev = 0.0
     for s in samples:
         for x, value in zip(s.xs, s.values):

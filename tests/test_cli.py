@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import yanglee
-from yanglee import cli
+from yanglee import cli, xxz
 from yanglee.cli import build_parser, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -317,9 +317,15 @@ def test_oversized_length_exits_two(argv, cap, capsys):
     (["--beta=100", "--grid-n=1"], "grid_n"),
     (["--beta=100", "--re-max=inf"], "windows"),
     (["--beta=100", "--im-min=nan"], "windows"),
+    (["--beta=100", "--grid-n=4097"], "grid_n"),
 ])
-def test_zero_search_domain_errors_exit_two(flags, name, capsys):
-    # these used to exit 0 with an empty table
+def test_zero_search_domain_errors_exit_two(flags, name, capsys, monkeypatch):
+    # these used to exit 0 with an empty table, and a --grid-n above the
+    # cap asked for its grid_n^2 phase lattice; all are checked before it
+    def no_search(*args):
+        raise AssertionError("zero search started")
+
+    monkeypatch.setattr(xxz, "_winding_cells", no_search)
     assert run(["xxz-zeros", "--L", "4"] + flags) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

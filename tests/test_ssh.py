@@ -666,7 +666,7 @@ def test_decay_power_fit():
 
 
 def test_fit_exponents_tables_and_eta():
-    samples = collect_correlation_samples(1.0, 1.0, [0.02, 0.05, 0.1], "AA")
+    samples = collect_correlation_samples(1.0, 1.0, [0.02, 0.05, 0.1])
     fit = fit_exponents(samples)
     for delta, xi_fit, xi_closed in fit.xi_table:
         assert abs(xi_fit / xi_closed - 1.0) <= 0.05
@@ -678,7 +678,7 @@ def test_fit_exponents_tables_and_eta():
 
 
 def test_fit_exponents_needs_two_samples():
-    samples = collect_correlation_samples(1.0, 1.0, [0.05], "AA")
+    samples = collect_correlation_samples(1.0, 1.0, [0.05])
     for few in (samples, []):
         with pytest.raises(DomainError):
             fit_exponents(few)

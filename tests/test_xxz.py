@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.special import roots_gegenbauer
 from yanglee import xxz
 from yanglee.entanglement import state_ee
 from yanglee.errors import DomainError, YangLeeError
+from yanglee.numerics import eig
 from yanglee.numerics.eig import dense_eig, inverse_iteration
 from yanglee.xxz import (
     XXZParams,
@@ -200,8 +202,7 @@ def _mirror(x, L: int):
 def _sub_blocks(blocks, m: int, q: int):
     """[(A, d, words, coefs)] of the sub-blocks split from the (M, k = 2 pi q / L) block."""
     return [(a[i], d[i], w[i], c[i])
-            for (a, d, ms), w, c, qs in zip(blocks.stacks, blocks.words, blocks.coefs,
-                                            blocks.momenta)
+            for a, d, ms, qs, w, c in blocks.stacks
             for i in np.flatnonzero((ms == m) & (qs == q))]
 
 
@@ -288,7 +289,7 @@ def test_sub_block_dimensions_match_character_formula(L):
 def test_weyl_bound_below_bendixson_bound(L):
     blocks = sector_blocks(L, 1.0)
     for re in (*np.linspace(-3.0, 3.0, 25), 1.0, 1.0 + 1e-9, 1.0 - 1e-9):
-        for (a, d, _), cheap in zip(blocks.stacks, blocks.weyl_bounds(re)):
+        for (a, d, *_), cheap in zip(blocks.stacks, blocks.weyl_bounds(re)):
             exact = np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2))
                                        + re * d[:, None, :] * np.eye(d.shape[-1]))[:, 0]
             assert np.all(cheap <= exact + 1e-12 * max(1.0, abs(re)))
@@ -801,8 +802,7 @@ def _exhaustive_ground_state(p: XXZParams):
         if win is None or vals[c].real < vals[win].real - 1e-12:
             win = c
     start = 0
-    for (a, d, _), words, coefs, momenta in zip(blocks.stacks, blocks.words, blocks.coefs,
-                                                blocks.momenta):
+    for a, d, _, momenta, words, coefs in blocks.stacks:
         count, n = d.shape
         if win < start + count * n:
             i = (win - start) // n
@@ -838,6 +838,58 @@ def test_pruned_ground_state_equals_exhaustive(L, J, re, im):
         assert abs(np.vdot(vec, psi)) / np.linalg.norm(vec) >= 1.0 - 1e-10
 
 
+@pytest.mark.parametrize("L, solves", [(10, 6), (12, 7), (14, 8)])
+def test_real_ground_state_solves_each_candidate_once(L, solves, monkeypatch):
+    # at real Delta a block is its own Hermitian part, so the eigvalsh that
+    # gives its exact Bendixson bound is already its spectrum; at Delta = 1
+    # the whole multiplet is degenerate, so many blocks are candidates
+    p = XXZParams(J=1.0, delta_aniso=1.0, L=L)
+    m_ref, energy_ref, psi_ref = _exhaustive_ground_state(p)[:3]
+    blocks = sector_blocks(L, 1.0)
+    blocks.bounds  # the cached Delta = 1 floors are not part of the call
+    # distinct blocks may hold equal matrices (1 x 1 ones at L = 10, 12, 14)
+    held = Counter(h.tobytes() for a, d, *_ in blocks.stacks
+                   for h in xxz._block_matrices(a, d, np.asarray(1.0 + 0j)))
+    seen = []
+    hermitian, block = eig.hermitian_eigvals, xxz.block_eigvals
+
+    def counted(a, *args, **kwargs):
+        seen.extend(h.tobytes() for h in a.reshape(-1, *a.shape[-2:]))
+        return hermitian(a, *args, **kwargs)
+
+    def nonempty(a, route):
+        assert a.size, "block_eigvals called with an empty stack"
+        return block(a, route)
+
+    monkeypatch.setattr(eig, "hermitian_eigvals", counted)  # block_eigvals' own route
+    monkeypatch.setattr(xxz, "hermitian_eigvals", counted)
+    monkeypatch.setattr(xxz, "block_eigvals", nonempty)
+    m, energy, psi = ground_state(p)
+    assert len(seen) == solves
+    assert not Counter(seen) - held  # no matrix more often than the blocks hold it
+    assert m == m_ref
+    assert np.array([energy]).tobytes() == np.array([energy_ref]).tobytes()
+    assert psi.tobytes() == psi_ref.tobytes()
+
+
+@pytest.mark.parametrize("L", [10, 12])
+def test_complex_ground_state_solves_no_empty_stack(L, monkeypatch):
+    # at Re Delta = 0.95 most stacks hold no block near the lowest level
+    p = XXZParams(J=1.0, delta_aniso=0.95 + 0.01j, L=L)
+    m_ref, energy_ref, psi_ref = _exhaustive_ground_state(p)[:3]
+    block = xxz.block_eigvals
+
+    def nonempty(a, route):
+        assert a.size, "block_eigvals called with an empty stack"
+        return block(a, route)
+
+    monkeypatch.setattr(xxz, "block_eigvals", nonempty)
+    m, energy, psi = ground_state(p)
+    assert m == m_ref
+    assert np.array([energy]).tobytes() == np.array([energy_ref]).tobytes()
+    assert psi.tobytes() == psi_ref.tobytes()
+
+
 @pytest.mark.parametrize("L", range(2, 9))
 def test_momentum_state_expansion_matches_sector_oracle(L):
     # Every ground level above sits in a k = 0 or k = pi block, where the
@@ -848,8 +900,7 @@ def test_momentum_state_expansion_matches_sector_oracle(L):
         p = XXZParams(J=1.0, delta_aniso=aniso, L=L)
         sectors = [magnon_sector(L, m) for m in range(L + 1)]
         hams = [build_sector_hamiltonian(p, s) for s in sectors]
-        for (a, d, ms), words, coefs, momenta in zip(blocks.stacks, blocks.words,
-                                                     blocks.coefs, blocks.momenta):
+        for a, d, ms, momenta, words, coefs in blocks.stacks:
             for i, m in enumerate(ms):
                 vals, vecs = np.linalg.eig(a[i] + aniso * np.diag(d[i]))
                 h = hams[m]
