@@ -18,10 +18,11 @@ task whose exit code, stderr or table shape differs or whose changed
 field is not a finite number on both sides.  It also prints, per seed and for the README examples, how many
 ``partition_scaled`` calls each side makes and over how many points,
 how many correlation matrices ``ssh_correlation_matrix`` builds, how
-many XXZ block eigensolves take each route of ``block_eigvals``
-(general or Hermitian, counted in matrices) and how many
-``inverse_iteration`` calls ``ground_state`` makes, and at how many
-momentum nodes ``ssh.corr_momentum`` is evaluated (the node-doubling
+many matrices the XXZ block kernels solve (the general
+``np.linalg.eigvals`` and the Hermitian ``np.linalg.eigvalsh`` of
+``hermitian_eigvals``, hooked in numpy, where every revision calls
+them), how many ``inverse_iteration`` calls ``ground_state`` makes, at
+how many momentum nodes ``ssh.corr_momentum`` is evaluated (the node-doubling
 schedule of ``ssh-corr``), and how many ``ssh.corr_asymptotic`` and
 ``ssh.bessel_k0`` calls each side makes; a side whose sources predate a
 layer reads ``n/a`` there.  These counts cover the CSV and the JSON run
@@ -99,7 +100,8 @@ def run_tasks(src: str) -> None:
     sys.path.insert(0, src)
     from yanglee import cli, entanglement, ssh, xxz
 
-    counts = {"calls": 0, "points": 0, "corr": 0, "nodes": 0, "asym": 0, "k0": 0}
+    counts = {"calls": 0, "points": 0, "corr": 0, "nodes": 0, "asym": 0, "k0": 0,
+              "general": 0, "hermitian": 0}
 
     def counted(key, fn):
         def call(*args, **kwargs):
@@ -107,18 +109,18 @@ def run_tasks(src: str) -> None:
             return fn(*args, **kwargs)
         return call
 
+    def counted_matrices(key, fn):
+        def call(a):
+            counts[key] += a[..., 0, 0].size
+            return fn(a)
+        return call
+
     partition_scaled = xxz.partition_scaled
-    if hasattr(xxz, "block_eigvals") and hasattr(xxz, "inverse_iteration"):
-        counts.update(general=0, hermitian=0, inverse=0)
-        block_eigvals = xxz.block_eigvals
-
-        def counted_blocks(a, hermitian):
-            mask = xxz.np.broadcast_to(hermitian, a.shape[:-2])
-            counts["hermitian"] += int(mask.sum())
-            counts["general"] += int(mask.size - mask.sum())
-            return block_eigvals(a, hermitian)
-
-        xxz.block_eigvals = counted_blocks
+    linalg = xxz.np.linalg
+    linalg.eigvals = counted_matrices("general", linalg.eigvals)
+    linalg.eigvalsh = counted_matrices("hermitian", linalg.eigvalsh)
+    if hasattr(xxz, "inverse_iteration"):
+        counts["inverse"] = 0
         xxz.inverse_iteration = counted("inverse", xxz.inverse_iteration)
 
     def counted_partition(L, J, beta, aniso):
@@ -212,12 +214,6 @@ def report_moves(base: list[dict], head: list[dict]) -> None:
         print(f"NOT MEASURED: {line}")
 
 
-def routes(tally: dict) -> str:
-    if tally["general"] == "n/a":
-        return "n/a"
-    return f"{tally['general']}/{tally['hermitian']}"
-
-
 def seed_range(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -256,7 +252,8 @@ def main() -> int:
               f"{tally[0]['calls']}/{tally[0]['points']} -> "
               f"{tally[1]['calls']}/{tally[1]['points']}; correlation matrices "
               f"{tally[0]['corr']} -> {tally[1]['corr']}; block eigensolves "
-              f"general/Hermitian {routes(tally[0])} -> {routes(tally[1])}; "
+              f"general/Hermitian {tally[0]['general']}/{tally[0]['hermitian']} -> "
+              f"{tally[1]['general']}/{tally[1]['hermitian']}; "
               f"inverse iterations {tally[0]['inverse']} -> {tally[1]['inverse']}; "
               f"corr_momentum nodes {tally[0]['nodes']} -> {tally[1]['nodes']}; "
               f"corr_asymptotic/bessel_k0 calls {tally[0]['asym']}/{tally[0]['k0']} -> "

@@ -59,6 +59,21 @@ MUTANTS = [
            "(lo if tilt > 0 else hi)",
            "(hi if tilt > 0 else lo)",
            ("tests/test_xxz.py",)),
+    Mutant("block route: every point takes the general kernel",
+           "src/yanglee/xxz.py",
+           "((real, hermitian_eigvals), (~real, np.linalg.eigvals))",
+           "((real, np.linalg.eigvals), (~real, np.linalg.eigvals))",
+           ("tests/test_xxz.py",)),
+    Mutant("block route: the real and complex points swapped",
+           "src/yanglee/xxz.py",
+           "((real, hermitian_eigvals), (~real, np.linalg.eigvals))",
+           "((~real, hermitian_eigvals), (real, np.linalg.eigvals))",
+           ("tests/test_xxz.py",)),
+    Mutant("ground state: the first block at real Delta takes the general kernel",
+           "src/yanglee/xxz.py",
+           "solve = hermitian_eigvals if real else np.linalg.eigvals",
+           "solve = np.linalg.eigvals",
+           ("tests/test_xxz.py",)),
 ]
 
 

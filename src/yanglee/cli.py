@@ -136,6 +136,7 @@ def _write_manifest(path, command, args, outputs, wall_time):
 def _cmd_ssh_zeros_scan(args):
     if not all(map(math.isfinite, (args.wv_min, args.wv_max, args.t_min, args.t_max))):
         raise DomainError("scan window bounds must be finite")
+    ssh._check_scan_cells(args.wv_steps * args.t_steps)  # before the axes are allocated
     wv = np.linspace(args.wv_min, args.wv_max, args.wv_steps)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     scan = ssh.zeros_region_scan(args.u, wv, ts)

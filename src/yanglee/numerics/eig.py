@@ -35,9 +35,6 @@ vectors, at about twice the cost.
 caller already holds, from one LU at a shift perturbed off it (Ipsen,
 SIAM Rev. 39, 254 (1997)).  The certificate is |A v - lambda v| / |A|_F.
 
-``block_eigvals`` serves stacks of matrices: the ones marked Hermitian
-take ``hermitian_eigvals``, the rest one ``np.linalg.eigvals`` call,
-which is not gated (a batched certificate for it is still open).
 ``dense_eig`` (scipy.linalg.eig with unit right vectors, gated on the
 largest |A r_i - lambda_i r_i| / |A|_F) remains for tests and oracles.
 All raise EigenDecompositionError when the gate fails.
@@ -187,27 +184,6 @@ def hermitian_eigvals(a, backward_error: bool = False) -> np.ndarray:
                      + np.abs(np.einsum("...i,...i->...", w, w) - norm2) / scale2)
     _check_residual(float(residuals.max(initial=0.0)), h.shape[-1])
     return 0.5 * w
-
-
-def block_eigvals(a: np.ndarray, hermitian) -> np.ndarray:
-    """Eigenvalues of every matrix in a stack (..., n, n), complex, shape (..., n).
-
-    ``hermitian`` marks the matrices that are Hermitian by construction:
-    a bool for the whole stack, or a boolean array broadcast to the stack
-    shape.  Those take ``hermitian_eigvals`` and come out ascending; the
-    others take one ungated ``np.linalg.eigvals`` call, in LAPACK's order.
-    Each matrix's values depend on that matrix alone, not on the rest of
-    the stack.  A bool costs no mask work, so an all-general stack runs
-    ``eigvals`` alone.
-    """
-    if isinstance(hermitian, bool):
-        return hermitian_eigvals(a).astype(complex) if hermitian else np.linalg.eigvals(a)
-    hermitian = np.broadcast_to(hermitian, a.shape[:-2])
-    values = np.empty(a.shape[:-1], dtype=complex)
-    values[hermitian] = hermitian_eigvals(a[hermitian])
-    general = ~hermitian
-    values[general] = np.linalg.eigvals(a[general])
-    return values
 
 
 def inverse_iteration(a, value: complex) -> np.ndarray:

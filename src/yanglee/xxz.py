@@ -70,8 +70,7 @@ import scipy  # scipy.linalg loads on first use, not at import
 
 from .errors import DomainError, YangLeeError
 # dense_eig is not called here; perfbench's span recorder wraps xxz.dense_eig.
-from .numerics.eig import (  # noqa: F401
-    block_eigvals, dense_eig, hermitian_eigvals, inverse_iteration)
+from .numerics.eig import dense_eig, hermitian_eigvals, inverse_iteration  # noqa: F401
 from .numerics.newton import newton_system
 from .numerics.polynomials import ComplexPolynomial, roots_of_polynomial
 
@@ -176,21 +175,24 @@ class SectorBlocks:
     def eigvals(self, aniso) -> np.ndarray:
         """The distinct eigenvalues at each anisotropy: shape aniso.shape + (columns,).
 
-        One ``block_eigvals`` call per block size serves every anisotropy
-        in ``aniso`` at once.  At a real anisotropy every block is
-        Hermitian (A is, and d is real), so that point's blocks take the
-        Hermitian kernel; the route is chosen per point, so each point's
-        values are those of the scalar call.
+        The kernel is read from Delta.  At a real anisotropy every block
+        is Hermitian (A is, and d is real): those points take one
+        ``hermitian_eigvals`` call per block size, ascending per block.
+        The other points take one ``np.linalg.eigvals`` call per block
+        size, in LAPACK's order; that route is not gated (a batched
+        certificate for it is still open).  Each point's values depend on
+        its blocks alone, so they are those of the scalar call.
         """
         aniso = np.asarray(aniso, dtype=complex)
         real = aniso.imag == 0
-        count = np.count_nonzero(real)
-        # a bool routes every block alike, with no mask work on the hot
-        # all-complex call
-        route = bool(count) if count in (0, real.size) else real[..., None]
-        out = [block_eigvals(_block_matrices(a, d, aniso), route)
-               .reshape(aniso.shape + (d.size,)) for a, d, *_ in self.stacks]
-        return np.concatenate(out, axis=-1)
+        out = np.empty(aniso.shape + self.magnons.shape, dtype=complex)
+        for mask, solve in ((real, hermitian_eigvals), (~real, np.linalg.eigvals)):
+            points = aniso[mask]
+            if points.size:
+                out[mask] = np.concatenate(
+                    [solve(_block_matrices(a, d, points)).reshape(points.size, -1)
+                     for a, d, *_ in self.stacks], axis=-1)
+        return out
 
     @cached_property
     def bounds(self) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -418,7 +420,8 @@ def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
     s0 = min(range(len(cheap)), key=lambda s: cheap[s].min())
     i0 = int(cheap[s0].argmin())
     a, d, *_ = blocks.stacks[s0]
-    first = block_eigvals(_block_matrices(a[i0:i0 + 1], d[i0:i0 + 1], aniso), real)
+    solve = hermitian_eigvals if real else np.linalg.eigvals
+    first = solve(_block_matrices(a[i0:i0 + 1], d[i0:i0 + 1], aniso))
     least = first.real.min()
     vals = np.full(blocks.magnons.size, np.inf, dtype=complex)  # inf: not solved
     columns = np.cumsum([d.size for _, d, *_ in blocks.stacks])  # end of each stack
@@ -436,7 +439,7 @@ def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
             if real:  # h is its own Hermitian part: lb is already its spectrum
                 mine[pick[near]] = lb[near]
             elif near.any():
-                mine[pick[near]] = block_eigvals(h[near], False)
+                mine[pick[near]] = np.linalg.eigvals(h[near])
     mags = blocks.magnons
     order = np.lexsort((vals.imag, vals.real, mags))
     candidates = order[np.diff(mags[order], prepend=-1) != 0]  # per M, M ascending

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import yanglee
-from yanglee import cli, xxz
+from yanglee import cli, ssh, xxz
 from yanglee.cli import build_parser, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -402,6 +402,21 @@ def test_subnormal_hopping_product_warns_nothing(capsys):
         warnings.simplefilter("error")
         assert run(["ssh-chi", "--u=1", "--v=1e-160", "--w=1e-160", "--beta=10"]) == 0
     assert capsys.readouterr().out.splitlines()[1].split(",")[4] == "0"
+
+
+@pytest.mark.parametrize("steps", [(100000, 100000), (2049, 2048), (10 ** 12, 1)])
+def test_scan_above_cell_cap_exits_two(steps, capsys, monkeypatch):
+    # 1e5 x 1e5 used to end in an uncaught _ArrayMemoryError (exit 1); the
+    # cap is checked before the axes or the grid are allocated
+    def no_scan(*args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(ssh, "_mode_range", no_scan)
+    monkeypatch.setattr(np, "linspace", no_scan)
+    assert run(["ssh-zeros-scan", f"--wv-steps={steps[0]}", f"--t-steps={steps[1]}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err and "cap of 4194304" in captured.err
 
 
 @pytest.mark.parametrize("flag", ["--wv-steps=0", "--t-steps=-3", "--t-steps=x"])

@@ -7,7 +7,6 @@ from yanglee.errors import DomainError
 from yanglee.numerics.eig import (
     EigenDecompositionError,
     _check_residual,
-    block_eigvals,
     dense_eig,
     dense_eigvals,
     hermitian_eigvals,
@@ -256,20 +255,6 @@ def test_hermitian_eigvals_reject_bad_input():
         hermitian_eigvals(np.ones((3, 2, 3)))
     with pytest.raises(DomainError):
         hermitian_eigvals(np.array([[[np.nan, 0], [0, 1]]]))
-
-
-def test_block_eigvals_route_per_matrix():
-    rng = np.random.default_rng(2)
-    a = _random_hermitian(rng, (4,), 6).astype(complex)
-    a[1] += rng.standard_normal((6, 6))  # not Hermitian
-    mask = np.array([True, False, True, True])
-    got = block_eigvals(a, mask)
-    assert got.dtype == complex
-    assert np.array_equal(got[mask], hermitian_eigvals(a[mask]))
-    assert np.array_equal(got[1], np.linalg.eigvals(a[1:2])[0])
-    # a bool routes the whole stack
-    assert np.array_equal(block_eigvals(a[1:2], False), np.linalg.eigvals(a[1:2]))
-    assert np.array_equal(block_eigvals(a[mask], True), hermitian_eigvals(a[mask]))
 
 
 # --- inverse iteration -------------------------------------------------------------

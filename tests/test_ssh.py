@@ -397,6 +397,22 @@ def test_region_scan_rejects_bad_inputs(u, wv, temps):
         zeros_region_scan(u, wv, temps)
 
 
+def test_region_scan_cell_cap(monkeypatch):
+    # 2048 x 2048 cells is the cap: that grid reaches the mode ranges,
+    # one more row is refused before them
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(ssh, "_mode_range", reached)
+    with pytest.raises(Reached):
+        zeros_region_scan(1.0, np.zeros(2048), np.ones(2048))
+    with pytest.raises(DomainError, match="cap"):
+        zeros_region_scan(1.0, np.zeros(2048), np.ones(2049))
+
+
 def test_params_from_detuning_nonnegative():
     for wv in (-1.7, -0.2, 0.0, 0.4, 1.9):
         p = params_from_detuning(1.0, wv)

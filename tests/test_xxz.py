@@ -14,8 +14,7 @@ from scipy.special import roots_gegenbauer
 from yanglee import xxz
 from yanglee.entanglement import state_ee
 from yanglee.errors import DomainError, YangLeeError
-from yanglee.numerics import eig
-from yanglee.numerics.eig import dense_eig, inverse_iteration
+from yanglee.numerics.eig import dense_eig, hermitian_eigvals, inverse_iteration
 from yanglee.xxz import (
     XXZParams,
     analytic_zeros,
@@ -149,6 +148,23 @@ def test_partition_scaled_empty_batch(shape):
     # an empty batch has no eigenvalues to reshape by; it gives an empty result
     out = partition_scaled(6, 1.0, 10.0, np.zeros(shape, dtype=complex))
     assert out.shape == shape and out.dtype == complex
+
+
+def test_sector_eigvals_route_read_from_delta():
+    # a real Delta makes every block Hermitian: its points take the
+    # Hermitian kernel, the others the general one, in one mixed batch
+    blocks = sector_blocks(6, 1.0)
+    anisos = np.array([0.5, 0.9 + 0.1j, 1.0, 2.0 - 0.3j, -0.4, 1.0 - 1e-300j])
+    got = blocks.eigvals(anisos)
+    assert got.shape == anisos.shape + blocks.magnons.shape
+    for aniso, vals in zip(anisos, got):
+        solve = hermitian_eigvals if aniso.imag == 0 else np.linalg.eigvals
+        want = np.concatenate([solve(xxz._block_matrices(a, d, aniso)).ravel()
+                               for a, d, *_ in blocks.stacks])
+        assert vals.tobytes() == want.astype(complex).tobytes()
+    # a 0-d real call takes the Hermitian kernel as well
+    scalar = blocks.eigvals(np.asarray(1.0))
+    assert scalar.tobytes() == got[2].tobytes()
 
 
 @pytest.mark.parametrize("L", [2, 6, 8])
@@ -838,6 +854,19 @@ def test_pruned_ground_state_equals_exhaustive(L, J, re, im):
         assert abs(np.vdot(vec, psi)) / np.linalg.norm(vec) >= 1.0 - 1e-10
 
 
+def _general_kernel_nonempty(monkeypatch) -> list:
+    """Make the general kernel fail on an empty stack; the list records its calls."""
+    general, calls = np.linalg.eigvals, []
+
+    def nonempty(a):
+        assert a.size, "general kernel called with an empty stack"
+        calls.append(a.shape)
+        return general(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", nonempty)
+    return calls
+
+
 @pytest.mark.parametrize("L, solves", [(10, 6), (12, 7), (14, 8)])
 def test_real_ground_state_solves_each_candidate_once(L, solves, monkeypatch):
     # at real Delta a block is its own Hermitian part, so the eigvalsh that
@@ -851,19 +880,14 @@ def test_real_ground_state_solves_each_candidate_once(L, solves, monkeypatch):
     held = Counter(h.tobytes() for a, d, *_ in blocks.stacks
                    for h in xxz._block_matrices(a, d, np.asarray(1.0 + 0j)))
     seen = []
-    hermitian, block = eig.hermitian_eigvals, xxz.block_eigvals
+    hermitian = xxz.hermitian_eigvals
 
     def counted(a, *args, **kwargs):
         seen.extend(h.tobytes() for h in a.reshape(-1, *a.shape[-2:]))
         return hermitian(a, *args, **kwargs)
 
-    def nonempty(a, route):
-        assert a.size, "block_eigvals called with an empty stack"
-        return block(a, route)
-
-    monkeypatch.setattr(eig, "hermitian_eigvals", counted)  # block_eigvals' own route
     monkeypatch.setattr(xxz, "hermitian_eigvals", counted)
-    monkeypatch.setattr(xxz, "block_eigvals", nonempty)
+    _general_kernel_nonempty(monkeypatch)
     m, energy, psi = ground_state(p)
     assert len(seen) == solves
     assert not Counter(seen) - held  # no matrix more often than the blocks hold it
@@ -877,14 +901,9 @@ def test_complex_ground_state_solves_no_empty_stack(L, monkeypatch):
     # at Re Delta = 0.95 most stacks hold no block near the lowest level
     p = XXZParams(J=1.0, delta_aniso=0.95 + 0.01j, L=L)
     m_ref, energy_ref, psi_ref = _exhaustive_ground_state(p)[:3]
-    block = xxz.block_eigvals
-
-    def nonempty(a, route):
-        assert a.size, "block_eigvals called with an empty stack"
-        return block(a, route)
-
-    monkeypatch.setattr(xxz, "block_eigvals", nonempty)
+    calls = _general_kernel_nonempty(monkeypatch)
     m, energy, psi = ground_state(p)
+    assert calls  # the hook sits where the general kernel is called
     assert m == m_ref
     assert np.array([energy]).tobytes() == np.array([energy_ref]).tobytes()
     assert psi.tobytes() == psi_ref.tobytes()
