@@ -74,6 +74,36 @@ MUTANTS = [
            "solve = hermitian_eigvals if real else np.linalg.eigvals",
            "solve = np.linalg.eigvals",
            ("tests/test_xxz.py",)),
+    Mutant("real Schur form: the second member of a pair not conjugated",
+           "src/yanglee/numerics/eig.py",
+           "values[top + 1] = values[top].conj()",
+           "values[top + 1] = values[top]",
+           ("tests/test_eig.py",)),
+    Mutant("K0: the exponentially scaled k0e in place of k0",
+           "src/yanglee/numerics/bessel.py",
+           "scipy.special.k0(x)",
+           "scipy.special.k0e(x)",
+           ("tests/test_bessel.py",)),
+    Mutant("mode partition factor: cosh(w) in place of cosh(w / 2)",
+           "src/yanglee/ssh.py",
+           "np.cosh(0.5 * w)",
+           "np.cosh(w)",
+           ("tests/test_ssh.py", "tests/test_acceptance.py")),
+    Mutant("mode range: the step that raises n_hi never runs",
+           "src/yanglee/ssh.py",
+           "hi += step",
+           "break",
+           ("tests/test_ssh.py",)),
+    Mutant("RR projector: P^dag P in place of P P^dag",
+           "src/yanglee/ssh.py",
+           "pp = lr @ lr.conj().swapaxes(-1, -2)",
+           "pp = lr.conj().swapaxes(-1, -2) @ lr",
+           ("tests/test_ssh.py", "tests/test_entanglement.py")),
+    Mutant("subsystem correlation matrix: the transposed gather",
+           "src/yanglee/entanglement.py",
+           "cell[:, None] - cell[None, :]",
+           "cell[None, :] - cell[:, None]",
+           ("tests/test_entanglement.py",)),
 ]
 
 

@@ -94,11 +94,16 @@ def _write_table(command, rows, out_path, fmt):
     names, specs = _columns(command)
     if fmt == "csv":
         line = ",".join(specs) + "\n"
-        pieces = [",".join(names) + "\n"]
-        # one '%' per batch keeps the argument tuple and format string small
-        for i in range(0, len(rows), _BATCH_ROWS):
-            batch = rows[i:i + _BATCH_ROWS]
-            pieces.append((line * len(batch)) % tuple(itertools.chain.from_iterable(batch)))
+        rows = iter(rows)
+
+        def batches():
+            yield ",".join(names) + "\n"
+            # one '%' per batch keeps the argument tuple and format string
+            # small; each batch is written before the next is formatted
+            while batch := list(itertools.islice(rows, _BATCH_ROWS)):
+                yield (line * len(batch)) % tuple(itertools.chain.from_iterable(batch))
+
+        pieces = batches()
     else:
         records = [{name: spec % v for name, spec, v in zip(names, specs, row)}
                    for row in rows]
@@ -141,11 +146,11 @@ def _cmd_ssh_zeros_scan(args):
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     scan = ssh.zeros_region_scan(args.u, wv, ts)
     wv_list = scan.wv_values.tolist()
-    return [(d, t, has, chi)
+    # rows as a generator: the table writer formats them a batch at a time
+    return ((d, t, has, chi)
             for t, has_row, chi_row in zip(scan.temperatures.tolist(),
-                                           scan.has_zeros.tolist(),
-                                           scan.chi.tolist())
-            for d, has, chi in zip(wv_list, has_row, chi_row)]
+                                           scan.has_zeros, scan.chi)
+            for d, has, chi in zip(wv_list, has_row.tolist(), chi_row.tolist()))
 
 
 def _cmd_ssh_chi(args):

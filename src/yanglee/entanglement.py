@@ -72,10 +72,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-# dense_eig is not called here; perfbench's span recorder wraps
-# entanglement.dense_eig.
-from .numerics.eig import dense_eig, dense_eigvals, hermitian_eigvals  # noqa: F401
+from .numerics.eig import dense_eigvals, hermitian_eigvals
 from .ssh import SSHParams, filled_projector, fourier_table, near_exceptional
+
+# perfbench's span recorder patches this name; nothing calls it; ROADMAP item 1b removes it.
+dense_eig = None
 
 _FILLINGS = ("im_neg", "im_pos")
 _DEGENERACY_EPS = 1e-14

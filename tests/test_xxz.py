@@ -14,7 +14,7 @@ from scipy.special import roots_gegenbauer
 from yanglee import xxz
 from yanglee.entanglement import state_ee
 from yanglee.errors import DomainError, YangLeeError
-from yanglee.numerics.eig import dense_eig, hermitian_eigvals, inverse_iteration
+from yanglee.numerics.eig import hermitian_eigvals, inverse_iteration
 from yanglee.xxz import (
     XXZParams,
     analytic_zeros,
@@ -421,6 +421,27 @@ def test_numeric_window_far_from_line_is_empty():
     assert locus.zeros == []
 
 
+@pytest.mark.parametrize("L", range(4, 9))
+def test_nearest_zero_approaches_the_transition_at_rate_one_over_beta(L):
+    # The ED zero nearest Delta = 1 lies at beta |z_min - 1| = c_L + e(beta),
+    # c_L = (L - 1) min_j |Log z_j| over the multiplet polynomial's roots
+    # (the first-order map's constant), with an O(1/beta) excess: e halves
+    # with each doubling of beta.  Measured: e(beta) / e(2 beta) in
+    # 1.980-2.004, beta e(beta) between 0.124 (L = 4) and 0.444 (L = 8).
+    c_l = (L - 1) * np.min(np.abs(np.log(roots_of_polynomial(zero_polynomial(L)))))
+    betas = 50.0 * 2.0 ** np.arange(5)
+    excess = []
+    for beta in betas:
+        locus = locate_zeros_numeric(L, beta, 1.0, (1 - 10 / beta, 1 + 10 / beta),
+                                     (0.0, 20 / beta), grid_n=80)
+        z_min = min(locus.zeros, key=lambda z: abs(z - 1))
+        excess.append(beta * abs(z_min - 1) - c_l)
+    excess = np.array(excess)
+    assert np.all((excess > 0) & (betas * excess < 0.5))
+    ratios = excess[:-1] / excess[1:]
+    assert np.all((ratios > 1.95) & (ratios < 2.05)), ratios
+
+
 def _scan_cells(grid: np.ndarray) -> list[tuple[int, int]]:
     """(cells, negative): the full scan of every plaquette of ``grid``.
 
@@ -762,6 +783,18 @@ GROUND_ANISOTROPIES = (0.95 + 0.03j, 1.04 + 0.02j, 0.9, 1.1, 1.0,
                        -2.5 + 0.2j, 3.5 - 0.3j, 0.6 + 0.4j)
 
 
+def _oracle_eig(a):
+    """scipy.linalg.eig sorted by (Re, Im): values and unit right vectors.
+
+    Every column's residual |a r - lambda r| is at most 1e-10 |a|_F.
+    """
+    values, vectors = scipy.linalg.eig(a)
+    assert (np.max(np.linalg.norm(a @ vectors - vectors * values, axis=0))
+            <= 1e-10 * np.linalg.norm(a))
+    order = np.lexsort((values.imag, values.real))
+    return values[order], vectors[:, order]
+
+
 def _oracle_ground_state(p: XXZParams):
     """(M, energy, sector spectrum, vector) from every plain M sector.
 
@@ -776,8 +809,8 @@ def _oracle_ground_state(p: XXZParams):
         if best is None or low.real < best[1].real - 1e-12:
             best = (m, low)
     h0, d = _oracle_sector_parts(p.L, best[0], p.J)
-    es = dense_eig(h0 + p.delta_aniso * d)
-    return best[0], es.values[0], es.values, es.right_vectors[:, 0]
+    values, vectors = _oracle_eig(h0 + p.delta_aniso * d)
+    return best[0], values[0], values, vectors[:, 0]
 
 
 @pytest.mark.parametrize("L", range(2, 11))
@@ -847,10 +880,10 @@ def test_pruned_ground_state_equals_exhaustive(L, J, re, im):
     assert psi.tobytes() == psi_ref.tobytes()
     # independently of inverse iteration: where the level is simple in its
     # block, psi is the vector of a full eigendecomposition of that block
-    es = dense_eig(h)
-    near = np.abs(es.values - energy) <= 1e-8
+    values, vectors = _oracle_eig(h)
+    near = np.abs(values - energy) <= 1e-8
     if np.sum(near) == 1:
-        vec = xxz._momentum_state(L, words, coefs, q, es.right_vectors[:, np.argmax(near)])
+        vec = xxz._momentum_state(L, words, coefs, q, vectors[:, np.argmax(near)])
         assert abs(np.vdot(vec, psi)) / np.linalg.norm(vec) >= 1.0 - 1e-10
 
 
