@@ -104,6 +104,26 @@ MUTANTS = [
            "cell[:, None] - cell[None, :]",
            "cell[None, :] - cell[:, None]",
            ("tests/test_entanglement.py",)),
+    Mutant("Bethe Jacobian: the sign of the off-diagonal flipped",
+           "src/yanglee/xxz.py",
+           "2.0 * (t ** 2 - 1.0)[:, None] * inv",
+           "2.0 * (1.0 - t ** 2)[:, None] * inv",
+           ("tests/test_xxz.py",)),
+    Mutant("Bethe Jacobian: (1 + t_l^2) for (1 - t_l^2) on the diagonal",
+           "src/yanglee/xxz.py",
+           "inv @ (1.0 - t ** 2)",
+           "inv @ (1.0 + t ** 2)",
+           ("tests/test_xxz.py",)),
+    Mutant("Bethe nodes: the odd symmetrization dropped",
+           "src/yanglee/xxz.py",
+           "t = 0.5 * (t - t[::-1])",
+           "t = t",
+           ("tests/test_xxz.py", "tests/test_acceptance.py")),
+    Mutant("Bethe M cap: the comparison off by one",
+           "src/yanglee/xxz.py",
+           "if M > _BETHE_MAX_M:",
+           "if M >= _BETHE_MAX_M:",
+           ("tests/test_cli.py",)),
 ]
 
 

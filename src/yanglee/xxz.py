@@ -70,11 +70,11 @@ import scipy  # scipy.linalg loads on first use, not at import
 
 from .errors import DomainError, YangLeeError
 from .numerics.eig import hermitian_eigvals, inverse_iteration
-from .numerics.newton import newton_system
-from .numerics.polynomials import ComplexPolynomial, roots_of_polynomial
+from .numerics.polynomials import ComplexPolynomial, RootFindingError, roots_of_polynomial
 
-# perfbench's span recorder patches this name; nothing calls it; ROADMAP item 1b removes it.
+# perfbench's span recorder patches these names; nothing calls them; ROADMAP item 1b removes them.
 dense_eig = None
+newton_system = None
 
 
 def _check_chain(L: int, J: float = 1.0) -> None:
@@ -812,20 +812,41 @@ class BetheRootSet:
         return float(abs(np.sum(self.zeta ** 2) - target))
 
 
-def _bethe_terms(zeta: np.ndarray) -> np.ndarray:
-    """frac[j, l] = (1 + zeta_l zeta_j) / (zeta_l - zeta_j), 0 on the diagonal."""
-    diff = zeta[None, :] - zeta[:, None]  # diff[j, l] = zeta_l - zeta_j
+def _bethe_terms(t: np.ndarray) -> np.ndarray:
+    """frac[j, l] = (1 - t_l t_j) / (t_l - t_j), 0 on the diagonal.
+
+    With zeta = i t the Bethe residual is f_j = i g_j, g_j = L t_j +
+    2 sum_l frac[j, l], so the whole system is real.
+    """
+    diff = t[None, :] - t[:, None]  # diff[j, l] = t_l - t_j
     np.fill_diagonal(diff, 1.0)
-    num = 1.0 + zeta[:, None] * zeta[None, :]
-    frac = num / diff
+    frac = 1.0 - t[:, None] * t[None, :]
+    frac /= diff
     np.fill_diagonal(frac, 0.0)
     return frac
 
 
-def _bethe_residual(L: int):
-    def f(zeta: np.ndarray) -> np.ndarray:
-        return L * zeta - 2.0 * _bethe_terms(zeta).sum(axis=1)
-    return f
+def _bethe_jacobian(L: int, t: np.ndarray) -> np.ndarray:
+    """dg_j/dt_l of the real Bethe residual g (see ``_bethe_terms``).
+
+    L + 2 sum_{l != j} (1 - t_l^2)/(t_l - t_j)^2 on the diagonal and
+    2 (t_j^2 - 1)/(t_l - t_j)^2 off it.
+    """
+    inv = t[None, :] - t[:, None]
+    np.fill_diagonal(inv, 1.0)
+    inv **= -2.0
+    np.fill_diagonal(inv, 0.0)
+    jac = 2.0 * (t ** 2 - 1.0)[:, None] * inv
+    jac[np.diag_indices(t.size)] = L + 2.0 * (inv @ (1.0 - t ** 2))
+    return jac
+
+
+# Largest M of a Bethe solve.  Each M x M float64 array takes 128 MiB at the
+# cap; there xxz-bethe takes 0.9 s and peaks at 440 MB RSS, or 3.8 s and
+# 580 MB when it takes a Newton step (L = 1e5; 2 vCPU, BLAS on 1 thread).
+_BETHE_MAX_M = 4096
+# Newton steps on nodes that miss the gate; over L = 2..300 one step suffices.
+_BETHE_NEWTON_STEPS = 4
 
 
 def solve_bethe_roots(L: int, M: int) -> BetheRootSet:
@@ -836,25 +857,55 @@ def solve_bethe_roots(L: int, M: int) -> BetheRootSet:
     taken as the eigenvalues of the symmetric tridiagonal Jacobi matrix
     with zero diagonal and off-diagonal
     b_n = sqrt(n (n + 2 lambda - 1) / ((n + lambda)(n + lambda - 1))) / 2.
-    One Newton pass on the Bethe residual f certifies them and polishes
-    them where they fall short.  The bound is relative to the term scale
-    S = max_j (L |zeta_j| + 2 sum_l |(1 + zeta_l zeta_j)/(zeta_l - zeta_j)|),
-    taken once from the closed form: max_j |f_j| <= (M + 8) eps S, the
-    order of the rounding error of evaluating f_j (M terms, each a
-    complex product, sum and quotient).  An absolute bound fails at
-    large L M, where that rounding floor itself grows past it.
+    They are certified on the real residual g = Im f (``_bethe_terms``)
+    by a bound relative to the term scale
+    S = max_j (L |t_j| + 2 sum_l |(1 - t_l t_j)/(t_l - t_j)|),
+    taken once from the nodes: max_j |g_j| <= (M + 8) eps S, the order
+    of the rounding error of evaluating g_j (M terms, each a product, a
+    difference and a quotient).  An absolute bound fails at large L M,
+    where that rounding floor itself grows past it.  Nodes that miss the
+    bound are polished by undamped Newton steps with the closed-form
+    Jacobian; ``RootFindingError`` (carrying the last iterate and its
+    residual) is raised when the step cap is reached or a step is
+    singular or non-finite.  Raises ``DomainError`` for M above 4096.
     """
     if not 1 <= M <= L // 2:
         raise DomainError("need 1 <= M <= L/2 (E_M = E_{L-M} covers the rest)")
+    if M > _BETHE_MAX_M:
+        raise DomainError(f"M = {M} exceeds the Bethe solve's cap of {_BETHE_MAX_M}")
     lam = (L - 2 * M + 1) / 2.0
     n = np.arange(1, M)
     b = 0.5 * np.sqrt(n * (n + 2.0 * lam - 1.0) / ((n + lam) * (n + lam - 1.0)))
     t = scipy.linalg.eigvalsh_tridiagonal(np.zeros(M), b)
+    t = 0.5 * (t - t[::-1])  # the exact set is odd: sum t = 0
+    frac = _bethe_terms(t)
+    tol = (M + 8) * np.finfo(float).eps * float(
+        np.max(L * np.abs(t) + 2.0 * np.abs(frac).sum(axis=1)))
+    for steps in range(_BETHE_NEWTON_STEPS + 1):
+        g = L * t + 2.0 * frac.sum(axis=1)
+        residual = float(np.max(np.abs(g)))
+        if residual <= tol and math.isfinite(residual):  # coincident nodes make tol inf
+            stop = None
+            break
+        if steps == _BETHE_NEWTON_STEPS:
+            stop = f"{steps} Newton steps"
+            break
+        try:
+            step = np.linalg.solve(_bethe_jacobian(L, t), g)
+        except np.linalg.LinAlgError:
+            stop = "a singular Jacobian"
+            break
+        if not np.all(np.isfinite(step)):
+            stop = "a non-finite Newton step"
+            break
+        t = t - step
+        frac = _bethe_terms(t)
     zeta = np.zeros(M, dtype=complex)  # Re stays +0.0; 1j * t would give -0.0
-    zeta.imag = 0.5 * (t - t[::-1])  # the exact set is odd: sum zeta = 0
-    scale = np.max(L * np.abs(zeta) + 2.0 * np.abs(_bethe_terms(zeta)).sum(axis=1))
-    tol = (M + 8) * np.finfo(float).eps * float(scale)
-    zeta = newton_system(_bethe_residual(L), zeta, tol=tol)
+    zeta.imag = t
+    if stop is not None:
+        raise RootFindingError(
+            f"Bethe roots at L = {L}, M = {M}: residual {residual:.3e} above the "
+            f"gate {tol:.3e} after {stop}", best=zeta, residual=residual)
     return BetheRootSet(L=L, M=M, zeta=zeta)
 
 

@@ -42,12 +42,27 @@ def test_criterion_1_zero_region_boundary():
         scan = ssh.zeros_region_scan(1.0, wv, np.array([1.0 / beta]))
         _, lo, hi = scan.boundary[0]
         offsets[beta] = max(abs(hi - 1.0), abs(lo + 1.0))
+    # mode n = 0 (t_0 = pi T) puts the region edge at |w - v| = sqrt(u^2 - pi^2 T^2);
+    # each window spans the T = 0 offset on either side of it in 4,000
+    # points, so the formula's edge falls midway between two of them
+    worst_cells = 0.0
+    for u in (1.0, 0.7):
+        for temp in np.geomspace(0.1, 0.001, 5):
+            edge = math.sqrt(u * u - (math.pi * temp) ** 2)
+            for sign in (1.0, -1.0):
+                window = sign * edge + np.linspace(edge - u, u - edge, 4000)
+                _, lo, hi = ssh.zeros_region_scan(u, window, np.array([temp])).boundary[0]
+                last = hi if sign > 0 else lo
+                worst_cells = max(worst_cells,
+                                  abs(last - sign * edge) / (window[1] - window[0]))
     elapsed = time.perf_counter() - start
     checks = [
         ("offsets shrink with beta",
          offsets[10.0] >= offsets[50.0] >= offsets[200.0]),
         (f"beta=200 offset {offsets[200.0]:.4f} <= 2 cells",
          offsets[200.0] <= 2.0 * cell),
+        (f"edge vs sqrt(u^2 - pi^2 T^2) for T = 0.1..0.001: {worst_cells:.2f} <= 1 cell",
+         worst_cells <= 1.0),
         (f"runtime {elapsed:.1f}s <= 60s", elapsed <= 60.0),
     ]
     _report("criterion 1 (zero-region boundary)", checks)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import yanglee
 from yanglee import cli, ssh, xxz
@@ -454,6 +455,34 @@ def test_bethe_large_chain_certified(capsys):
                          for part in captured.err.strip().split(", "))
     assert linear <= 1e-13 * 200
     assert quadratic <= 1e-13 * 200 * 199 / 399
+
+
+@pytest.mark.parametrize("m, refused", [(4097, True), (4096, False)])
+def test_bethe_above_m_cap_exits_two(m, refused, capsys, monkeypatch):
+    # L = 1e5, M = 5e4 used to end in an uncaught _ArrayMemoryError (exit 1);
+    # the cap is checked before the Jacobi matrix is solved
+    def no_solve(*args):
+        raise AssertionError("Bethe solve started")
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", no_solve)
+    if refused:
+        assert run(["xxz-bethe", "--L", "8194", "--M", str(m)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err and "cap of 4096" in captured.err
+    else:
+        with pytest.raises(AssertionError, match="Bethe solve started"):
+            run(["xxz-bethe", "--L", "8194", "--M", str(m)])
+
+
+def test_bethe_failed_polish_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal",
+                        lambda d, e: 1e3 * np.linspace(-1.0, 1.0, d.size))
+    assert run(["xxz-bethe", "--L", "9", "--M", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err
+    assert "L = 9, M = 4: residual" in captured.err and "above the gate" in captured.err
 
 
 def test_readme_cli_commands_parse():

@@ -21,7 +21,7 @@ def test_recorder_targets_resolve_and_record(monkeypatch):
     with recorder.instrumented(rec):
         assert cli.run(["xxz-bethe", "--L", "6", "--M", "3"]) == 0
     names = {span[0] for span in rec.spans}
-    assert {"cli", "xxz.bethe", "newton"} <= names
+    assert {"cli", "xxz.bethe"} <= names
 
 
 def test_recorder_times_correlator_nodes(monkeypatch, capsys):

@@ -33,7 +33,7 @@ from yanglee.xxz import (
     zero_polynomial,
     zero_polynomial_terms,
 )
-from yanglee.numerics.polynomials import roots_of_polynomial
+from yanglee.numerics.polynomials import RootFindingError, roots_of_polynomial
 
 
 # --- sector Hamiltonians -----------------------------------------------------
@@ -592,15 +592,66 @@ def test_bethe_invalid_sector():
 
 def test_bethe_roots_are_gegenbauer_zeros():
     # scipy's Gegenbauer nodes are an independent kernel for the closed form;
-    # past L = 62 closed-form residuals exceed 1e-12, and at L = 200, M = 54
-    # the Newton pass polishes
+    # past L = 62 closed-form residuals exceed 1e-12, and at L = 128, 200 and
+    # 221 the Jacobi nodes miss the gate and take a Newton step
     worst = 0.0
-    for length in (*range(2, 63), 63, 92, 200):
+    for length in (*range(2, 63), 63, 92, 128, 200, 221):
         for m in range(1, length // 2 + 1):
             t, _ = roots_gegenbauer(m, (length - 2 * m + 1) / 2.0)
             worst = max(worst, np.max(np.abs(solve_bethe_roots(length, m).zeta
                                              - 1j * np.sort(t))))
     assert worst <= 5e-15
+
+
+def _bethe_g(length, t):
+    return length * t + 2.0 * xxz._bethe_terms(t).sum(axis=1)
+
+
+@pytest.mark.parametrize("length, m", [(128, 38), (200, 54), (221, 63)])
+def test_bethe_polished_sectors(length, m, monkeypatch):
+    # the Jacobi nodes of these sectors miss the gate; one closed-form
+    # Newton step certifies them, and the roots stay exactly imaginary
+    steps = []
+    jacobian = xxz._bethe_jacobian
+    monkeypatch.setattr(xxz, "_bethe_jacobian",
+                        lambda *args: steps.append(args) or jacobian(*args))
+    z = solve_bethe_roots(length, m).zeta
+    assert len(steps) == 1
+    assert np.all(z.real == 0.0) and not np.any(np.signbit(z.real))
+    nodes = steps[0][1]
+    scale = np.max(length * np.abs(nodes)
+                   + 2.0 * np.abs(xxz._bethe_terms(nodes)).sum(axis=1))
+    assert np.max(np.abs(_bethe_g(length, z.imag))) <= (m + 8) * np.finfo(float).eps * scale
+    t, _ = roots_gegenbauer(m, (length - 2 * m + 1) / 2.0)
+    assert np.max(np.abs(z.imag - np.sort(t))) <= 5e-15
+
+
+def test_bethe_jacobian_matches_central_differences():
+    rng = np.random.default_rng(7)
+    length, t, h = 23, np.sort(rng.uniform(-1.0, 1.0, 9)), 1e-6
+    fd = np.empty((t.size, t.size))
+    for l in range(t.size):
+        e = np.zeros(t.size)
+        e[l] = h
+        fd[:, l] = (_bethe_g(length, t + e) - _bethe_g(length, t - e)) / (2.0 * h)
+    jac = xxz._bethe_jacobian(length, t)
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
+
+
+@pytest.mark.parametrize("nodes, jacobian", [
+    (lambda d, e: np.array([-0.5, -0.5, 0.5, 0.5]), None),  # coincident
+    (lambda d, e: 1e3 * np.linspace(-1.0, 1.0, d.size), None),  # far off
+    (lambda d, e: 1e3 * np.linspace(-1.0, 1.0, d.size), np.zeros((4, 4))),
+])
+def test_bethe_failed_polish_raises_with_last_iterate(nodes, jacobian, monkeypatch):
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", nodes)
+    if jacobian is not None:
+        monkeypatch.setattr(xxz, "_bethe_jacobian", lambda *args: jacobian)
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(RootFindingError, match="L = 9, M = 4") as info:
+        solve_bethe_roots(9, 4)
+    assert info.value.best.shape == (4,) and np.all(info.value.best.real == 0.0)
+    assert info.value.residual > 0.0
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -611,9 +662,10 @@ def test_bethe_closed_form_property(data):
     roots = solve_bethe_roots(length, m)
     z = roots.zeta
     assert z.shape == (m,)
-    assert np.max(np.abs(xxz._bethe_residual(length)(z))) <= 1e-12
+    assert np.max(np.abs(_bethe_g(length, z.imag))) <= 1e-12
     assert np.all(z.real == 0.0) and not np.any(np.signbit(z.real))
     assert np.all(np.diff(z.imag) > 0.0)
+    assert np.array_equal(z.imag, -z.imag[::-1])  # the exact set is odd
     assert roots.sum_rule_linear <= 1e-12
     assert roots.sum_rule_quadratic <= 1e-12 * max(1.0, m * m / length)
 
