@@ -124,6 +124,71 @@ MUTANTS = [
            "if M > _BETHE_MAX_M:",
            "if M >= _BETHE_MAX_M:",
            ("tests/test_cli.py",)),
+    Mutant("secant: a non-finite step is taken instead of stopping",
+           "src/yanglee/xxz.py",
+           "if not (np.isfinite(c.real) and np.isfinite(c.imag)):",
+           "if False:",
+           ("tests/test_xxz.py",)),
+    Mutant("secant: the last iterate returned after 60 steps, converged or not",
+           "src/yanglee/xxz.py",
+           "return (b, abs(fb)) if abs(fb) < 1e-8 else None",
+           "return (b, abs(fb))",
+           ("tests/test_xxz.py",)),
+    Mutant("zero search: an unconverged candidate is not reported as dropped",
+           "src/yanglee/xxz.py",
+           "dropped.append(1.0 + center)",
+           "pass",
+           ("tests/test_xxz.py",)),
+    Mutant("zero search: duplicates only within 1e-9, not 1e-6",
+           "src/yanglee/xxz.py",
+           "if any(abs(value - z) < 1e-6 for z in zeros):",
+           "if any(abs(value - z) < 1e-9 for z in zeros):",
+           ("tests/test_xxz.py",)),
+    Mutant("mode range: the step that lowers n_lo never runs",
+           "src/yanglee/ssh.py",
+           "lo -= step",
+           "break",
+           ("tests/test_ssh.py",)),
+    Mutant("polynomial roots: coincident starting points not split",
+           "src/yanglee/numerics/polynomials.py",
+           "while np.any(np.abs(z[:i] - z[i]) == 0.0):",
+           "while False:",
+           ("tests/test_polynomials.py",)),
+    Mutant("eigen gate: the certificate error drops the residual it rejects",
+           "src/yanglee/numerics/eig.py",
+           "residual=residual)",
+           "residual=None)",
+           ("tests/test_eig.py",)),
+    Mutant("K0 asymptote: y kappa in place of y / xi",
+           "src/yanglee/ssh.py",
+           "return amp * bessel_k0(y / xi)",
+           "return amp * bessel_k0(y * kappa)",
+           ("tests/test_ssh.py",)),
+    Mutant("zero-mode cap: 2^22 + 1 modes admitted",
+           "src/yanglee/ssh.py",
+           "if n_hi - n_lo >= _SIZE_CAP:",
+           "if n_hi - n_lo > _SIZE_CAP:",
+           ("tests/test_cli.py",)),
+    Mutant("entropy cell cap: 2^20 cells refused",
+           "src/yanglee/entanglement.py",
+           "if cells > _MAX_CELLS:",
+           "if cells >= _MAX_CELLS:",
+           ("tests/test_cli.py",)),
+    Mutant("polynomial term cap: 2^21 + 1 terms admitted",
+           "src/yanglee/xxz.py",
+           "if L // 2 >= _TABLE_CAP:",
+           "if L // 2 > _TABLE_CAP:",
+           ("tests/test_cli.py",)),
+    Mutant("analytic zero cap: 2^21 zeros refused",
+           "src/yanglee/xxz.py",
+           ") > _TABLE_CAP:",
+           ") >= _TABLE_CAP:",
+           ("tests/test_cli.py",)),
+    Mutant("entropy input: a non-square C passes the check",
+           "src/yanglee/entanglement.py",
+           "if c.ndim != 2 or c.shape[0] != c.shape[1]:",
+           "if c.ndim != 2:",
+           ("tests/test_entanglement.py",)),
 ]
 
 

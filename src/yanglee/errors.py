@@ -9,10 +9,10 @@ class DomainError(YangLeeError, ValueError):
     """Input lies outside the mathematical domain of an operation."""
 
 
-class QuadratureError(YangLeeError):
-    """Requested tolerance not reached; carries the partial result."""
+class CertificateError(YangLeeError):
+    """A result missed its gate; carries the best iterate and its residual."""
 
-    def __init__(self, message: str, value=None, estimate: float | None = None):
+    def __init__(self, message: str, best=None, residual: float | None = None):
         super().__init__(message)
-        self.value = value
-        self.estimate = estimate
+        self.best = best
+        self.residual = residual

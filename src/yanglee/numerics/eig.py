@@ -35,7 +35,7 @@ vectors, at about twice the cost.
 caller already holds, from one LU at a shift perturbed off it (Ipsen,
 SIAM Rev. 39, 254 (1997)).  The certificate is |A v - lambda v| / |A|_F.
 
-All three raise EigenDecompositionError when the gate fails.
+All three raise ``CertificateError``, carrying the residual, on a miss.
 """
 
 from __future__ import annotations
@@ -46,11 +46,7 @@ import math
 import numpy as np
 import scipy  # scipy.linalg loads on first use, not at import
 
-from ..errors import DomainError, YangLeeError
-
-
-class EigenDecompositionError(YangLeeError):
-    pass
+from ..errors import CertificateError, DomainError
 
 
 def _square_finite(a, name: str, keep_real: bool = False,
@@ -78,9 +74,8 @@ def _check_residual(residual: float, dim: int) -> None:
     inf residual always fails.
     """
     if not residual <= 1e-10:
-        raise EigenDecompositionError(
-            f"residual {residual:.3e} too large for dimension {dim}"
-        )
+        raise CertificateError(f"residual {residual:.3e} too large for dimension {dim}",
+                               residual=residual)
 
 
 def _real_schur_eigvals(t: np.ndarray) -> np.ndarray:
@@ -104,8 +99,8 @@ def dense_eigvals(a, dropped: float = 0.0) -> np.ndarray:
     real = a.dtype == float
     try:
         t, z = scipy.linalg.schur(a, output="real" if real else "complex")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigenDecompositionError(
+    except scipy.linalg.LinAlgError as exc:
+        raise CertificateError(
             f"Schur decomposition failed for dimension {a.shape[0]}: {exc}"
         ) from exc
     norm = math.hypot(np.linalg.norm(a), dropped)

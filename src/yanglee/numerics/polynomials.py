@@ -13,16 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DomainError, YangLeeError
-
-
-class RootFindingError(YangLeeError):
-    """Root refinement failed; carries the best iterate and its backward error."""
-
-    def __init__(self, message: str, best=None, residual: float | None = None):
-        super().__init__(message)
-        self.best = best
-        self.residual = residual
+from ..errors import CertificateError, DomainError
 
 
 @dataclass
@@ -83,7 +74,7 @@ def roots_of_polynomial(p: ComplexPolynomial) -> np.ndarray:
     backward error |p(r)| / sum_m |c_m| |r|^m <= 4 (degree - low + 1) eps:
     p(r) is zero to within the rounding floor of Horner's scheme at r
     (Higham, Accuracy and Stability of Numerical Algorithms, sec. 5.1);
-    otherwise a RootFindingError carries the best iterate and its worst
+    otherwise a CertificateError carries the best iterate and its worst
     backward error.  Raises DomainError before any work above degree
     1024: the companion matrix and the Aberth pair table grow as
     degree^2 in memory and the companion eigensolve as degree^3 in time.
@@ -109,7 +100,7 @@ def roots_of_polynomial(p: ComplexPolynomial) -> np.ndarray:
     worst = float(np.max(error, initial=0.0))
     bound = 4 * q.size * np.finfo(float).eps
     if not worst <= bound:
-        raise RootFindingError(f"root backward error {worst:.3e} above {bound:.3e}",
+        raise CertificateError(f"root backward error {worst:.3e} above {bound:.3e}",
                                best=z, residual=worst)
     z = np.concatenate([z, np.zeros(low)])
     return z[np.lexsort((z.imag, z.real))]

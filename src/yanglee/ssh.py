@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import CertificateError, DomainError
 from .numerics.bessel import bessel_k0
 
 # perfbench's span recorder patches this name; nothing calls it; ROADMAP item 1b removes it.
@@ -172,6 +172,10 @@ def _broken_band_edges(u, v, w):
 
 
 _EXACT_INDEX = 2.0 ** 53
+# Scan grid cells and zero-mode list entries.  At the cap (2 vCPU) the scan
+# takes 0.3 s and ssh-zeros-scan 4 s at a peak RSS near 230 MB, printing a
+# 142 MB table; ssh-chi takes 1.2 s and peaks at 771 MB.
+_SIZE_CAP = 1 << 22
 
 
 def _mode_range(u, v, w, beta) -> tuple[np.ndarray, np.ndarray]:
@@ -235,9 +239,11 @@ def yang_lee_root_count(p: SSHParams, beta: float) -> SSHZeroSet:
     E_k = i sqrt(u^2 - |v + w e^{ik}|^2), so Im E_k = t_n has the one
     solution cos k_n = (u^2 - t_n^2 - v^2 - w^2) / (2 v w) in [0, pi].
     In the flat band v w = 0 every momentum solves it and k = 0 is
-    reported.
+    reported.  Raises ``DomainError``, before the list, above 2^22 entries.
     """
     n_lo, n_hi = _mode_range(p.u, p.v, p.w, beta)
+    if n_hi - n_lo >= _SIZE_CAP:
+        raise DomainError(f"{n_hi - n_lo + 1} zero modes exceed the cap of {_SIZE_CAP}")
     n = np.arange(int(n_lo), int(n_hi) + 1)
     t = (2 * n + 1) * math.pi / beta
     if p.v * p.w > 0:
@@ -278,15 +284,9 @@ def params_from_detuning(u: float, wv: float) -> SSHParams:
     return SSHParams(u=u, v=float(v), w=float(w))
 
 
-# Cells of the scan grid.  At the cap the scan takes 0.3 s, and
-# ssh-zeros-scan prints its 142 MB table in 4 s at a peak RSS near 230 MB
-# (2 vCPU).
-_SCAN_CELLS = 1 << 22
-
-
 def _check_scan_cells(cells: int) -> None:
-    if cells > _SCAN_CELLS:
-        raise DomainError(f"scan grid of {cells} cells exceeds the cap of {_SCAN_CELLS}")
+    if cells > _SIZE_CAP:
+        raise DomainError(f"scan grid of {cells} cells exceeds the cap of {_SIZE_CAP}")
 
 
 def zeros_region_scan(u: float, wv_values, temperatures) -> RegionScan:
@@ -409,7 +409,7 @@ def corr_row(p: SSHParams, x_max: int, channel: str,
     absolute tolerance on the k-integral: 2 pi max_x |row_N - row_2N|
     <= tol.  The check also catches aliasing of C(N - x) onto C(x).
     Each doubling evaluates only the new midpoints.  Returns the finer
-    row, indexed by x - 1.  Raises QuadratureError, carrying that row and
+    row, indexed by x - 1.  Raises CertificateError, carrying that row and
     its estimate, once 2^18 nodes are not enough, and DomainError before
     any work when the first grid would already reach 2^18 nodes (x_max >
     32768).
@@ -438,9 +438,9 @@ def corr_row(p: SSHParams, x_max: int, channel: str,
         if estimate <= tol:
             return row
         if n >= _MAX_NODES:
-            raise QuadratureError(
+            raise CertificateError(
                 f"correlator row estimate {estimate:.3e} above tol {tol:.3e} "
-                f"with {n} nodes", value=row, estimate=estimate)
+                f"with {n} nodes", best=row, residual=estimate)
 
 
 def corr_real(p: SSHParams, x: int, channel: str, tol: float = 1e-9) -> complex:

@@ -68,9 +68,9 @@ from typing import Callable, Generator, Optional
 import numpy as np
 import scipy  # scipy.linalg loads on first use, not at import
 
-from .errors import DomainError, YangLeeError
+from .errors import CertificateError, DomainError, YangLeeError
 from .numerics.eig import hermitian_eigvals, inverse_iteration
-from .numerics.polynomials import ComplexPolynomial, RootFindingError, roots_of_polynomial
+from .numerics.polynomials import ComplexPolynomial, roots_of_polynomial
 
 # perfbench's span recorder patches these names; nothing calls them; ROADMAP item 1b removes them.
 dense_eig = None
@@ -503,15 +503,22 @@ def partition_scaled(L: int, J: float, beta: float,
 
 # --- zero structure around the ferromagnetic point -------------------------
 
+# Polynomial terms or analytic zeros in one table.  At the cap (2 vCPU)
+# xxz-poly takes 1.0 s and peaks at 240 MB RSS, xxz-zeros --analytic at
+# L = 4 takes 3.7 s and peaks at 441 MB.
+_TABLE_CAP = 1 << 21
+
 
 def zero_polynomial_terms(L: int) -> list[tuple[int, int]]:
     """The nonzero terms (exponent, coefficient) of sum_{M=0}^{L} z^{M(L-M)}.
 
     M and L - M share the exponent M(L - M), which rises with M up to
     L/2: coefficient 2 for M < L/2 and 1 at M = L/2 (even L).  The last
-    exponent is the degree, floor(L^2/4).
+    exponent is the degree, floor(L^2/4).  DomainError above 2^21 terms.
     """
     _check_chain(L)
+    if L // 2 >= _TABLE_CAP:
+        raise DomainError(f"{L // 2 + 1} polynomial terms exceed the cap of {_TABLE_CAP}")
     return [(m * (L - m), 1 if 2 * m == L else 2) for m in range(L // 2 + 1)]
 
 
@@ -538,10 +545,12 @@ def analytic_zeros(L: int, beta: float, J: float = 1.0,
 
     z_j are the roots of ``zero_polynomial(L)``; z is the Boltzmann
     weight per unit of the multiplet exponent M(L-M), so its logarithm
-    enters with a minus sign.
+    enters with a minus sign.  DomainError, before any work, above 2^21 zeros.
     """
     _check_chain(L, J)
     _check_beta(beta)
+    if (count := len(n_window) * (L * L // 4)) > _TABLE_CAP:
+        raise DomainError(f"{count} analytic zeros exceed the cap of {_TABLE_CAP}")
     roots = roots_of_polynomial(zero_polynomial(L))
     zeros = []
     scale = (L - 1) / (beta * J)
@@ -865,7 +874,7 @@ def solve_bethe_roots(L: int, M: int) -> BetheRootSet:
     difference and a quotient).  An absolute bound fails at large L M,
     where that rounding floor itself grows past it.  Nodes that miss the
     bound are polished by undamped Newton steps with the closed-form
-    Jacobian; ``RootFindingError`` (carrying the last iterate and its
+    Jacobian; ``CertificateError`` (carrying the last iterate and its
     residual) is raised when the step cap is reached or a step is
     singular or non-finite.  Raises ``DomainError`` for M above 4096.
     """
@@ -903,7 +912,7 @@ def solve_bethe_roots(L: int, M: int) -> BetheRootSet:
     zeta = np.zeros(M, dtype=complex)  # Re stays +0.0; 1j * t would give -0.0
     zeta.imag = t
     if stop is not None:
-        raise RootFindingError(
+        raise CertificateError(
             f"Bethe roots at L = {L}, M = {M}: residual {residual:.3e} above the "
             f"gate {tol:.3e} after {stop}", best=zeta, residual=residual)
     return BetheRootSet(L=L, M=M, zeta=zeta)
@@ -957,8 +966,7 @@ def zero_density(L: int, beta: float, J: float = 1.0) -> float:
     """Zeros per unit imaginary anisotropy along the locus: beta J N / (2 pi (L-1))."""
     _check_chain(L, J)
     _check_beta(beta)
-    n_roots = zero_polynomial_terms(L)[-1][0]
-    return beta * J * n_roots / (2.0 * math.pi * (L - 1))
+    return beta * J * (L * L // 4) / (2.0 * math.pi * (L - 1))  # degree floor(L^2/4)
 
 
 @dataclass

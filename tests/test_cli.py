@@ -485,6 +485,40 @@ def test_bethe_failed_polish_exits_two(capsys, monkeypatch):
     assert "L = 9, M = 4: residual" in captured.err and "above the gate" in captured.err
 
 
+_CHI_ARGS = "ssh-chi --u=1 --v=1 --w=1 --beta="
+_EE_ARGS = "ssh-ee --u=1 --v=2.5 --w=1 --subsystems=10 --cells="
+_ANALYTIC_ARGS = "xxz-zeros --L=4 --beta=50 --grid-n=8 --analytic --n-max="
+
+
+@pytest.mark.parametrize("above, at_cap, target", [
+    # chi = 2^22 + 1 at beta = 2 pi (2^22 + 1), and 2^22 at 2 pi 2^22
+    ([_CHI_ARGS + "1e12", _CHI_ARGS + repr(2 * np.pi * (2 ** 22 + 1))],
+     _CHI_ARGS + repr(2 * np.pi * 2 ** 22), (np, "arange")),
+    ([_EE_ARGS + "2000000000", _EE_ARGS + str(2 ** 20 + 2)],
+     _EE_ARGS + str(2 ** 20), (np, "arange")),
+    # L // 2 + 1 terms
+    (["xxz-poly --L=2000000000", f"xxz-poly --L={2 ** 22}"],
+     f"xxz-poly --L={2 ** 22 - 1}", (xxz, "range")),
+    # (n_max + 1) x 4 analytic zeros at L = 4
+    ([_ANALYTIC_ARGS + "100000000", _ANALYTIC_ARGS + str(2 ** 19)],
+     _ANALYTIC_ARGS + str(2 ** 19 - 1), (xxz, "roots_of_polynomial")),
+])
+def test_sizes_above_their_cap_exit_two(above, at_cap, target, capsys, monkeypatch):
+    # each run above its cap used to end in an uncaught MemoryError (exit 1);
+    # the cap is checked before the call that allocates the table
+    def no_table(*args):
+        raise AssertionError("table allocated")
+
+    monkeypatch.setattr(*target, no_table, raising=False)
+    for argv in above:
+        assert run(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err and "exceed the cap of" in captured.err
+    with pytest.raises(AssertionError, match="table allocated"):
+        run(at_cap.split())
+
+
 def test_readme_cli_commands_parse():
     # every line of README's CLI block must be accepted as written
     commands = _readme_commands()

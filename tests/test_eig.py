@@ -3,9 +3,8 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from yanglee.errors import DomainError
+from yanglee.errors import CertificateError, DomainError
 from yanglee.numerics.eig import (
-    EigenDecompositionError,
     _check_residual,
     dense_eigvals,
     hermitian_eigvals,
@@ -62,8 +61,19 @@ def test_eigvals_gate_fires_on_bad_schur_form(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "schur", perturbed)
     rng = np.random.default_rng(3)
-    with pytest.raises(EigenDecompositionError):
+    with pytest.raises(CertificateError) as info:
         dense_eigvals(rng.standard_normal((6, 6)))
+    assert info.value.residual > 1e-10 and info.value.best is None
+
+
+def test_failed_schur_raises_the_certificate_error(monkeypatch):
+    def failing(a, output):
+        raise scipy.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(scipy.linalg, "schur", failing)
+    with pytest.raises(CertificateError, match="Schur decomposition failed") as info:
+        dense_eigvals(np.eye(3))
+    assert isinstance(info.value.__cause__, scipy.linalg.LinAlgError)
 
 
 def test_eigvals_rejects_bad_input():
@@ -137,17 +147,19 @@ def test_eigvals_gate_fires_on_either_schur_form(monkeypatch, output):
     a = rng.standard_normal((6, 6))
     if output == "complex":
         a = a + 1j * rng.standard_normal((6, 6))
-    with pytest.raises(EigenDecompositionError):
+    with pytest.raises(CertificateError) as info:
         dense_eigvals(a)
     assert seen == [output]
+    assert info.value.residual > 1e-10
 
 
 def test_dropped_norm_counts_toward_the_gate():
     a = np.random.default_rng(4).standard_normal((20, 20))
     norm = np.linalg.norm(a)
     assert np.array_equal(dense_eigvals(a, dropped=1e-12 * norm), dense_eigvals(a))
-    with pytest.raises(EigenDecompositionError):
+    with pytest.raises(CertificateError) as info:
         dense_eigvals(a, dropped=1e-9 * norm)
+    assert info.value.residual >= 1e-9 / np.hypot(1.0, 1e-9)
 
 
 def test_real_input_stays_real():
@@ -172,9 +184,10 @@ def test_gate_holds_above_five_thousand():
     # above 5,000
     _check_residual(5e-11, 6000)
     for bad in (2e-10, np.nan, np.inf):
-        with pytest.raises(EigenDecompositionError):
+        with pytest.raises(CertificateError) as info:
             _check_residual(bad, 6000)
-    with pytest.raises(EigenDecompositionError):
+        assert info.value.residual is bad
+    with pytest.raises(CertificateError):
         _check_residual(2e-10, 10)
 
 
@@ -224,8 +237,9 @@ def test_hermitian_gate_fires_on_a_wrong_spectrum(monkeypatch, backward_error):
     else:
         real_eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: real_eigvalsh(h) * (1 + 1e-6))
-    with pytest.raises(EigenDecompositionError):
+    with pytest.raises(CertificateError) as info:
         hermitian_eigvals(a, backward_error=backward_error)
+    assert info.value.residual > 1e-10
 
 
 def test_hermitian_eigvals_reject_bad_input():
@@ -280,8 +294,9 @@ def test_inverse_iteration_matches_scipy_up_to_phase(n):
 
 
 def test_inverse_iteration_gate_fires_away_from_the_spectrum():
-    with pytest.raises(EigenDecompositionError):
+    with pytest.raises(CertificateError) as info:
         inverse_iteration(np.diag([1.0, 2.0, 3.0]), 1.5)
+    assert info.value.residual > 1e-10
 
 
 def test_inverse_iteration_rejects_bad_input():

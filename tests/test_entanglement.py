@@ -13,8 +13,8 @@ from yanglee.entanglement import (
     ssh_entropies,
     state_ee,
 )
-from yanglee.errors import DomainError
-from yanglee.numerics.eig import EigenDecompositionError, dense_eigvals, hermitian_eigvals
+from yanglee.errors import CertificateError, DomainError
+from yanglee.numerics.eig import dense_eigvals, hermitian_eigvals
 from yanglee.ssh import (
     SSHParams,
     bloch_hamiltonian,
@@ -296,7 +296,7 @@ def test_dropped_imaginary_part_counts_toward_the_gate(monkeypatch):
     monkeypatch.setattr(entanglement, "_REAL_ROUTE_TOL", 1.0)
     assert abs(ee_from_correlation(c + 1e-13 * np.eye(40))
                - ee_from_correlation(c)) <= 1e-11
-    with pytest.raises(EigenDecompositionError):
+    with pytest.raises(CertificateError):
         ee_from_correlation(c + 1e-9 * np.eye(40))
 
 
@@ -383,6 +383,13 @@ def test_grid_validation():
     with pytest.raises(DomainError):
         ssh_correlation_matrix(SSHParams(1, 1, 1), 100, 60)  # subsystem too big
 
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 2, 2), ()])
+def test_entropy_needs_a_square_matrix(shape):
+    # a 1-d C used to give (-0-0j) and a (2, 3) C numpy's broadcast ValueError
+    with pytest.raises(DomainError, match="square matrix"):
+        ee_from_correlation(np.zeros(shape))
 
 # --- Schmidt route ---------------------------------------------------------------
 

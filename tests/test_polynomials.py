@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from yanglee.errors import DomainError
+from yanglee.errors import CertificateError, DomainError
 from yanglee.numerics import polynomials
 from yanglee.numerics.polynomials import (
-    ComplexPolynomial, RootFindingError, roots_of_polynomial)
+    ComplexPolynomial, roots_of_polynomial)
 
 
 def test_quadratic_roots():
@@ -41,6 +41,28 @@ def test_residual_contract_scales_with_coefficients():
         assert np.max(_backward_errors(scale * coeffs, roots)) <= bound
 
 
+def test_coincident_starting_roots_are_split(monkeypatch):
+    # np.roots gives this (z - a)^2 its double root twice, bit for bit; the
+    # Aberth update needs distinct starts, split from a fixed generator state
+    a = -2.002881094626152
+    coeffs = np.poly([a, a])[::-1]
+    first = np.roots(coeffs[::-1].astype(complex))
+    assert first[0] == first[1]
+    real_polish = polynomials._aberth_polish
+    starts = []
+
+    def spy(monic, z, target):
+        starts.append(z.copy())
+        return real_polish(monic, z, target)
+
+    monkeypatch.setattr(polynomials, "_aberth_polish", spy)
+    roots = roots_of_polynomial(ComplexPolynomial(coeffs))
+    assert starts[0][0] != starts[0][1] and np.max(np.abs(starts[0] - first)) <= 1e-11
+    assert np.array_equal(roots, roots_of_polynomial(ComplexPolynomial(coeffs)))
+    assert np.max(_backward_errors(coeffs, roots)) <= 4 * 3 * np.finfo(float).eps
+    assert np.max(np.abs(roots - a)) <= 1e-7
+
+
 def test_failed_certificate_carries_backward_error(monkeypatch):
     # an Aberth pass that returns its start unpolished leaves the
     # perturbed starting set, whose backward error is far above the bound
@@ -48,7 +70,7 @@ def test_failed_certificate_carries_backward_error(monkeypatch):
         return z + 1e-3, None
     monkeypatch.setattr(polynomials, "_aberth_polish", perturbed)
     coeffs = [2, 0, 0, 2, 1]
-    with pytest.raises(RootFindingError) as info:
+    with pytest.raises(CertificateError) as info:
         roots_of_polynomial(ComplexPolynomial(coeffs))
     err = info.value
     assert err.residual == pytest.approx(np.max(_backward_errors(coeffs, err.best)))

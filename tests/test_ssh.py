@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, linalg, special
 
 from yanglee import ssh
-from yanglee.errors import DomainError, QuadratureError
+from yanglee.errors import CertificateError, DomainError
 from yanglee.ssh import (
     SSHParams,
     bloch_hamiltonian,
@@ -255,6 +255,23 @@ def test_mode_count_property(u, v, w, beta, edge, n, ulps):
     modes, _ = _bisection_modes(p, beta)
     assert [m for _, m in zero_set.entries] == modes
     assert zero_set.chi == len(modes) == chi_count(p, beta)
+
+
+def test_mode_range_lowers_n_lo_onto_an_arc_start_tie():
+    # u >= v + w: the arc starts at Im E(k = 0), and at this beta t_6 equals
+    # it exactly, while beta Im E / pi rounds above 13, so the closed form
+    # alone puts n_lo at 7; t_6 lies on the arc, so it is a zero mode
+    u, v, w, beta = 1.9706733169075723, 0.25, 0.25, 21.425326857885153
+    p = SSHParams(u, v, w)
+    start = float(dispersion(p, 0.0).imag)
+    end = math.sqrt(u * u - (v - w) ** 2)
+    assert (2 * 6 + 1) * math.pi / beta == start
+    assert math.ceil((beta * start / math.pi - 1.0) / 2.0) == 7
+    n_lo, n_hi = ssh._mode_range(u, v, w, beta)
+    modes = [n for n in range(100) if start <= (2 * n + 1) * math.pi / beta <= end]
+    assert (int(n_lo), int(n_hi)) == (modes[0], modes[-1]) and modes[0] == 6
+    assert [n for _, n in yang_lee_root_count(p, beta).entries] == modes
+    assert chi_count(p, beta) == len(modes)
 
 
 def test_chi_monotone_in_beta():
@@ -554,11 +571,11 @@ def test_corr_real_is_an_entry_of_corr_row():
 
 def test_corr_row_unreachable_tolerance():
     p = SSHParams(1.0, 2.05, 1.0)
-    with pytest.raises(QuadratureError) as err:
+    with pytest.raises(CertificateError) as err:
         corr_row(p, 10, "AB", tol=1e-30)
-    assert err.value.value.shape == (10,)
-    assert err.value.estimate > 1e-30
-    assert np.max(np.abs(err.value.value - corr_row(p, 10, "AB"))) <= 1e-9
+    assert err.value.best.shape == (10,)
+    assert err.value.residual > 1e-30
+    assert np.max(np.abs(err.value.best - corr_row(p, 10, "AB"))) <= 1e-9
     with pytest.raises(DomainError):
         corr_row(p, 0, "AB")
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 from functools import lru_cache
 
@@ -13,7 +14,7 @@ from scipy.special import roots_gegenbauer
 
 from yanglee import xxz
 from yanglee.entanglement import state_ee
-from yanglee.errors import DomainError, YangLeeError
+from yanglee.errors import CertificateError, DomainError, YangLeeError
 from yanglee.numerics.eig import hermitian_eigvals, inverse_iteration
 from yanglee.xxz import (
     XXZParams,
@@ -33,7 +34,7 @@ from yanglee.xxz import (
     zero_polynomial,
     zero_polynomial_terms,
 )
-from yanglee.numerics.polynomials import RootFindingError, roots_of_polynomial
+from yanglee.numerics.polynomials import roots_of_polynomial
 
 
 # --- sector Hamiltonians -----------------------------------------------------
@@ -521,6 +522,67 @@ def test_lockstep_secant_equals_serial(L):
         assert residual == abs(partition_scaled(L, 1.0, 100.0, 1.0 + root))
 
 
+def _secant_points(f, z0, step):
+    """(result, points): ``_secant_refine`` on f(z) from z0, and every point it evaluated."""
+    points = []
+
+    def g(z):
+        points.extend(z.tolist())
+        return f(z)
+
+    return xxz._drive(g, [xxz._secant_refine(z0, step)])[0], points
+
+
+def test_secant_stops_before_a_non_finite_step():
+    # Z = 1 at the start and inf at the second point: the secant step is
+    # nan, and the iteration returns None without evaluating it
+    result, points = _secant_points(lambda z: np.where(z == 0.5, 1.0, np.inf), 0.5, 0.1)
+    assert result is None
+    assert points == [0.5, 0.6]
+
+
+def test_secant_gives_up_after_sixty_steps():
+    # z^2 + 1 from a real start: the secant stays on the real axis, where
+    # |f| >= 1, so it neither converges nor meets a flat or non-finite step
+    result, points = _secant_points(lambda z: z * z + 1.0, 0.3, 0.1)
+    assert result is None
+    assert len(points) == 62 and all(abs(z * z + 1.0) >= 1.0 for z in points)
+
+
+def test_zero_search_drops_unconverged_and_duplicate_candidates(monkeypatch):
+    args = (6, 100.0, 1.0, (0.9, 1.1), (0.0, 0.2), 40)
+    real_drive = xxz._drive
+    polished = []
+
+    def drive(f, iterations):
+        polished[:] = real_drive(f, iterations)
+        return list(polished)
+
+    monkeypatch.setattr(xxz, "_drive", drive)
+    base = locate_zeros_numeric(*args)
+    assert len(polished) >= 3 and len(base.zeros) == len(polished) and not base.dropped
+
+    def altered(f, iterations):
+        results = real_drive(f, iterations)
+        # candidate 0 does not converge; candidate 2 lands 5e-7 from candidate 1
+        results[0] = None
+        results[2] = (results[1][0] + 5e-7, results[1][1])
+        return results
+
+    monkeypatch.setattr(xxz, "_drive", altered)
+    locus = locate_zeros_numeric(*args)
+    kept = [k for k in range(len(polished)) if k not in (0, 2)]
+    assert sorted(locus.zeros, key=lambda z: (z.real, z.imag)) == sorted(
+        (1.0 + polished[k][0] for k in kept), key=lambda z: (z.real, z.imag))
+    assert sorted(locus.residuals) == sorted(polished[k][1] for k in kept)
+    # the unconverged candidate is reported at the center of its cell
+    res = np.linspace(*args[3], args[5])
+    ims = np.linspace(*args[4], args[5])
+    i, j = xxz._winding_cells(lambda a: partition_scaled(6, 1.0, 100.0, a), res, ims)[0]
+    center = complex(0.5 * (res[i] + res[i + 1]), 0.5 * (ims[j] + ims[j + 1]))
+    assert len(locus.dropped) == 1 and abs(locus.dropped[0] - center) <= 1e-15
+
+
 def test_verify_pairing_l4():
     pairing = verify_analytic_zeros(4, 100.0)
     assert pairing.max_distance <= 5e-3
@@ -648,10 +710,12 @@ def test_bethe_failed_polish_raises_with_last_iterate(nodes, jacobian, monkeypat
     if jacobian is not None:
         monkeypatch.setattr(xxz, "_bethe_jacobian", lambda *args: jacobian)
     with np.errstate(divide="ignore", invalid="ignore"), \
-            pytest.raises(RootFindingError, match="L = 9, M = 4") as info:
+            pytest.raises(CertificateError, match="L = 9, M = 4") as info:
         solve_bethe_roots(9, 4)
     assert info.value.best.shape == (4,) and np.all(info.value.best.real == 0.0)
-    assert info.value.residual > 0.0
+    gate = float(re.search(r"gate (\S+) after", str(info.value)).group(1))
+    # the gate also needs a finite residual: coincident nodes make both inf
+    assert info.value.residual > gate or not math.isfinite(info.value.residual)
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
