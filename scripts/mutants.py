@@ -56,8 +56,8 @@ MUTANTS = [
            ("tests/test_xxz.py",)),
     Mutant("Weyl bound: min d and max d swapped",
            "src/yanglee/xxz.py",
-           "(lo if tilt > 0 else hi)",
-           "(hi if tilt > 0 else lo)",
+           "(lo if re_aniso > 1.0 else hi)",
+           "(hi if re_aniso > 1.0 else lo)",
            ("tests/test_xxz.py",)),
     Mutant("block route: every point takes the general kernel",
            "src/yanglee/xxz.py",
@@ -69,10 +69,20 @@ MUTANTS = [
            "((real, hermitian_eigvals), (~real, np.linalg.eigvals))",
            "((~real, hermitian_eigvals), (real, np.linalg.eigvals))",
            ("tests/test_xxz.py",)),
-    Mutant("ground state: the first block at real Delta takes the general kernel",
+    Mutant("ground state: the Bendixson filter dropped at complex Delta",
            "src/yanglee/xxz.py",
-           "solve = hermitian_eigvals if real else np.linalg.eigvals",
-           "solve = np.linalg.eigvals",
+           "if aniso.imag:  # Bendixson",
+           "if False:  # Bendixson",
+           ("tests/test_xxz.py",)),
+    Mutant("ground state: the first block solved twice",
+           "src/yanglee/xxz.py",
+           "pick = (cheap <= top) & ~lead",
+           "pick = cheap <= top",
+           ("tests/test_xxz.py",)),
+    Mutant("ground state: the winner-to-block lookup off by one",
+           "src/yanglee/xxz.py",
+           'np.searchsorted(blocks.first, win, side="right")) - 1',
+           'np.searchsorted(blocks.first, win, side="left")) - 1',
            ("tests/test_xxz.py",)),
     Mutant("real Schur form: the second member of a pair not conjugated",
            "src/yanglee/numerics/eig.py",
@@ -184,6 +194,21 @@ MUTANTS = [
            ") > _TABLE_CAP:",
            ") >= _TABLE_CAP:",
            ("tests/test_cli.py",)),
+    Mutant("entropy subsystem cap: 2^10 subsystem cells refused",
+           "src/yanglee/entanglement.py",
+           "if subsystem_cells > _MAX_SUBSYSTEM_CELLS:",
+           "if subsystem_cells >= _MAX_SUBSYSTEM_CELLS:",
+           ("tests/test_cli.py",)),
+    Mutant("polynomial: a non-finite coefficient accepted",
+           "src/yanglee/numerics/polynomials.py",
+           "if not np.all(np.isfinite(c)):",
+           "if False:",
+           ("tests/test_polynomials.py",)),
+    Mutant("polynomial roots: an overflowing monic normalization accepted",
+           "src/yanglee/numerics/polynomials.py",
+           "if not np.all(np.isfinite(monic)):",
+           "if False:",
+           ("tests/test_polynomials.py",)),
     Mutant("entropy input: a non-square C passes the check",
            "src/yanglee/entanglement.py",
            "if c.ndim != 2 or c.shape[0] != c.shape[1]:",

@@ -85,6 +85,11 @@ _HERMITIAN_ROUTE_TOL = 1e-14
 # Momentum cells of a correlation matrix.  At the cap ssh-ee takes 0.5 s
 # and peaks at 305 MB RSS (2 vCPU, BLAS on 1 thread).
 _MAX_CELLS = 1 << 20
+# Subsystem cells L_A of a correlation matrix (gamma is 2 L_A x 2 L_A).  At
+# the cap on the PT-broken arc (complex Schur form) ssh-ee takes 7.4 s and
+# peaks at 455 MB RSS, gapped (real route) 2.8 s and 287 MB (2 vCPU, BLAS
+# on 1 thread).
+_MAX_SUBSYSTEM_CELLS = 1 << 10
 
 
 def binary_entropy_sum(x) -> complex:
@@ -124,10 +129,14 @@ def ssh_correlation_matrix(p: SSHParams, cells: int, subsystem_cells: int,
     one filled band per momentum.  The offset grid avoids band
     degeneracies; if a grid point still falls within 1e-8 of an
     exceptional momentum the grid is shifted by a quarter cell, and a
-    DomainError is raised if that fails too (and for more than 2^20 cells).
+    DomainError is raised if that fails too (and for more than 2^20 cells
+    or 2^10 subsystem cells).
     """
     if cells > _MAX_CELLS:
         raise DomainError(f"{cells} cells exceed the cap of {_MAX_CELLS}")
+    if subsystem_cells > _MAX_SUBSYSTEM_CELLS:
+        raise DomainError(f"{subsystem_cells} subsystem cells exceed the cap of "
+                          f"{_MAX_SUBSYSTEM_CELLS}")
     if cells % 2 != 0:
         raise DomainError("total cell count must be even")
     if not 1 <= subsystem_cells <= cells // 2:

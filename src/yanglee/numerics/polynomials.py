@@ -22,7 +22,7 @@ class ComplexPolynomial:
 
     Trailing zero coefficients are stripped on construction so that the
     leading coefficient is nonzero and ``degree`` is the highest index
-    with a nonzero coefficient.
+    with a nonzero coefficient.  DomainError for a non-finite coefficient.
     """
 
     coeffs: np.ndarray
@@ -31,6 +31,8 @@ class ComplexPolynomial:
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
         if c.ndim != 1 or c.size == 0:
             raise DomainError("coefficient list must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(c)):
+            raise DomainError("coefficients must be finite")
         nonzero = np.flatnonzero(c)
         self.coeffs = c[: nonzero[-1] + 1] if nonzero.size else c[:1]
 
@@ -77,13 +79,17 @@ def roots_of_polynomial(p: ComplexPolynomial) -> np.ndarray:
     otherwise a CertificateError carries the best iterate and its worst
     backward error.  Raises DomainError before any work above degree
     1024: the companion matrix and the Aberth pair table grow as
-    degree^2 in memory and the companion eigensolve as degree^3 in time.
+    degree^2 in memory and the companion eigensolve as degree^3 in time;
+    and when dividing by the leading coefficient overflows.
     """
     if not 1 <= p.degree <= 1024:
         raise DomainError(f"root finding needs 1 <= degree <= 1024, got {p.degree}")
     low = int(np.flatnonzero(p.coeffs)[0])
     q = p.coeffs[low:]
-    monic = q / q[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        monic = q / q[-1]
+    if not np.all(np.isfinite(monic)):
+        raise DomainError(f"the monic normalization overflows (leading coefficient {q[-1]})")
     # numpy's roots() is companion-matrix based; it provides the starting set.
     z = np.roots(monic[::-1]).astype(complex)
     # Coincident starting points break the Aberth update; split them slightly

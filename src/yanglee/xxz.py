@@ -15,16 +15,13 @@ are built, and each of their eigenvalues counts once for every block it
 stands for.  Inside a block, reflection still commutes with H at k = 0
 and k = pi, and spin inversion at M = L/2; their eigenspaces split those
 blocks further.  The spectra, partition sums and ground states come from
-these sub-blocks, built once per (L, J) as A + Delta diag(d) together
-with the floor lambda_min(A + diag(d)) of each.  The ground state solves
-only the blocks that can hold the lowest level: by Bendixson's theorem
-(Acta Math. 25, 359 (1902)) every eigenvalue of a block H has
-Re E >= lambda_min((H + H^dagger)/2).  Weyl's inequality bounds that from
-the stored floor with no eigensolve; batched ``eigh`` calls give the
-exact bound only for the blocks the cheap one cannot exclude, and a
-block whose bound lies above the least Re E found so far by more than a
-rounding margin is never solved.  The M sectors in the plain spin basis
-remain as the reference they are tested against.
+these sub-blocks, built once per (L, J) as A + Delta diag(d) and solved
+only by ``SectorBlocks.eigvals``.  The ground state solves only the
+blocks whose Bendixson bound (Acta Math. 25, 359 (1902)) can reach the
+lowest level: every eigenvalue of a block H has Re E >=
+lambda_min((H + H^dagger)/2), the least level of the same block at the
+real anisotropy Re Delta (see ``ground_state``).  The M sectors in the
+plain spin basis remain as the reference they are tested against.
 
 Near the ferromagnetic point Delta = 1 the (L+1)-fold degenerate ground
 multiplet splits at first order in delta = Delta - 1 as
@@ -161,22 +158,26 @@ class SectorBlocks:
     n), d (count, n), m and q (count,) hold the magnon number and the
     momentum index of each of the count blocks, and basis state j of
     block b is sum_t ``coefs[b, j, t]`` |``words[b, j, t]``, k> over
-    momentum states (see ``sector_blocks``).  For every column that
-    ``eigvals`` returns, ``magnons`` gives its M, ``repeats`` the number
-    of k-blocks of that sector it stands for (2 for 0 < q < L/2, else 1)
-    and ``weights`` the number of the 2^L levels it stands for
-    (``repeats``, doubled for M < L/2).  A sub-block has the M, repeats
-    and weights of the (M, k) block it was split from.
+    momentum states (see ``sector_blocks``); blocks are numbered in column
+    order.  For every column that ``eigvals`` returns, ``magnons`` gives
+    its M, ``repeats`` the number of k-blocks of that sector it stands
+    for (2 for 0 < q < L/2, else 1) and ``weights`` the number of the 2^L
+    levels it stands for (``repeats``, doubled for M < L/2).  A sub-block
+    has the M, repeats and weights of the (M, k) block it was split from.
     """
 
     stacks: tuple[tuple[np.ndarray, ...], ...]
     magnons: np.ndarray
     repeats: np.ndarray
     weights: np.ndarray
+    first: np.ndarray  # the first column of each block
+    place: np.ndarray  # (stack, index in the stack) of each block
 
-    def eigvals(self, aniso) -> np.ndarray:
+    def eigvals(self, aniso, pick: Optional[np.ndarray] = None) -> np.ndarray:
         """The distinct eigenvalues at each anisotropy: shape aniso.shape + (columns,).
 
+        The only solve of a block.  ``pick``, a boolean mask over the
+        blocks, solves those alone; the other blocks' columns hold inf.
         The kernel is read from Delta.  At a real anisotropy every block
         is Hermitian (A is, and d is real): those points take one
         ``hermitian_eigvals`` call per block size, ascending per block.
@@ -190,38 +191,56 @@ class SectorBlocks:
         out = np.empty(aniso.shape + self.magnons.shape, dtype=complex)
         for mask, solve in ((real, hermitian_eigvals), (~real, np.linalg.eigvals)):
             points = aniso[mask]
-            if points.size:
+            if points.size and pick is None:
                 out[mask] = np.concatenate(
                     [solve(_block_matrices(a, d, points)).reshape(points.size, -1)
                      for a, d, *_ in self.stacks], axis=-1)
+            elif points.size:
+                out[mask] = self._picked(solve, points, pick)
         return out
 
+    def _picked(self, solve: Callable, points: np.ndarray, pick: np.ndarray) -> np.ndarray:
+        """``solve``'s values of the picked blocks, (points, columns); inf in the other columns."""
+        vals = np.full((points.size, self.magnons.size), np.inf, dtype=complex)
+        stack, index = self.place[pick].T
+        for s in np.unique(stack):  # only the stacks that hold a picked block
+            a, d, *_ = self.stacks[s]
+            i = index[stack == s]
+            cols = (self.first[pick][stack == s, None] + np.arange(d.shape[-1])).ravel()
+            vals[:, cols] = solve(_block_matrices(a[i], d[i], points)).reshape(points.size, -1)
+        return vals
+
+    def block(self, b: int) -> tuple[np.ndarray, ...]:
+        """(A, d, q, words, coefs) of block b, in column order (see ``stacks``)."""
+        s, i = self.place[b]
+        a, d, _, q, words, coefs = self.stacks[s]
+        return a[i], d[i], q[i], words[i], coefs[i]
+
     @cached_property
-    def bounds(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Per stack (floor, d_min, d_max, a_norm, d_norm), each of shape (count,).
+    def bounds(self) -> tuple[np.ndarray, ...]:
+        """Per block, in column order: (floor, d_min, d_max, a_norm, d_norm).
 
-        floor = lambda_min(A + diag(d)), the Hermitian block at Delta = 1,
-        from ``hermitian_eigvals``; then the extremes of d, |A|_F and |d|.
-        Computed once, on first use: only ground states read them.
+        floor = lambda_min(A + diag(d)) is the block's first level in
+        ``eigvals(1.0)``; then the extremes of d, |A|_F and |d|.  Computed
+        once, on first use: only ground states read them.
         """
-        out = []
-        for a, d, *_ in self.stacks:
-            floor = hermitian_eigvals(_block_matrices(a, d, np.asarray(1.0)))[:, 0]
-            out.append((floor, d.min(axis=1), d.max(axis=1),
-                        np.linalg.norm(a, axis=(1, 2)), np.linalg.norm(d, axis=1)))
-            for arr in out[-1]:
-                arr.setflags(write=False)
-        return tuple(out)
+        floor = self.eigvals(1.0)[self.first].real
+        parts = [(d.min(axis=1), d.max(axis=1), np.linalg.norm(a, axis=(1, 2)),
+                  np.linalg.norm(d, axis=1)) for a, d, *_ in self.stacks]
+        out = (floor, *map(np.concatenate, zip(*parts)))
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
-    def weyl_bounds(self, re_aniso: float) -> list[np.ndarray]:
-        """Per stack, a lower bound on Re E over each block at Re Delta = re_aniso.
+    def weyl_bounds(self, re_aniso: float) -> np.ndarray:
+        """Per block, a lower bound on Re E over the block at Re Delta = re_aniso.
 
         Bendixson bounds Re E below by lambda_min(A + Re Delta D), and Weyl's
         inequality bounds that by the floor plus lambda_min((Re Delta - 1) D):
         (Re Delta - 1) min d for Re Delta > 1, (Re Delta - 1) max d otherwise.
         """
-        tilt = re_aniso - 1.0
-        return [floor + tilt * (lo if tilt > 0 else hi) for floor, lo, hi, _, _ in self.bounds]
+        floor, lo, hi, _, _ = self.bounds
+        return floor + (re_aniso - 1.0) * (lo if re_aniso > 1.0 else hi)
 
 
 def _block_matrices(a: np.ndarray, d: np.ndarray, aniso: np.ndarray) -> np.ndarray:
@@ -310,10 +329,13 @@ def sector_blocks(L: int, J: float) -> SectorBlocks:
     column_q = np.concatenate([np.repeat(q, d.shape[-1]) for _, d, _, q, *_ in stacks])
     repeats = np.where((column_q > 0) & (2 * column_q < L), 2, 1)
     weights = (repeats * np.where(2 * column_magnons < L, 2, 1)).astype(float)
-    for arr in (*chain(*stacks), column_magnons, repeats, weights):
+    place = np.array([(s, i) for s, (_, d, *_) in enumerate(stacks) for i in range(len(d))])
+    sizes = np.array([stacks[s][1].shape[-1] for s, _ in place])
+    first = np.cumsum(sizes) - sizes
+    for arr in (*chain(*stacks), column_magnons, repeats, weights, first, place):
         arr.setflags(write=False)
     return SectorBlocks(stacks=stacks, magnons=column_magnons, repeats=repeats,
-                        weights=weights)
+                        weights=weights, first=first, place=place)
 
 
 def _split(block: np.ndarray, maps: list) -> Generator:
@@ -381,26 +403,24 @@ def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
     blocks of ``sector_blocks`` are searched, M <= L/2 and q <= L/2: spin
     flip and reflection repeat their spectra, so a larger M never wins.
 
-    Only the blocks that can hold the winning level are solved.  Every
-    eigenvalue of a block H = A + Delta D has Re E >= lb, the least
-    eigenvalue of its Hermitian part A + Re Delta D (Bendixson, Acta
-    Math. 25, 359 (1902)), and ``SectorBlocks.weyl_bounds`` bounds lb
-    from below with no eigensolve.  The block of least cheap bound is
-    solved first; its least Re E is m.  The other blocks whose cheap
-    bound is at most m + margin get the exact lb from one ``eigvalsh`` per
-    block size, and those with lb <= m + margin are solved, with margin
-    = 1e-9 max(1, max(|A|_F + |Delta| |d|)) >= 1e-9 max |H|_F.  The
-    margin exceeds the 1e-12 hysteresis chain over the at most L/2 + 1
-    candidates and the rounding of the solvers and of the floors:
-    ``eigh`` moves a bound by about n eps |H|, and a computed eigenvalue
-    is exact for some H + E with |E| about n eps |H|, so by Bendixson on
-    H + E it cannot fall below lb by more than that.  A skipped block's
-    computed levels thus all lie more than the chain above m, so they
-    could neither win nor change a sector's candidate where it matters,
-    and the selection is the one a search of every block makes.  Each
-    solved block takes the kernel of ``SectorBlocks.eigvals``, so its
-    values are the same to the bit; at real Delta a block is its own
-    Hermitian part, so the solve that gave its exact lb gave them.
+    Only the blocks that can hold the winning level are solved, each by
+    ``SectorBlocks.eigvals`` with a pick.  Every eigenvalue of a block
+    H = A + Delta D has Re E >= lb, the least level of its Hermitian part
+    A + Re Delta D, the block at Re Delta (Bendixson, Acta Math. 25, 359
+    (1902)); ``SectorBlocks.weyl_bounds`` bounds lb with no eigensolve.
+    The block of least Weyl bound is solved first; its least Re E is m.
+    The others with Weyl bound <= m + margin are solved, at complex Delta
+    only those whose lb from ``eigvals(Re Delta)`` is <= m + margin too
+    (at real Delta lb would be the spectrum itself), with margin
+    = 1e-9 max(1, max(|A|_F + |Delta| |d|)) >= 1e-9 max |H|_F.  The margin
+    exceeds the 1e-12 hysteresis chain over the at most L/2 + 1 candidates
+    and the rounding of the solvers and of the floors: ``eigh`` moves a
+    bound by about n eps |H|, and a computed eigenvalue is exact for some
+    H + E with |E| about n eps |H|, so by Bendixson on H + E it cannot
+    fall below lb by more than that.  A skipped block's computed levels
+    thus all lie more than the chain above m, so they could neither win
+    nor change a sector's candidate where it matters: the selection and
+    its values are those of a search of every block, to the bit.
 
     The energy is the winning eigenvalue itself.  Its vector comes from
     ``inverse_iteration`` on the winning block at that eigenvalue: one LU,
@@ -412,36 +432,19 @@ def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
     mixture of the blocks; of a pair k, -k it is always the +q block,
     q <= L/2, since only that one is built.
     """
-    L = p.L
-    blocks = sector_blocks(L, p.J)
+    blocks = sector_blocks(p.L, p.J)
     aniso = np.asarray(p.delta_aniso, dtype=complex)
-    real = bool(aniso.imag == 0)  # every block is then Hermitian
+    _, _, _, a_norm, d_norm = blocks.bounds
+    margin = 1e-9 * max(1.0, (a_norm + abs(aniso) * d_norm).max())
     cheap = blocks.weyl_bounds(float(aniso.real))
-    margin = 1e-9 * max(1.0, max((an + abs(aniso) * dn).max()
-                                 for _, _, _, an, dn in blocks.bounds))
-    s0 = min(range(len(cheap)), key=lambda s: cheap[s].min())
-    i0 = int(cheap[s0].argmin())
-    a, d, *_ = blocks.stacks[s0]
-    solve = hermitian_eigvals if real else np.linalg.eigvals
-    first = solve(_block_matrices(a[i0:i0 + 1], d[i0:i0 + 1], aniso))
-    least = first.real.min()
-    vals = np.full(blocks.magnons.size, np.inf, dtype=complex)  # inf: not solved
-    columns = np.cumsum([d.size for _, d, *_ in blocks.stacks])  # end of each stack
-    for s, ((a, d, *_), bound) in enumerate(zip(blocks.stacks, cheap)):
-        mine = vals[columns[s] - d.size:columns[s]].reshape(d.shape)
-        pick = bound <= least + margin
-        if s == s0:
-            pick[i0] = False
-            mine[i0] = first[0]
-        pick = np.flatnonzero(pick)
-        if pick.size:
-            h = _block_matrices(a[pick], d[pick], aniso)
-            lb = hermitian_eigvals(h)
-            near = lb[:, 0] <= least + margin
-            if real:  # h is its own Hermitian part: lb is already its spectrum
-                mine[pick[near]] = lb[near]
-            elif near.any():
-                mine[pick[near]] = np.linalg.eigvals(h[near])
+    lead = np.arange(cheap.size) == cheap.argmin()
+    vals = blocks.eigvals(aniso, lead)
+    top = vals.real.min() + margin
+    pick = (cheap <= top) & ~lead
+    if aniso.imag:  # Bendixson: the least level of the block at Re Delta
+        pick &= blocks.eigvals(aniso.real, pick)[blocks.first].real <= top
+    rest = blocks.eigvals(aniso, pick)
+    vals = np.where(np.isinf(rest), vals, rest)  # the lead block's columns are inf in rest
     mags = blocks.magnons
     order = np.lexsort((vals.imag, vals.real, mags))
     candidates = order[np.diff(mags[order], prepend=-1) != 0]  # per M, M ascending
@@ -449,12 +452,9 @@ def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
     for c in candidates[1:]:
         if vals[c].real < vals[win].real - 1e-12:
             win = c
-    # the winning column lies in block i of stack s
-    s = int(np.searchsorted(columns, win, side="right"))
-    a, d, _, q, words, coefs = blocks.stacks[s]
-    i = (win - (columns[s] - d.size)) // d.shape[-1]
-    vec = inverse_iteration(_block_matrices(a[i:i + 1], d[i:i + 1], aniso)[0], vals[win])
-    psi = _momentum_state(L, words[i], coefs[i], q[i], vec)
+    a, d, q, words, coefs = blocks.block(int(np.searchsorted(blocks.first, win, side="right")) - 1)
+    vec = inverse_iteration(_block_matrices(a[None], d[None], aniso)[0], vals[win])
+    psi = _momentum_state(p.L, words, coefs, q, vec)
     psi /= np.linalg.norm(psi)
     return int(mags[win]), complex(vals[win]), psi
 

@@ -502,6 +502,10 @@ _ANALYTIC_ARGS = "xxz-zeros --L=4 --beta=50 --grid-n=8 --analytic --n-max="
     # (n_max + 1) x 4 analytic zeros at L = 4
     ([_ANALYTIC_ARGS + "100000000", _ANALYTIC_ARGS + str(2 ** 19)],
      _ANALYTIC_ARGS + str(2 ** 19 - 1), (xxz, "roots_of_polynomial")),
+    # gamma is 2 L_A x 2 L_A: at L_A = 10^5 it used to need 74.5 GiB
+    (["ssh-ee --u=1 --v=1 --w=1 --cells=200000 --subsystems=100000",
+      f"ssh-ee --u=1 --v=1 --w=1 --cells=4096 --subsystems=10,{2 ** 10 + 1}"],
+     f"ssh-ee --u=1 --v=1 --w=1 --cells=4096 --subsystems={2 ** 10}", (np, "arange")),
 ])
 def test_sizes_above_their_cap_exit_two(above, at_cap, target, capsys, monkeypatch):
     # each run above its cap used to end in an uncaught MemoryError (exit 1);
@@ -554,11 +558,13 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
 def test_cli_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg costs about 0.3 s of start-up; the modules that use it
     # import bare scipy, which loads the submodule on first attribute access.
-    # The other scipy submodules the package or its tests use stay unloaded too.
+    # The other scipy submodules the package or its tests use stay unloaded
+    # too, and so does logging: an import added to start-up needs a measured
+    # start-up time, and logging is for runs that ask for it.
     src = str(Path(yanglee.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     names = ("scipy.linalg", "scipy.optimize", "scipy.integrate", "scipy.special",
-             "scipy.sparse")
+             "scipy.sparse", "logging")
     code = f"import sys, yanglee.cli; print([m for m in {names!r} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)

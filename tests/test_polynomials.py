@@ -121,6 +121,25 @@ def test_degree_above_cap_rejected(monkeypatch):
         roots_of_polynomial(ComplexPolynomial(np.ones(1026)))
 
 
+@pytest.mark.parametrize("coeffs", [[1, np.nan, 1], [1, np.inf], [1j * np.inf, 1],
+                                    [1, complex(0.0, np.nan)]])
+def test_non_finite_coefficients_rejected(coeffs):
+    # [1, nan, 1] used to raise numpy's LinAlgError from np.roots and
+    # [1, inf] a CertificateError with a nan residual
+    with pytest.raises(DomainError, match="finite"):
+        ComplexPolynomial(coeffs)
+
+
+def test_overflowing_monic_normalization_rejected(monkeypatch):
+    # 1 + z + 5e-324 z^2: dividing by the subnormal leading coefficient
+    # overflows; this used to raise numpy's LinAlgError from np.roots
+    def no_companion(_):
+        raise AssertionError("np.roots called")
+    monkeypatch.setattr(np, "roots", no_companion)
+    with pytest.raises(DomainError, match="monic normalization overflows"):
+        roots_of_polynomial(ComplexPolynomial([1, 1, 5e-324]))
+
+
 def test_trailing_zeros_stripped():
     p = ComplexPolynomial([1, 2, 0, 0])
     assert p.degree == 1

@@ -306,10 +306,26 @@ def test_sub_block_dimensions_match_character_formula(L):
 def test_weyl_bound_below_bendixson_bound(L):
     blocks = sector_blocks(L, 1.0)
     for re in (*np.linspace(-3.0, 3.0, 25), 1.0, 1.0 + 1e-9, 1.0 - 1e-9):
-        for (a, d, *_), cheap in zip(blocks.stacks, blocks.weyl_bounds(re)):
-            exact = np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2))
-                                       + re * d[:, None, :] * np.eye(d.shape[-1]))[:, 0]
-            assert np.all(cheap <= exact + 1e-12 * max(1.0, abs(re)))
+        exact = np.concatenate([
+            np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2))
+                               + re * d[:, None, :] * np.eye(d.shape[-1]))[:, 0]
+            for a, d, *_ in blocks.stacks])
+        assert np.all(blocks.weyl_bounds(re) <= exact + 1e-12 * max(1.0, abs(re)))
+
+
+@pytest.mark.parametrize("L", range(2, 13))
+def test_least_level_at_real_part_is_bendixson_bound(L):
+    # ground_state's exact Bendixson bound: the Hermitian part of
+    # A + Delta D is A + Re Delta D, the same block at the real Re Delta
+    blocks = sector_blocks(L, 1.0)
+    for aniso in (0.95 + 0.01j, 1.05 - 0.03j, -2.5 + 0.7j, 3.5 - 1.2j, 0.3j):
+        want = [np.linalg.eigvalsh(0.5 * (h + h.conj().T))[0]
+                for a, d, *_ in blocks.stacks
+                for h in xxz._block_matrices(a, d, np.asarray(aniso))]
+        vals = blocks.eigvals(aniso.real).real
+        got = vals[blocks.first]  # ascending per block: the first is the least
+        assert np.array_equal(got, np.minimum.reduceat(vals, blocks.first))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12 * max(1.0, abs(aniso)))
 
 
 # --- partition function -------------------------------------------------------
@@ -966,18 +982,13 @@ def _exhaustive_ground_state(p: XXZParams):
         c = mine[np.lexsort((vals[mine].imag, vals[mine].real))[0]]
         if win is None or vals[c].real < vals[win].real - 1e-12:
             win = c
-    start = 0
-    for a, d, _, momenta, words, coefs in blocks.stacks:
-        count, n = d.shape
-        if win < start + count * n:
-            i = (win - start) // n
-            aniso = np.asarray(p.delta_aniso, dtype=complex)
-            h = xxz._block_matrices(a[i:i + 1], d[i:i + 1], aniso)[0]
-            psi = xxz._momentum_state(p.L, words[i], coefs[i], momenta[i],
-                                      inverse_iteration(h, vals[win]))
-            return (int(mags[win]), complex(vals[win]), psi / np.linalg.norm(psi),
-                    h, words[i], coefs[i], momenta[i])
-        start += count * n
+    b = np.flatnonzero(blocks.first <= win)[-1]  # the block that holds column win
+    a, d, q, words, coefs = blocks.block(b)
+    assert win < blocks.first[b] + d.size
+    h = xxz._block_matrices(a[None], d[None], np.asarray(p.delta_aniso, dtype=complex))[0]
+    psi = xxz._momentum_state(p.L, words, coefs, q, inverse_iteration(h, vals[win]))
+    return (int(mags[win]), complex(vals[win]), psi / np.linalg.norm(psi),
+            h, words, coefs, q)
 
 
 @pytest.mark.parametrize("L", range(2, 13))
@@ -1053,6 +1064,33 @@ def test_complex_ground_state_solves_no_empty_stack(L, monkeypatch):
     calls = _general_kernel_nonempty(monkeypatch)
     m, energy, psi = ground_state(p)
     assert calls  # the hook sits where the general kernel is called
+    assert m == m_ref
+    assert np.array([energy]).tobytes() == np.array([energy_ref]).tobytes()
+    assert psi.tobytes() == psi_ref.tobytes()
+
+
+@pytest.mark.parametrize("L", [10, 12])
+@pytest.mark.parametrize("aniso, hermitian, general", [(0.95 + 0.01j, 2, 1),
+                                                       (1.05 + 0.03j, 0, 1)])
+def test_complex_ground_state_solve_counts(L, aniso, hermitian, general, monkeypatch):
+    # the matrices each kernel receives per call: the Weyl bound keeps two
+    # blocks besides the first at 0.95 + 0.01j and none at 1.05 + 0.03j,
+    # and the exact Bendixson bound then excludes both
+    p = XXZParams(J=1.0, delta_aniso=aniso, L=L)
+    m_ref, energy_ref, psi_ref = _exhaustive_ground_state(p)[:3]
+    sector_blocks(L, 1.0).bounds  # the cached Delta = 1 floors are not part of the call
+    seen = {"hermitian": 0, "general": 0}
+
+    def counted(kind, kernel):
+        def call(a, *args, **kwargs):
+            seen[kind] += a.size // (a.shape[-1] * a.shape[-2])
+            return kernel(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(xxz, "hermitian_eigvals", counted("hermitian", xxz.hermitian_eigvals))
+    monkeypatch.setattr(np.linalg, "eigvals", counted("general", np.linalg.eigvals))
+    m, energy, psi = ground_state(p)
+    assert seen == {"hermitian": hermitian, "general": general}
     assert m == m_ref
     assert np.array([energy]).tobytes() == np.array([energy_ref]).tobytes()
     assert psi.tobytes() == psi_ref.tobytes()
