@@ -90,10 +90,10 @@ MUTANTS = [
            "values[top + 1] = values[top]",
            ("tests/test_eig.py",)),
     Mutant("K0: the exponentially scaled k0e in place of k0",
-           "src/yanglee/numerics/bessel.py",
+           "src/yanglee/ssh.py",
            "scipy.special.k0(x)",
            "scipy.special.k0e(x)",
-           ("tests/test_bessel.py",)),
+           ("tests/test_bessel.py", "tests/test_ssh.py")),
     Mutant("mode partition factor: cosh(w) in place of cosh(w / 2)",
            "src/yanglee/ssh.py",
            "np.cosh(0.5 * w)",
@@ -208,6 +208,21 @@ MUTANTS = [
            "src/yanglee/numerics/polynomials.py",
            "if not np.all(np.isfinite(monic)):",
            "if False:",
+           ("tests/test_polynomials.py",)),
+    Mutant("block solve: a non-finite Delta reaches the kernels",
+           "src/yanglee/xxz.py",
+           "if not np.isfinite(aniso).all():",
+           "if False:",
+           ("tests/test_xxz.py",)),
+    Mutant("partition sum: a beta that is not finite and positive accepted",
+           "src/yanglee/xxz.py",
+           "    _check_beta(beta)\n    vals = blocks.eigvals(aniso)",
+           "    vals = blocks.eigvals(aniso)",
+           ("tests/test_xxz.py",)),
+    Mutant("polynomial roots: Aberth keeps the iterate of least absolute residual",
+           "src/yanglee/numerics/polynomials.py",
+           "err = np.max(np.abs(pv) / np.polyval(np.abs(high), np.abs(z)))",
+           "err = np.max(np.abs(pv))",
            ("tests/test_polynomials.py",)),
     Mutant("entropy input: a non-square C passes the check",
            "src/yanglee/entanglement.py",

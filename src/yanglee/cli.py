@@ -218,9 +218,7 @@ def _cmd_xxz_bethe(args):
 
 
 def _cmd_xxz_ee(args):
-    p = xxz.XXZParams(J=args.J, delta_aniso=complex(args.delta_re, args.delta_im),
-                      L=args.L)
-    _, _, psi = xxz.ground_state(p)
+    _, _, psi = xxz.ground_state(args.L, args.J, complex(args.delta_re, args.delta_im))
     rows = []
     for cut in range(1, args.L):
         s = entanglement.state_ee(psi, args.L, cut)

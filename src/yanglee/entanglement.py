@@ -229,26 +229,20 @@ def ssh_entropies(p: SSHParams, cells: int, sizes: Sequence[int],
 @dataclass
 class EEScalingFit:
     slope: float
-    intercept: float
     classification: str  # "SubareaLaw" or "AreaLaw"
     filling: str
-    subsystem_cells: np.ndarray
-    entropies: np.ndarray  # complex S per subsystem size
 
 
 def ee_scaling_fit(p: SSHParams, cells: int, subsystem_sizes: Sequence[int],
-                   filling: str = "im_neg",
-                   convention: str = "LR") -> EEScalingFit:
+                   filling: str = "im_neg") -> EEScalingFit:
     """Least-squares fit of Re S against ln L_A and an area/subarea verdict."""
     sizes = np.asarray(sorted(subsystem_sizes), dtype=int)
     if sizes.size < 5 or sizes[-1] < 4 * sizes[0]:
         raise DomainError("need >= 5 subsystem sizes spanning a factor of 4")
-    entropies = ssh_entropies(p, cells, sizes, filling, convention)
-    slope, intercept = np.polyfit(np.log(sizes), entropies.real, 1)
+    entropies = ssh_entropies(p, cells, sizes, filling)
+    slope = np.polyfit(np.log(sizes), entropies.real, 1)[0]
     label = "SubareaLaw" if slope > 0.05 else "AreaLaw"
-    return EEScalingFit(slope=float(slope), intercept=float(intercept),
-                        classification=label, filling=filling,
-                        subsystem_cells=sizes, entropies=entropies)
+    return EEScalingFit(slope=float(slope), classification=label, filling=filling)
 
 
 def state_ee(state, length: int, cut: int) -> float:

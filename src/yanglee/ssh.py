@@ -48,7 +48,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import CertificateError, DomainError
-from .numerics.bessel import bessel_k0
 
 # perfbench's span recorder patches this name; nothing calls it; ROADMAP item 1b removes it.
 adaptive_integrate = None
@@ -259,7 +258,6 @@ def yang_lee_root_count(p: SSHParams, beta: float) -> SSHZeroSet:
 class RegionScan:
     """Zero-presence table over a (w - v, T) grid at fixed u."""
 
-    u: float
     wv_values: np.ndarray
     temperatures: np.ndarray
     has_zeros: np.ndarray  # bool, shape (len(T), len(wv))
@@ -315,7 +313,7 @@ def zeros_region_scan(u: float, wv_values, temperatures) -> RegionScan:
             boundary.append((t, float(wv_values[idx[0]]), float(wv_values[idx[-1]])))
         else:
             boundary.append((t, None, None))
-    return RegionScan(u=u, wv_values=wv_values, temperatures=temperatures,
+    return RegionScan(wv_values=wv_values, temperatures=temperatures,
                       has_zeros=has, chi=chi, boundary=boundary)
 
 
@@ -466,6 +464,13 @@ def correlation_length(p: SSHParams) -> float:
     return 1.0 / float(np.arccosh(c))
 
 
+def bessel_k0(x):
+    """The modified Bessel function K0, elementwise: ``scipy.special.k0``."""
+    import scipy.special  # here: it adds 55-85 ms to the CLI's start-up
+
+    return scipy.special.k0(x)
+
+
 def corr_asymptotic(p: SSHParams, x, channel: str):
     """Near-critical closed form of the gapped T = 0 correlator.
 
@@ -541,7 +546,6 @@ class ExponentFit:
     eta: float
     decay_power: float
     xi_table: list[tuple[float, float, float]]  # (delta, xi_fitted, xi_closed)
-    max_fit_residual: float
     warning: Optional[str]
 
 
@@ -581,5 +585,4 @@ def fit_exponents(samples: list[CorrelationSample]) -> ExponentFit:
     xi_table = [(s.delta, float(xf), s.xi_closed)
                 for s, xf in zip(samples, xi_fit)]
     return ExponentFit(nu=nu, eta=1.0 - power, decay_power=power,
-                       xi_table=xi_table, max_fit_residual=max_resid,
-                       warning=warning)
+                       xi_table=xi_table, warning=warning)

@@ -14,9 +14,10 @@ every complex Delta, so only the blocks with M <= L/2 and 0 <= k <= pi
 are built, and each of their eigenvalues counts once for every block it
 stands for.  Inside a block, reflection still commutes with H at k = 0
 and k = pi, and spin inversion at M = L/2; their eigenspaces split those
-blocks further.  The spectra, partition sums and ground states come from
-these sub-blocks, built once per (L, J) as A + Delta diag(d) and solved
-only by ``SectorBlocks.eigvals``.  The ground state solves only the
+blocks further.  The spectra, partition sums and ground states, each a
+function of (L, J, Delta), come from these sub-blocks, built once per
+(L, J) as A + Delta diag(d) and solved only by ``SectorBlocks.eigvals``,
+which also refuses a non-finite Delta.  The ground state solves only the
 blocks whose Bendixson bound (Acta Math. 25, 359 (1902)) can reach the
 lowest level: every eigenvalue of a block H has Re E >=
 lambda_min((H + H^dagger)/2), the least level of the same block at the
@@ -87,20 +88,6 @@ def _check_beta(beta: float) -> None:
         raise DomainError(f"beta must be positive and finite, got {beta}")
 
 
-@dataclass(frozen=True)
-class XXZParams:
-    """Exchange J > 0, complex anisotropy, chain length; periodic chain."""
-
-    J: float
-    delta_aniso: complex
-    L: int
-
-    def __post_init__(self):
-        _check_chain(self.L, self.J)
-        if not cmath.isfinite(self.delta_aniso):
-            raise DomainError(f"anisotropy Delta must be finite, got {self.delta_aniso}")
-
-
 @dataclass
 class MagnonSector:
     """Basis of the fixed-M block; bit i of a basis word flips site i."""
@@ -125,11 +112,9 @@ def magnon_sector(L: int, M: int) -> MagnonSector:
                         index={w: i for i, w in enumerate(words)})
 
 
-def build_sector_hamiltonian(p: XXZParams, sector: MagnonSector) -> np.ndarray:
-    """Dense block of H in the M-magnon sector."""
-    if sector.L != p.L:
-        raise DomainError("sector length does not match parameters")
-    L, J, delta = p.L, p.J, complex(p.delta_aniso)
+def build_sector_hamiltonian(sector: MagnonSector, J: float, aniso: complex) -> np.ndarray:
+    """Dense block of H in the M-magnon sector of a chain of sector.L sites."""
+    L, delta = sector.L, complex(aniso)
     dim = sector.dimension
     h = np.zeros((dim, dim), dtype=complex)
     bonds = [(i, (i + 1) % L) for i in range(L)]
@@ -185,8 +170,12 @@ class SectorBlocks:
         size, in LAPACK's order; that route is not gated (a batched
         certificate for it is still open).  Each point's values depend on
         its blocks alone, so they are those of the scalar call.
+        DomainError, before any solve, for a non-finite anisotropy.
         """
         aniso = np.asarray(aniso, dtype=complex)
+        if not np.isfinite(aniso).all():
+            bad = aniso[~np.isfinite(aniso)][0]
+            raise DomainError(f"anisotropy Delta must be finite, got {complex(bad)}")
         real = aniso.imag == 0
         out = np.empty(aniso.shape + self.magnons.shape, dtype=complex)
         for mask, solve in ((real, hermitian_eigvals), (~real, np.linalg.eigvals)):
@@ -374,24 +363,24 @@ def _split(block: np.ndarray, maps: list) -> Generator:
             yield (sub if maps else block), keep, w, cf
 
 
-def full_spectrum(p: XXZParams) -> list[tuple[int, np.ndarray]]:
+def full_spectrum(L: int, J: float, aniso: complex) -> list[tuple[int, np.ndarray]]:
     """All 2^L eigenvalues, sector by sector, each block sorted by (Re, Im).
 
     Each sector's spectrum is the union of its blocks: sector M reads
     the built sector min(M, L - M) and repeats the values of every block
     whose q also stands for -q.
     """
-    blocks = sector_blocks(p.L, p.J)
-    vals = blocks.eigvals(p.delta_aniso)
+    blocks = sector_blocks(L, J)
+    vals = blocks.eigvals(aniso)
     out = []
-    for m in range(p.L + 1):
-        mine = blocks.magnons == min(m, p.L - m)
+    for m in range(L + 1):
+        mine = blocks.magnons == min(m, L - m)
         sector_vals = np.repeat(vals[mine], blocks.repeats[mine])
         out.append((m, sector_vals[np.lexsort((sector_vals.imag, sector_vals.real))]))
     return out
 
 
-def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
+def ground_state(L: int, J: float, aniso: complex) -> tuple[int, complex, np.ndarray]:
     """(sector M, energy, normalized right eigenvector over the 2^L basis).
 
     The winning level is picked from the eigenvalues of the symmetry
@@ -432,13 +421,14 @@ def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
     mixture of the blocks; of a pair k, -k it is always the +q block,
     q <= L/2, since only that one is built.
     """
-    blocks = sector_blocks(p.L, p.J)
-    aniso = np.asarray(p.delta_aniso, dtype=complex)
-    _, _, _, a_norm, d_norm = blocks.bounds
-    margin = 1e-9 * max(1.0, (a_norm + abs(aniso) * d_norm).max())
-    cheap = blocks.weyl_bounds(float(aniso.real))
+    blocks = sector_blocks(L, J)
+    aniso = np.asarray(aniso, dtype=complex)
+    with np.errstate(invalid="ignore"):  # a non-finite Delta is refused by the solve below
+        cheap = blocks.weyl_bounds(float(aniso.real))
     lead = np.arange(cheap.size) == cheap.argmin()
     vals = blocks.eigvals(aniso, lead)
+    _, _, _, a_norm, d_norm = blocks.bounds
+    margin = 1e-9 * max(1.0, (a_norm + abs(aniso) * d_norm).max())
     top = vals.real.min() + margin
     pick = (cheap <= top) & ~lead
     if aniso.imag:  # Bendixson: the least level of the block at Re Delta
@@ -454,7 +444,7 @@ def ground_state(p: XXZParams) -> tuple[int, complex, np.ndarray]:
             win = c
     a, d, q, words, coefs = blocks.block(int(np.searchsorted(blocks.first, win, side="right")) - 1)
     vec = inverse_iteration(_block_matrices(a[None], d[None], aniso)[0], vals[win])
-    psi = _momentum_state(p.L, words, coefs, q, vec)
+    psi = _momentum_state(L, words, coefs, q, vec)
     psi /= np.linalg.norm(psi)
     return int(mags[win]), complex(vals[win]), psi
 
@@ -489,8 +479,10 @@ def partition_scaled(L: int, J: float, beta: float,
     scalar anisotropy ``aniso`` = Delta gives a complex; an array of them
     gives an array of the same shape, evaluated in one batch, whose
     every entry has the bits of the scalar call at that Delta.
+    DomainError unless beta is finite and > 0.
     """
     blocks = sector_blocks(L, J)
+    _check_beta(beta)
     vals = blocks.eigvals(aniso)
     shift = vals.real.min(axis=-1)
     terms = np.exp(-beta * (vals - shift[..., None]))
@@ -956,8 +948,7 @@ def ed_gap(L: int, J: float, delta_re: float) -> float:
 
     Levels within 1e-12 of the lowest count as degenerate with it.
     """
-    p = XXZParams(J=J, delta_aniso=1.0 + delta_re, L=L)
-    re = np.sort(np.concatenate([v for _, v in full_spectrum(p)]).real)
+    re = np.sort(np.concatenate([v for _, v in full_spectrum(L, J, 1.0 + delta_re)]).real)
     above = re[re > re[0] + 1e-12]
     return float(above[0] - re[0])
 
@@ -971,7 +962,6 @@ def zero_density(L: int, beta: float, J: float = 1.0) -> float:
 
 @dataclass
 class SusceptibilityScan:
-    chi_zero_field: float
     sigma_fit: float
     table: list[tuple[float, float]]  # (|delta|, chi)
 
@@ -994,6 +984,4 @@ def susceptibility_scaling(L: int, J: float, delta_res) -> SusceptibilityScan:
     if np.unique(mags).size < 2:
         raise DomainError("the exponent fit needs at least two distinct |delta|")
     sigma = -float(np.polyfit(np.log(mags), np.log(chis), 1)[0])
-    return SusceptibilityScan(chi_zero_field=float(chis[np.argmin(mags)]),
-                              sigma_fit=sigma,
-                              table=list(zip(mags.tolist(), chis.tolist())))
+    return SusceptibilityScan(sigma_fit=sigma, table=list(zip(mags.tolist(), chis.tolist())))

@@ -205,8 +205,7 @@ def test_criterion_8_first_order_exactness():
             sector = xxz.magnon_sector(length, m)
             lo_hi = []
             for d in (h_step, -h_step):
-                mat = xxz.build_sector_hamiltonian(
-                    xxz.XXZParams(J=1.0, delta_aniso=1.0 + d, L=length), sector)
+                mat = xxz.build_sector_hamiltonian(sector, 1.0, 1.0 + d)
                 lo_hi.append(scipy.linalg.eigvals(mat).real.min())
             slope = (lo_hi[0] - lo_hi[1]) / (2.0 * h_step) + length / 4.0
             target = m * (length - m) / (length - 1)
@@ -242,8 +241,7 @@ def test_criterion_9_gap_scaling():
 
 def test_criterion_10_xxz_entanglement():
     start = time.perf_counter()
-    p = xxz.XXZParams(J=1.0, delta_aniso=0.99 + 0.01j, L=12)
-    _, _, psi = xxz.ground_state(p)
+    _, _, psi = xxz.ground_state(12, 1.0, 0.99 + 0.01j)
     cuts = np.arange(1, 12)
     entropies = np.array([entanglement.state_ee(psi, 12, int(c)) for c in cuts])
     chord = np.log(np.sin(math.pi * cuts / 12.0))
@@ -252,8 +250,7 @@ def test_criterion_10_xxz_entanglement():
     ss_res = float(np.sum((entropies - fitted) ** 2))
     ss_tot = float(np.sum((entropies - entropies.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot
-    p_gapped = xxz.XXZParams(J=1.0, delta_aniso=1.05, L=12)
-    _, _, psi_gapped = xxz.ground_state(p_gapped)
+    _, _, psi_gapped = xxz.ground_state(12, 1.0, 1.05)
     s_gapped = entanglement.state_ee(psi_gapped, 12, 6)
     elapsed = time.perf_counter() - start
     checks = [
@@ -291,22 +288,20 @@ def test_criterion_11_property_suite(tmp_path):
                    worst <= 1e-12))
 
     # sector completeness
-    p7 = xxz.XXZParams(J=1.0, delta_aniso=1.1 + 0.2j, L=7)
-    vals = np.concatenate([v for _, v in xxz.full_spectrum(p7)])
-    trace = sum(np.trace(xxz.build_sector_hamiltonian(p7, xxz.magnon_sector(7, m)))
+    vals = np.concatenate([v for _, v in xxz.full_spectrum(7, 1.0, 1.1 + 0.2j)])
+    trace = sum(np.trace(xxz.build_sector_hamiltonian(xxz.magnon_sector(7, m), 1.0, 1.1 + 0.2j))
                 for m in range(8))
     checks.append(("sector completeness (2^L states, trace match)",
                    vals.size == 128 and abs(vals.sum() - trace) < 1e-8))
 
     # spin-flip symmetry
-    p8 = xxz.XXZParams(J=1.0, delta_aniso=0.8 + 0.3j, L=8)
-    spectra = dict(xxz.full_spectrum(p8))
+    spectra = dict(xxz.full_spectrum(8, 1.0, 0.8 + 0.3j))
     flip = max(np.max(np.abs(spectra[m] - spectra[8 - m])) for m in range(9))
     checks.append((f"spin-flip symmetry dev {flip:.1e} <= 1e-10", flip <= 1e-10))
     # full_spectrum builds M > L/2 from M < L/2, so the line above is 0 by
     # construction; the plain M sectors measure the symmetry it assumes
     oracle = [scipy.linalg.eigvals(xxz.build_sector_hamiltonian(
-        p8, xxz.magnon_sector(8, m))) for m in range(9)]
+        xxz.magnon_sector(8, m), 1.0, 0.8 + 0.3j)) for m in range(9)]
 
     def matched_dev(a, b):
         cost = np.abs(np.subtract.outer(a, b))
@@ -319,10 +314,7 @@ def test_criterion_11_property_suite(tmp_path):
                    max(oracle_flip, folded) <= 1e-10))
 
     # Hermitian-limit reality
-    vals = np.concatenate([v for _, v in
-                           xxz.full_spectrum(xxz.XXZParams(J=1.0,
-                                                           delta_aniso=1.4,
-                                                           L=8))])
+    vals = np.concatenate([v for _, v in xxz.full_spectrum(8, 1.0, 1.4)])
     checks.append((f"Hermitian limit max |Im E| {np.max(np.abs(vals.imag)):.1e}",
                    np.max(np.abs(vals.imag)) <= 1e-10))
 

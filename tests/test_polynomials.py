@@ -77,6 +77,20 @@ def test_failed_certificate_carries_backward_error(monkeypatch):
     assert err.residual > 4 * 5 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("exponents, coeffs", [
+    ([0, 4, 10, 12, 14, 16, 20, 21], [19.0, 140.0, 1.7, 3e4, 6.0, 130.0, 600.0, 0.2]),
+    ([0, 4, 12, 16, 26, 27], [0.4, 2.0, 1.0, 800.0, 1.3e5, 0.0012]),
+    ([0, 11, 12, 37, 38], [0.019, 80.0, 0.05, 170.0, 0.009])])
+def test_aberth_keeps_the_iterate_of_least_backward_error(exponents, coeffs):
+    # |p(z)| is largest at the roots of largest modulus, so the iterate of
+    # least |p(z)| can miss the gate at a root of small modulus; keeping it
+    # raised a CertificateError (backward error 1.1e-13 to 3.0e-9) on each
+    c = np.zeros(exponents[-1] + 1)
+    c[exponents] = coeffs
+    roots = roots_of_polynomial(ComplexPolynomial(c))
+    assert np.max(_backward_errors(c, roots)) <= 4 * c.size * np.finfo(float).eps
+
+
 def test_vieta_sum_on_random_polynomials():
     rng = np.random.default_rng(11)
     for _ in range(25):
