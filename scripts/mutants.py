@@ -221,9 +221,24 @@ MUTANTS = [
            ("tests/test_xxz.py",)),
     Mutant("polynomial roots: Aberth keeps the iterate of least absolute residual",
            "src/yanglee/numerics/polynomials.py",
-           "err = np.max(np.abs(pv) / np.polyval(np.abs(high), np.abs(z)))",
-           "err = np.max(np.abs(pv))",
+           "err = np.max(_backward_error(high, z))",
+           "err = np.max(np.abs(np.polyval(high, z)))",
            ("tests/test_polynomials.py",)),
+    Mutant("polynomial roots: no reversed evaluation where the backward error overflows",
+           "src/yanglee/numerics/polynomials.py",
+           "far = ~np.isfinite(size)",
+           "far = np.zeros(size.shape, dtype=bool)",
+           ("tests/test_polynomials.py",)),
+    Mutant("analytic zeros: a real root keeps its rounding-level Im z",
+           "src/yanglee/xxz.py",
+           "roots.imag[np.abs(roots.imag) < ",
+           "roots.imag[np.abs(roots.imag) < 0 * ",
+           ("tests/test_xxz.py",)),
+    Mutant("multiplet gap: the odd-L doubling dropped",
+           "src/yanglee/xxz.py",
+           "-J * delta_re * (1 + L % 2) / (L - 1)",
+           "-J * delta_re * 1 / (L - 1)",
+           ("tests/test_xxz.py",)),
     Mutant("entropy input: a non-square C passes the check",
            "src/yanglee/entanglement.py",
            "if c.ndim != 2 or c.shape[0] != c.shape[1]:",

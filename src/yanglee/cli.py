@@ -144,13 +144,11 @@ def _cmd_ssh_zeros_scan(args):
     ssh._check_scan_cells(args.wv_steps * args.t_steps)  # before the axes are allocated
     wv = np.linspace(args.wv_min, args.wv_max, args.wv_steps)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
-    scan = ssh.zeros_region_scan(args.u, wv, ts)
-    wv_list = scan.wv_values.tolist()
+    chi = ssh.zeros_region_scan(args.u, wv, ts).chi
+    wv_list = wv.tolist()
     # rows as a generator: the table writer formats them a batch at a time
-    return ((d, t, has, chi)
-            for t, has_row, chi_row in zip(scan.temperatures.tolist(),
-                                           scan.has_zeros, scan.chi)
-            for d, has, chi in zip(wv_list, has_row.tolist(), chi_row.tolist()))
+    return ((d, t, int(c > 0), c)
+            for t, row in zip(ts.tolist(), chi) for d, c in zip(wv_list, row.tolist()))
 
 
 def _cmd_ssh_chi(args):
@@ -194,12 +192,11 @@ def _cmd_xxz_zeros(args):
                                        (args.re_min, args.re_max),
                                        (args.im_min, args.im_max),
                                        grid_n=args.grid_n)
-    loci = [numeric]
+    rows = [(z.real, z.imag, "numeric", r) for z, r in zip(numeric.zeros, numeric.residuals)]
     if args.analytic:
-        loci.insert(0, xxz.analytic_zeros(args.L, args.beta, args.J,
-                                          n_window=range(args.n_min, args.n_max + 1)))
-    return [(z.real, z.imag, locus.provenance, r)
-            for locus in loci for z, r in zip(locus.zeros, locus.residuals)]
+        rows[:0] = [(z.real, z.imag, "analytic", math.nan) for z in xxz.analytic_zeros(
+            args.L, args.beta, args.J, n_window=range(args.n_min, args.n_max + 1))]
+    return rows
 
 
 def _cmd_xxz_verify_zeros(args):
@@ -234,8 +231,7 @@ def _cmd_xxz_gap(args):
     rows = []
     for length in args.L_list:
         gap = xxz.ed_gap(length, args.J, args.delta_re)
-        pred = xxz.magnon_energy_and_gap(length, length // 2, args.J,
-                                         args.delta_re).gap_gapless
+        pred = xxz.multiplet_gap(length, args.J, args.delta_re)
         rows.append((length, args.delta_re, gap, pred, abs(gap - pred) / pred))
     return rows
 

@@ -41,35 +41,51 @@ class ComplexPolynomial:
         return self.coeffs.size - 1
 
 
+def _backward_error(high: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|p(z)| / sum_m |c_m| |z|^m at each z, ``high`` highest power first.
+
+    Where the sums overflow, the same ratio of the reversed coefficients at
+    1/z: both sums scale by |z|^degree.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, size = np.abs(np.polyval(high, z)), np.polyval(np.abs(high), np.abs(z))
+    far = ~np.isfinite(size)  # |p(z)| <= size: finite where size is
+    rev, w = high[::-1], 1.0 / z[far]
+    value[far], size[far] = np.abs(np.polyval(rev, w)), np.polyval(np.abs(rev), np.abs(w))
+    return value / size
+
+
 def _aberth_polish(monic: np.ndarray, z: np.ndarray, target: float):
     """Simultaneous refinement of all roots of a monic polynomial, 80 steps at most.
 
     Stops once the largest |p(z)| is at most ``target``.  Returns the
-    iterate of least worst backward error |p(z)| / sum_m |c_m| |z|^m, the
+    iterate of least worst backward error (``_backward_error``), the
     quantity that ``roots_of_polynomial`` gates, and that error.
     """
     high = monic[::-1]  # np.polyval's order: highest power first
     d_high = np.polyder(high)
     best, best_err = z, np.inf
-    for _ in range(80):
-        pv = np.polyval(high, z)
-        err = np.max(np.abs(pv) / np.polyval(np.abs(high), np.abs(z)))
-        if err < best_err:
-            best, best_err = z, err
-        if np.max(np.abs(pv)) <= target:
-            break
-        dv = np.polyval(d_high, z)
-        dv = np.where(np.abs(dv) < 1e-300, 1e-300, dv)
-        newton = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        denom = 1.0 - newton * inv.sum(axis=1)
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        step = newton / denom
-        step = np.where(np.isfinite(step), step, 0.0)
-        z = z - step
+    # p(z) and p'(z) may overflow at large |z|; such a root then takes no step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(80):
+            err = np.max(_backward_error(high, z))
+            if err < best_err:
+                best, best_err = z, err
+            pv = np.polyval(high, z)
+            if np.max(np.abs(pv)) <= target:
+                break
+            dv = np.polyval(d_high, z)
+            dv = np.where(np.abs(dv) < 1e-300, 1e-300, dv)
+            newton = pv / dv
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, 1.0)
+            inv = 1.0 / diff
+            np.fill_diagonal(inv, 0.0)
+            denom = 1.0 - newton * inv.sum(axis=1)
+            denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
+            step = newton / denom
+            step = np.where(np.isfinite(step), step, 0.0)
+            z = z - step
     return best, best_err
 
 
@@ -104,10 +120,8 @@ def roots_of_polynomial(p: ComplexPolynomial) -> np.ndarray:
             z[i] += (rng.standard_normal() + 1j * rng.standard_normal()) * 1e-12
     if z.size:
         z, _ = _aberth_polish(monic, z, 1e-14 * float(np.max(np.abs(monic))))
-    high = q[::-1]
     # the divisor is at least |q(0)| > 0
-    error = np.abs(np.polyval(high, z)) / np.polyval(np.abs(high), np.abs(z))
-    worst = float(np.max(error, initial=0.0))
+    worst = float(np.max(_backward_error(q[::-1], z), initial=0.0))
     bound = 4 * q.size * np.finfo(float).eps
     if not worst <= bound:
         raise CertificateError(f"root backward error {worst:.3e} above {bound:.3e}",

@@ -17,7 +17,8 @@ cos k_E = (u^2 - v^2 - w^2) / (2 v w).
 The grand-canonical partition function at mu = 0 factorizes over momenta,
 Z = prod_k (1 + e^{-beta E_k})(1 + e^{beta E_k}), so Z = 0 exactly when
 some mode satisfies Re E_k = 0 and Im E_k = (2n+1) pi / beta.  Those
-mode zeros, their count chi, the finite-temperature region scan, and the
+mode zeros, their count chi, the finite-temperature region scan (chi
+per cell and the zero region's edges per temperature), and the
 correlation functions of the gapped phases, at T = 0 only, live here.
 
 Closed forms replace iteration where one exists.  The mode momenta
@@ -256,12 +257,9 @@ def yang_lee_root_count(p: SSHParams, beta: float) -> SSHZeroSet:
 
 @dataclass
 class RegionScan:
-    """Zero-presence table over a (w - v, T) grid at fixed u."""
+    """Zero count over a (w - v, T) grid at fixed u; a cell has zeros where chi > 0."""
 
-    wv_values: np.ndarray
-    temperatures: np.ndarray
-    has_zeros: np.ndarray  # bool, shape (len(T), len(wv))
-    chi: np.ndarray  # int, same shape
+    chi: np.ndarray  # int, shape (len(T), len(wv))
     boundary: list[tuple[float, Optional[float], Optional[float]]]
 
 
@@ -305,16 +303,14 @@ def zeros_region_scan(u: float, wv_values, temperatures) -> RegionScan:
     _check_params(u, v, w)
     n_lo, n_hi = _mode_range(u, v, w, 1.0 / temperatures[:, None])
     chi = np.maximum(n_hi - n_lo + 1, 0)
-    has = chi > 0
     boundary: list[tuple[float, Optional[float], Optional[float]]] = []
-    for t, row in zip(temperatures.tolist(), has):
+    for t, row in zip(temperatures.tolist(), chi > 0):
         idx = np.flatnonzero(row)
         if idx.size:
             boundary.append((t, float(wv_values[idx[0]]), float(wv_values[idx[-1]])))
         else:
             boundary.append((t, None, None))
-    return RegionScan(wv_values=wv_values, temperatures=temperatures,
-                      has_zeros=has, chi=chi, boundary=boundary)
+    return RegionScan(chi=chi, boundary=boundary)
 
 
 # --- the filled band: projector and Fourier table --------------------------

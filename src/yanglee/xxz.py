@@ -29,14 +29,17 @@ multiplet splits at first order in delta = Delta - 1 as
 
     E_M = E_0 + J delta M (L - M) / (L - 1),      E_0 = -J L Delta / 4.
 
+Their spacing on the gapless side, delta < 0, is ``multiplet_gap``.
 Resumming the multiplet Boltzmann weights with z = exp(-beta J delta /
 (L - 1)) turns the zero condition of the partition function into the
 polynomial equation sum_{M=0}^L z^{M(L-M)} = 0, so the zeros of Z lie at
 
     Delta_j = 1 - (L - 1) Log(z_j) / (beta J) + i (L - 1) 2 pi n / (beta J)
 
-for the polynomial roots z_j and n integer.  The first-order energies
-follow from an algebraic reduction of the Bethe equations,
+for the polynomial roots z_j and n integer (``analytic_zeros``, a list; a
+real negative z_j, which every odd degree has, lies on the upper side of
+the cut of Log).  The first-order energies follow from an algebraic
+reduction of the Bethe equations,
 
     L zeta_j = 2 sum_{l != j} (1 + zeta_l zeta_j) / (zeta_l - zeta_j),
 
@@ -525,33 +528,38 @@ def zero_polynomial(L: int) -> ComplexPolynomial:
 
 @dataclass
 class ZeroLocus:
+    """Zeros of Z found by ``locate_zeros_numeric``, with their residuals."""
+
     zeros: list[complex]  # Delta values
-    provenance: str  # "analytic" or "numeric"
     residuals: list[float]
-    dropped: list[complex] = field(default_factory=list)
+    dropped: list[complex]
 
 
 def analytic_zeros(L: int, beta: float, J: float = 1.0,
-                   n_window=(0,)) -> ZeroLocus:
+                   n_window=(0,)) -> list[complex]:
     """First-order zeros Delta_j = 1 - (L-1) Log(z_j)/(beta J) + i(L-1)2 pi n/(beta J).
 
     z_j are the roots of ``zero_polynomial(L)``; z is the Boltzmann
     weight per unit of the multiplet exponent M(L-M), so its logarithm
-    enters with a minus sign.  DomainError, before any work, above 2^21 zeros.
+    enters with a minus sign.  A real negative z_j takes the upper side of
+    Log's cut: its n = 0 zero has Im Delta = -pi (L-1)/(beta J).
+    DomainError, before any work, above 2^21 zeros.
     """
     _check_chain(L, J)
     _check_beta(beta)
     if (count := len(n_window) * (L * L // 4)) > _TABLE_CAP:
         raise DomainError(f"{count} analytic zeros exceed the cap of {_TABLE_CAP}")
     roots = roots_of_polynomial(zero_polynomial(L))
+    # real coefficients: a real root's Im z is rounding of either sign, and on
+    # the negative axis that sign would pick the side of cmath.log's cut
+    roots.imag[np.abs(roots.imag) < 4 * roots.size * np.finfo(float).eps * np.abs(roots)] = 0.0
     zeros = []
     scale = (L - 1) / (beta * J)
     for n in n_window:
         for z in roots:
             delta = -scale * cmath.log(z) + 1j * scale * 2.0 * math.pi * n
             zeros.append(1.0 + delta)
-    return ZeroLocus(zeros=zeros, provenance="analytic",
-                     residuals=[float("nan")] * len(zeros))
+    return zeros
 
 
 def _secant_refine(z0: complex, step: complex, deflate: tuple[complex, ...] = ()
@@ -718,8 +726,7 @@ def locate_zeros_numeric(L: int, beta: float, J: float,
                         np.array([z.imag for z in zeros]))) if zeros else []
     zeros = [zeros[i] for i in order]
     residuals = [residuals[i] for i in order]
-    return ZeroLocus(zeros=zeros, provenance="numeric", residuals=residuals,
-                     dropped=dropped)
+    return ZeroLocus(zeros=zeros, residuals=residuals, dropped=dropped)
 
 
 @dataclass
@@ -759,16 +766,16 @@ def verify_analytic_zeros(L: int, beta: float, J: float = 1.0) -> ZeroPairing:
     yields no distinct partner.
     """
     sector_blocks(L, J)  # checks L <= 14 and J before np.roots meets degree L^2/4
-    locus = analytic_zeros(L, beta, J)
+    analytic = analytic_zeros(L, beta, J)
 
     def f(d):
         return partition_scaled(L, J, beta, 1.0 + d)
 
     step = 1e-4 * (1.0 + 1j)
-    first = _drive(f, [_secant_refine(z - 1.0, step) for z in locus.zeros])
+    first = _drive(f, [_secant_refine(z - 1.0, step) for z in analytic])
     roots: list[complex] = []  # delta = Delta - 1
     residuals: list[float] = []
-    for z, result in zip(locus.zeros, first):
+    for z, result in zip(analytic, first):
         if result is not None and _near_any(result[0], roots):
             result = _drive(f, [_secant_refine(z - 1.0, step, deflate=tuple(roots))])[0]
         if result is None or _near_any(result[0], roots):
@@ -781,10 +788,10 @@ def verify_analytic_zeros(L: int, beta: float, J: float = 1.0) -> ZeroPairing:
 
     values = [1.0 + r for r in roots]
     _, cols = linear_sum_assignment(
-        np.abs(np.subtract.outer(locus.zeros, values)))
+        np.abs(np.subtract.outer(analytic, values)))
     numeric = [values[c] for c in cols]
-    return ZeroPairing(analytic=locus.zeros, numeric=numeric,
-                       distances=[abs(n - z) for n, z in zip(numeric, locus.zeros)],
+    return ZeroPairing(analytic=analytic, numeric=numeric,
+                       distances=[abs(n - z) for n, z in zip(numeric, analytic)],
                        residuals=[residuals[c] for c in cols])
 
 
@@ -913,34 +920,19 @@ def solve_bethe_roots(L: int, M: int) -> BetheRootSet:
 # --- energies, gaps, densities, response ------------------------------------
 
 
-@dataclass
-class MagnonEnergy:
-    energy: complex
-    gap_gapless: float
-    gap_gapped: float
+def multiplet_gap(L: int, J: float, delta_re: float) -> float:
+    """First-order gap on the gapless side, Re delta < 0, of Delta = 1 + delta.
 
-
-def magnon_energy_and_gap(L: int, M: int, J: float, delta: complex) -> MagnonEnergy:
-    """First-order multiplet energy and the two phase-resolved gap formulas.
-
-    E_M = -J L (1 + delta) / 4 + J delta M (L - M) / (L - 1).  On the
-    gapless side (Re delta < 0) the lowest level is M = L/2 at even L,
-    and the next one M = L/2 -+ 1 lies -J Re delta / (L - 1) above it; at
-    odd L the lowest two, M = (L -+ 1)/2, are degenerate, and the next,
-    M = (L -+ 3)/2, lies twice as far up.  On the gapped side the gap is
-    J Re delta above the ferromagnetic doublet.
+    With E_M = E_0 + J delta M (L - M) / (L - 1) the lowest level is
+    M = L/2 at even L, and the next one M = L/2 -+ 1 lies
+    -J Re delta / (L - 1) above it; at odd L the lowest two,
+    M = (L -+ 1)/2, are degenerate, and the next, M = (L -+ 3)/2, lies
+    twice as far up.  The sign of delta_re is the caller's to check.
     """
     _check_chain(L, J)
-    if not 0 <= M <= L:
-        raise DomainError(f"need 0 <= M <= L, got M = {M}, L = {L}")
-    delta = complex(delta)
-    if not cmath.isfinite(delta):
-        raise DomainError(f"delta must be finite, got {delta}")
-    e0 = -J * L * (1.0 + delta) / 4.0
-    energy = e0 + J * delta * M * (L - M) / (L - 1)
-    return MagnonEnergy(energy=complex(energy),
-                        gap_gapless=-J * delta.real * (1 + L % 2) / (L - 1),
-                        gap_gapped=J * delta.real)
+    if not math.isfinite(delta_re):
+        raise DomainError(f"delta must be finite, got {delta_re}")
+    return -J * delta_re * (1 + L % 2) / (L - 1)
 
 
 def ed_gap(L: int, J: float, delta_re: float) -> float:

@@ -160,7 +160,7 @@ def test_criterion_6_zero_line():
     analytic = xxz.analytic_zeros(length, beta, j_ex, n_window=(0, 1))
     spread = 0.0
     for z in numeric.zeros:
-        partner = min(analytic.zeros, key=lambda a: abs(a - z))
+        partner = min(analytic, key=lambda a: abs(a - z))
         spread = max(spread, abs(z.real - partner.real))
     g = xxz.zero_density(length, beta, j_ex)
     density = len(numeric.zeros) / 0.2

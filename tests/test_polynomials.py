@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,29 @@ def test_aberth_keeps_the_iterate_of_least_backward_error(exponents, coeffs):
     c[exponents] = coeffs
     roots = roots_of_polynomial(ComplexPolynomial(c))
     assert np.max(_backward_errors(c, roots)) <= 4 * c.size * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("exponents, coeffs", [
+    ([0, 11, 45, 52, 53], [0.019, 7.0, 0.5, 1e4, 0.01]),
+    ([0, 13, 76, 94, 160, 266, 268], [1100.0, 0.007, 90.0, 0.005, 1000.0, 1600.0, 0.1])])
+def test_backward_error_survives_overflow(exponents, coeffs):
+    # |z|^degree overflows at the largest roots (1e6 and 126), so p(z) and
+    # sum |c_m| |z|^m are inf there: the first warned, the second raised a
+    # CertificateError with a nan residual.  The oracle sums the nonzero
+    # terms in 30-digit arithmetic.
+    import mpmath
+
+    c = np.zeros(exponents[-1] + 1)
+    c[exponents] = coeffs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = roots_of_polynomial(ComplexPolynomial(c))
+    assert roots.size == exponents[-1]
+    with mpmath.workdps(30):
+        worst = max(abs(sum(cm * mpmath.mpc(r) ** m for m, cm in zip(exponents, coeffs)))
+                    / sum(cm * abs(mpmath.mpc(r)) ** m for m, cm in zip(exponents, coeffs))
+                    for r in roots)
+    assert worst <= 4 * c.size * np.finfo(float).eps
 
 
 def test_vieta_sum_on_random_polynomials():
