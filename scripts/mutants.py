@@ -2,14 +2,15 @@
 
 Each entry of ``MUTANTS`` names one deliberate fault: a source file, a
 text that occurs in it exactly once, the text that replaces it, and the
-test files that must fail under it.  For each entry the script extracts
-a git revision (``git archive``) into a temporary directory, applies
-that one change there, and runs only the listed test files, one after
-another, each stopping at its first failure.  It reports the mutant as
+test files (or single tests, as pytest node ids) that must fail under
+it.  For each entry the script extracts a git revision (``git
+archive``) into a temporary directory, applies that one change there,
+and runs only the listed tests, one after another, each stopping
+at its first failure.  It reports the mutant as
 
-* ``caught`` when a listed test file fails (it names the first failing
+* ``caught`` when a listed test fails (it names the first failing
   test);
-* ``missed`` when every listed test file passes;
+* ``missed`` when every listed test passes;
 * ``STALE`` when the old text does not occur exactly once: the code it
   mutated has changed, and the entry must follow it.
 
@@ -244,6 +245,36 @@ MUTANTS = [
            "if c.ndim != 2 or c.shape[0] != c.shape[1]:",
            "if c.ndim != 2:",
            ("tests/test_entanglement.py",)),
+    Mutant("verify-zeros table: the distance column |numeric + analytic|",
+           "src/yanglee/cli.py",
+           "abs(n - a)",
+           "abs(n + a)",
+           ("tests/test_cli.py",)),
+    Mutant("Bethe stderr: the quadratic sum rule subtracts M(M-1)/(L-1)",
+           "src/yanglee/cli.py",
+           " + args.M * (args.M - 1)",
+           " - args.M * (args.M - 1)",
+           ("tests/test_cli.py",)),
+    Mutant("projector: an unknown filling falls through to im_neg",
+           "src/yanglee/ssh.py",
+           "    if filling not in _FILLINGS:",
+           "    if False:",
+           ("tests/test_entanglement.py",)),
+    Mutant("analytic zeros: +Log z in place of -Log z",
+           "src/yanglee/xxz.py",
+           "delta = -scale * cmath.log(z)",
+           "delta = scale * cmath.log(z)",
+           ("tests/test_xxz.py::test_scaled_zeros_tend_to_the_zeros_of_erf",)),
+    Mutant("momentum state: the orbit weight sqrt(R_a) dropped",
+           "src/yanglee/xxz.py",
+           "amp * np.sqrt(period) / L * phase",
+           "amp / L * phase",
+           ("tests/test_acceptance.py::test_criterion_10_ground_state_is_the_dicke_multiplet",)),
+    Mutant("entropy sum: occupations within 1e-6 of 0 or 1 dropped",
+           "src/yanglee/entanglement.py",
+           "_DEGENERACY_EPS = 1e-14",
+           "_DEGENERACY_EPS = 1e-6",
+           ("tests/test_entanglement.py::test_hermitian_critical_point_has_central_charge_one",)),
 ]
 
 

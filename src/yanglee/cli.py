@@ -201,17 +201,18 @@ def _cmd_xxz_zeros(args):
 
 def _cmd_xxz_verify_zeros(args):
     pairing = xxz.verify_analytic_zeros(args.L, args.beta, args.J)
-    return [(j, a.real, a.imag, n.real, n.imag, d, r)
-            for j, (a, n, d, r) in enumerate(zip(pairing.analytic, pairing.numeric,
-                                                 pairing.distances, pairing.residuals))]
+    return [(j, a.real, a.imag, n.real, n.imag, abs(n - a), r)
+            for j, (a, n, r) in enumerate(zip(pairing.analytic, pairing.numeric,
+                                              pairing.residuals))]
 
 
 def _cmd_xxz_bethe(args):
-    roots = xxz.solve_bethe_roots(args.L, args.M)
-    print(f"# sum rules: |sum zeta| = {roots.sum_rule_linear:.3e}, "
-          f"|sum zeta^2 + M(M-1)/(L-1)| = {roots.sum_rule_quadratic:.3e}",
+    zeta = xxz.solve_bethe_roots(args.L, args.M)
+    quadratic = np.sum(zeta ** 2) + args.M * (args.M - 1) / (args.L - 1)
+    print(f"# sum rules: |sum zeta| = {float(abs(np.sum(zeta))):.3e}, "
+          f"|sum zeta^2 + M(M-1)/(L-1)| = {float(abs(quadratic)):.3e}",
           file=sys.stderr)
-    return [(j, z.real, z.imag) for j, z in enumerate(roots.zeta)]
+    return [(j, z.real, z.imag) for j, z in enumerate(zeta)]
 
 
 def _cmd_xxz_ee(args):

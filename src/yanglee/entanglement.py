@@ -78,7 +78,6 @@ from .ssh import SSHParams, filled_projector, fourier_table, near_exceptional
 # perfbench's span recorder patches this name; nothing calls it; ROADMAP item 1b removes it.
 dense_eig = None
 
-_FILLINGS = ("im_neg", "im_pos")
 _DEGENERACY_EPS = 1e-14
 _REAL_ROUTE_TOL = 1e-14
 _HERMITIAN_ROUTE_TOL = 1e-14
@@ -141,10 +140,6 @@ def ssh_correlation_matrix(p: SSHParams, cells: int, subsystem_cells: int,
         raise DomainError("total cell count must be even")
     if not 1 <= subsystem_cells <= cells // 2:
         raise DomainError("need 1 <= subsystem_cells <= cells/2")
-    if filling not in _FILLINGS:
-        raise DomainError(f"filling must be one of {_FILLINGS}")
-    if convention not in ("LR", "RR"):
-        raise DomainError("convention must be 'LR' or 'RR'")
     grid, offset = _momentum_grid(p, cells)
     g = fourier_table(filled_projector(p, grid, filling, convention), offset,
                       np.arange(1 - subsystem_cells, subsystem_cells))
@@ -230,7 +225,6 @@ def ssh_entropies(p: SSHParams, cells: int, sizes: Sequence[int],
 class EEScalingFit:
     slope: float
     classification: str  # "SubareaLaw" or "AreaLaw"
-    filling: str
 
 
 def ee_scaling_fit(p: SSHParams, cells: int, subsystem_sizes: Sequence[int],
@@ -242,7 +236,7 @@ def ee_scaling_fit(p: SSHParams, cells: int, subsystem_sizes: Sequence[int],
     entropies = ssh_entropies(p, cells, sizes, filling)
     slope = np.polyfit(np.log(sizes), entropies.real, 1)[0]
     label = "SubareaLaw" if slope > 0.05 else "AreaLaw"
-    return EEScalingFit(slope=float(slope), classification=label, filling=filling)
+    return EEScalingFit(slope=float(slope), classification=label)
 
 
 def state_ee(state, length: int, cut: int) -> float:

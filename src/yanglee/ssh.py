@@ -315,6 +315,9 @@ def zeros_region_scan(u: float, wv_values, temperatures) -> RegionScan:
 
 # --- the filled band: projector and Fourier table --------------------------
 
+_FILLINGS = ("im_neg", "im_pos")
+
+
 def near_exceptional(p: SSHParams, k) -> bool:
     """Whether some momentum in k lies within 1e-8 of +-k_E (mod 2 pi)."""
     k_e = exceptional_momentum(p)
@@ -334,7 +337,12 @@ def filled_projector(p: SSHParams, k, filling: str = "im_neg",
     The LR projector P = (H + lam) / (2 lam) = r l^dag / (l^dag r) is one
     array expression over the momenta.  P P^dag is proportional to
     r r^dag, so the RR projector r r^dag / (r^dag r) is P P^dag / tr(P P^dag).
+    Raises DomainError for a filling or convention not named here.
     """
+    if filling not in _FILLINGS:
+        raise DomainError(f"filling must be one of {_FILLINGS}")
+    if convention not in ("LR", "RR"):
+        raise DomainError("convention must be 'LR' or 'RR'")
     h = bloch_hamiltonian(p, k)
     e = np.asarray(dispersion(p, k))
     if np.min(np.abs(e)) < 1e-12:

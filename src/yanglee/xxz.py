@@ -734,19 +734,13 @@ class ZeroPairing:
     """One-to-one pairing of analytic zeros with distinct partition zeros.
 
     ``analytic[j]`` is paired with ``numeric[j]``; no two entries of
-    ``numeric`` lie within 1e-8 of each other.  ``distances[j]`` is
-    |numeric[j] - analytic[j]| and ``residuals[j]`` the scaled |Z| at
-    ``numeric[j]``.
+    ``numeric`` lie within 1e-8 of each other.  ``residuals[j]`` is the
+    scaled |Z| at ``numeric[j]``.
     """
 
     analytic: list[complex]
     numeric: list[complex]
-    distances: list[float]
     residuals: list[float]
-
-    @property
-    def max_distance(self) -> float:
-        return max(self.distances)
 
 
 def verify_analytic_zeros(L: int, beta: float, J: float = 1.0) -> ZeroPairing:
@@ -791,7 +785,6 @@ def verify_analytic_zeros(L: int, beta: float, J: float = 1.0) -> ZeroPairing:
         np.abs(np.subtract.outer(analytic, values)))
     numeric = [values[c] for c in cols]
     return ZeroPairing(analytic=analytic, numeric=numeric,
-                       distances=[abs(n - z) for n, z in zip(numeric, analytic)],
                        residuals=[residuals[c] for c in cols])
 
 
@@ -800,24 +793,6 @@ def _near_any(z: complex, others: list[complex]) -> bool:
 
 
 # --- first-order Bethe reduction -------------------------------------------
-
-
-@dataclass
-class BetheRootSet:
-    """Roots zeta_j of L zeta_j = 2 sum_{l != j} (1 + zeta_l zeta_j)/(zeta_l - zeta_j)."""
-
-    L: int
-    M: int
-    zeta: np.ndarray
-
-    @property
-    def sum_rule_linear(self) -> float:
-        return float(abs(np.sum(self.zeta)))
-
-    @property
-    def sum_rule_quadratic(self) -> float:
-        target = -self.M * (self.M - 1) / (self.L - 1)
-        return float(abs(np.sum(self.zeta ** 2) - target))
 
 
 def _bethe_terms(t: np.ndarray) -> np.ndarray:
@@ -857,8 +832,8 @@ _BETHE_MAX_M = 4096
 _BETHE_NEWTON_STEPS = 4
 
 
-def solve_bethe_roots(L: int, M: int) -> BetheRootSet:
-    """Roots of the reduced Bethe system for 1 <= M <= L/2, Im zeta ascending.
+def solve_bethe_roots(L: int, M: int) -> np.ndarray:
+    """Roots zeta of the reduced Bethe system for 1 <= M <= L/2, Im zeta ascending.
 
     zeta_j = i t_j with t_j the zeros of the Gegenbauer polynomial
     C_M^(lambda), lambda = (L - 2M + 1)/2 (see the module docstring),
@@ -914,7 +889,7 @@ def solve_bethe_roots(L: int, M: int) -> BetheRootSet:
         raise CertificateError(
             f"Bethe roots at L = {L}, M = {M}: residual {residual:.3e} above the "
             f"gate {tol:.3e} after {stop}", best=zeta, residual=residual)
-    return BetheRootSet(L=L, M=M, zeta=zeta)
+    return zeta
 
 
 # --- energies, gaps, densities, response ------------------------------------

@@ -1,6 +1,7 @@
-"""Acceptance criteria, one test per criterion.
+"""Acceptance criteria, one test per criterion, and one plain sub-check
+beside criterion 10 (its ground state is the Dicke multiplet).
 
-Each test prints a single [PASS]/[FAIL] line with the measured numbers.
+Each criterion test prints a single [PASS]/[FAIL] line with the measured numbers.
 Two sub-checks are known to fail and are asserted as stated anyway;
 README.md ("Known failing checks") documents the measurements:
 
@@ -16,6 +17,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
@@ -109,15 +111,15 @@ def test_criterion_3_correlation_asymptotics():
 
 def test_criterion_4_entanglement_transition():
     start = time.perf_counter()
-    sizes = [10, 13, 16, 20, 25, 32, 40, 50, 64, 80]
+    sizes, filling = [10, 13, 16, 20, 25, 32, 40, 50, 64, 80], "im_neg"
     broken = entanglement.ee_scaling_fit(ssh.SSHParams(1.0, 1.0, 1.0), 400,
-                                         sizes, filling="im_neg")
+                                         sizes, filling=filling)
     gapped = entanglement.ee_scaling_fit(ssh.SSHParams(1.0, 2.5, 1.0), 400,
-                                         sizes, filling="im_neg")
+                                         sizes, filling=filling)
     elapsed = time.perf_counter() - start
     checks = [
         (f"broken-phase slope {broken.slope:.4f} within 1/6 +- 0.05 "
-         f"(filling={broken.filling})",
+         f"(filling={filling})",
          abs(broken.slope - 1.0 / 6.0) <= 0.05),
         ("broken phase classified SubareaLaw",
          broken.classification == "SubareaLaw"),
@@ -135,7 +137,9 @@ def test_criterion_5_zero_map_vs_ed():
     eps = {}
     for length in range(2, 9):
         for beta in (25.0, 50.0, 100.0):
-            eps[(length, beta)] = xxz.verify_analytic_zeros(length, beta).max_distance
+            pairing = xxz.verify_analytic_zeros(length, beta)
+            eps[(length, beta)] = max(abs(n - a) for n, a in zip(pairing.numeric,
+                                                                 pairing.analytic))
     checks = []
     for length in range(2, 9):
         seq = [eps[(length, b)] for b in (25.0, 50.0, 100.0)]
@@ -182,9 +186,10 @@ def test_criterion_7_bethe_sum_rules():
     worst_quadratic = 0.0
     for length in range(2, 13):
         for m in range(1, length // 2 + 1):
-            roots = xxz.solve_bethe_roots(length, m)
-            worst_linear = max(worst_linear, roots.sum_rule_linear)
-            worst_quadratic = max(worst_quadratic, roots.sum_rule_quadratic)
+            zeta = xxz.solve_bethe_roots(length, m)
+            worst_linear = max(worst_linear, abs(np.sum(zeta)))
+            worst_quadratic = max(worst_quadratic, abs(np.sum(zeta ** 2)
+                                                       + m * (m - 1) / (length - 1)))
     elapsed = time.perf_counter() - start
     checks = [
         (f"|sum zeta| worst {worst_linear:.1e} <= 1e-10",
@@ -261,6 +266,28 @@ def test_criterion_10_xxz_entanglement():
         (f"runtime {elapsed:.1f}s <= 180s", elapsed <= 180.0),
     ]
     _report("criterion 10 (interacting-chain entanglement)", checks)
+
+
+def _dicke_entropy(length: int, m: int, cut: int) -> float:
+    """Entropy of ``cut`` sites of the Dicke state of m flipped spins among ``length``."""
+    probs = [math.comb(cut, k) * math.comb(length - cut, m - k) / math.comb(length, m)
+             for k in range(max(0, m - length + cut), min(cut, m) + 1)]
+    return -sum(p * math.log(p) for p in probs)
+
+
+@pytest.mark.parametrize("length, bound", [(10, 8.0e-3), (12, 1.2e-2)])
+def test_criterion_10_ground_state_is_the_dicke_multiplet(length, bound):
+    # Criterion 10's state is the M = L/2 member of the ferromagnetic
+    # multiplet, shifted at O(delta): its entropy profile is the Dicke one,
+    # whose chord-log slope is 0.464 at L = 12 (the 1/2-log law of Popkov &
+    # Salerno, Phys. Rev. A 71, 012301 (2005)), not c/3.  Measured worst
+    # gaps over cuts: 7.56e-3 (L = 10), 1.10e-2 (12), 1.49e-2 (14; its
+    # first ground state takes 1.3 s, so it is not run here).
+    m, _, psi = xxz.ground_state(length, 1.0, 0.99 + 0.01j)
+    assert m == length // 2
+    gap = max(abs(entanglement.state_ee(psi, length, cut) - _dicke_entropy(length, m, cut))
+              for cut in range(1, length))
+    assert gap <= bound
 
 
 def test_criterion_11_property_suite(tmp_path):

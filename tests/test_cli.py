@@ -179,6 +179,22 @@ def test_command_tables_match_csv_writer(argv, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_verify_zeros_distance_is_the_printed_pair_apart(monkeypatch, capsys):
+    captured = []
+    write_table = cli._write_table
+
+    def keep_rows(command, rows, out_path, fmt):
+        captured.extend(rows)
+        return write_table(command, captured, out_path, fmt)
+
+    monkeypatch.setattr(cli, "_write_table", keep_rows)
+    assert run(["xxz-verify-zeros", "--L", "6", "--beta", "100"]) == 0
+    assert len(captured) == xxz.zero_polynomial(6).degree
+    for _, re_a, im_a, re_n, im_n, distance, _ in captured:
+        assert distance == abs(complex(re_n, im_n) - complex(re_a, im_a))
+    capsys.readouterr()
+
+
 def test_help_lists_each_printed_header(capsys):
     assert run(["--help"]) == 0
     listed = {}

@@ -95,6 +95,17 @@ def test_hermitian_critical_log_scaling():
     assert abs(fit.slope - 1.0 / 3.0) <= 0.05
 
 
+def test_hermitian_critical_point_has_central_charge_one():
+    # c = 3 dS / d ln N at fixed L_A = N/4 (Calabrese & Cardy, J. Stat.
+    # Mech. P06002 (2004)).  Measured c - 1 over the doublings from N = 40
+    # to 640: -1.11e-4, -2.78e-5, -6.95e-6, -1.74e-6, shrinking 4x each.
+    p = SSHParams(0.0, 1.0, 1.0)
+    s = [ssh_entropies(p, n, [n // 4])[0].real for n in 40 * 2 ** np.arange(5)]
+    c = 3.0 * np.diff(s) / math.log(2.0)
+    assert np.all(np.abs(c - 1.0) <= 1.5e-4), c
+    assert abs(c[-1] - 1.0) <= 2.5e-6
+
+
 def test_broken_phase_conventions_are_conjugate():
     p = SSHParams(1.0, 1.0, 1.0)
     c_neg = ssh_correlation_matrix(p, 120, 10, filling="im_neg")
@@ -383,6 +394,22 @@ def test_grid_validation():
     with pytest.raises(DomainError):
         ssh_correlation_matrix(SSHParams(1, 1, 1), 100, 60)  # subsystem too big
 
+
+@pytest.mark.parametrize("option, message", [
+    ({"filling": "bogus"}, "filling must be one of"),
+    ({"filling": "IM_NEG"}, "filling must be one of"),
+    ({"convention": "lr"}, "convention must be 'LR' or 'RR'"),
+    ({"convention": "bogus"}, "convention must be 'LR' or 'RR'"),
+])
+def test_unknown_filling_or_convention_refused(option, message):
+    # the projector is the one reader of both options: an unknown value
+    # would otherwise select the im_neg filling or the RR convention
+    p = SSHParams(1.0, 0.9, 1.0)  # PT-broken: the fillings differ here
+    grid = 2.0 * math.pi * (np.arange(8) + 0.5) / 8
+    with pytest.raises(DomainError, match=message):
+        filled_projector(p, grid, **option)
+    with pytest.raises(DomainError, match=message):
+        ssh_correlation_matrix(p, 8, 2, **option)
 
 
 @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 2, 2), ()])

@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
-from scipy.special import roots_gegenbauer
+from scipy.special import erf, roots_gegenbauer
 
 from yanglee import xxz
 from yanglee.entanglement import state_ee
@@ -482,6 +482,42 @@ def test_nearest_zero_approaches_the_transition_at_rate_one_over_beta(L):
     assert np.all((ratios > 1.95) & (ratios < 2.05)), ratios
 
 
+def _erf_zeros(count):
+    """The first ``count`` zeros of erf in the first quadrant, by Newton."""
+    zeros = []
+    for k in range(1, count + 1):
+        z = (1.0 + 1.0j) * math.sqrt(math.pi * (k - 0.125))
+        for _ in range(30):
+            step = erf(z) * math.sqrt(math.pi) / (2.0 * np.exp(-z * z))
+            z -= step
+            if abs(step) <= 1e-15 * abs(z):
+                break
+        assert abs(erf(z)) <= 1e-14
+        zeros.append(z)
+    return np.array(zeros)
+
+
+def test_scaled_zeros_tend_to_the_zeros_of_erf():
+    # With y = beta J L (Delta - 1) and s = M/L, the multiplet sum tends to
+    # L int_0^1 exp(-y s(1-s)) ds = L e^(-y/4) sqrt(pi/y) erfi(sqrt(y)/2),
+    # whose zeros are y_k = -4 zeta_k^2, zeta_k the zeros of erf; |y_1| =
+    # 22.57.  y does not depend on beta.  Measured L |y - y_k| / |y_k| for
+    # k = 1..5: 2.46-2.70 at L = 16, 2.77-2.83 at 24, 2.83-2.86 at 32; the
+    # error ratio between L = 32 and 16 is 0.525-0.583, an O(1/L) rate.
+    limit = -4.0 * _erf_zeros(5) ** 2
+    assert abs(limit[0] - (5.7346 - 21.8282j)) <= 1e-4
+    errors = []
+    for L in (16, 24, 32):
+        y = np.array([100.0 * L * (z - 1.0) for z in analytic_zeros(L, 100.0)])
+        y = y[y.imag < 0.0]
+        y = y[np.argsort(np.abs(y))[:5]]
+        errors.append(np.abs(y - limit) / np.abs(limit))
+    errors = np.array(errors)
+    assert np.all(np.diff(errors, axis=0) < 0.0)
+    ratio = errors[2] / errors[0]
+    assert np.all((ratio > 0.48) & (ratio < 0.63)), ratio
+
+
 def _scan_cells(grid: np.ndarray) -> list[tuple[int, int]]:
     """(cells, negative): the full scan of every plaquette of ``grid``.
 
@@ -622,9 +658,13 @@ def test_zero_search_drops_unconverged_and_duplicate_candidates(monkeypatch):
     assert len(locus.dropped) == 1 and abs(locus.dropped[0] - center) <= 1e-15
 
 
+def _worst_distance(pairing):
+    return max(abs(n - a) for n, a in zip(pairing.numeric, pairing.analytic))
+
+
 def test_verify_pairing_l4():
     pairing = verify_analytic_zeros(4, 100.0)
-    assert pairing.max_distance <= 5e-3
+    assert _worst_distance(pairing) <= 5e-3
     assert max(pairing.residuals) <= 1e-8
 
 
@@ -648,7 +688,7 @@ def test_verify_pairing_raises_without_distinct_partner(monkeypatch):
 
 
 def test_verify_pairing_shrinks_with_beta():
-    eps = {beta: verify_analytic_zeros(5, beta).max_distance
+    eps = {beta: _worst_distance(verify_analytic_zeros(5, beta))
            for beta in (25.0, 50.0, 100.0)}
     assert eps[25.0] / eps[50.0] >= 1.8
     assert eps[50.0] / eps[100.0] >= 1.8
@@ -657,25 +697,23 @@ def test_verify_pairing_shrinks_with_beta():
 # --- reduced Bethe roots --------------------------------------------------------
 
 def test_bethe_single_magnon():
-    roots = solve_bethe_roots(6, 1)
-    assert np.allclose(roots.zeta, [0.0])
+    assert np.allclose(solve_bethe_roots(6, 1), [0.0])
 
 
 def test_bethe_l4_m2_closed_form():
     roots = solve_bethe_roots(4, 2)
     expect = np.array([-1j, 1j]) / math.sqrt(3.0)
-    assert np.allclose(np.sort_complex(roots.zeta), np.sort_complex(expect),
+    assert np.allclose(np.sort_complex(roots), np.sort_complex(expect),
                        atol=1e-10)
 
 
 def test_bethe_l5_m2_sum_rule():
     roots = solve_bethe_roots(5, 2)
-    assert abs(np.sum(roots.zeta ** 2) + 0.5) <= 1e-9
+    assert abs(np.sum(roots ** 2) + 0.5) <= 1e-9
 
 
 def test_bethe_roots_distinct_and_symmetric():
-    roots = solve_bethe_roots(10, 4)
-    z = roots.zeta
+    z = solve_bethe_roots(10, 4)
     dist = np.abs(z[:, None] - z[None, :])
     np.fill_diagonal(dist, np.inf)
     assert dist.min() > 1e-8
@@ -699,7 +737,7 @@ def test_bethe_roots_are_gegenbauer_zeros():
     for length in (*range(2, 63), 63, 92, 128, 200, 221):
         for m in range(1, length // 2 + 1):
             t, _ = roots_gegenbauer(m, (length - 2 * m + 1) / 2.0)
-            worst = max(worst, np.max(np.abs(solve_bethe_roots(length, m).zeta
+            worst = max(worst, np.max(np.abs(solve_bethe_roots(length, m)
                                              - 1j * np.sort(t))))
     assert worst <= 5e-15
 
@@ -716,7 +754,7 @@ def test_bethe_polished_sectors(length, m, monkeypatch):
     jacobian = xxz._bethe_jacobian
     monkeypatch.setattr(xxz, "_bethe_jacobian",
                         lambda *args: steps.append(args) or jacobian(*args))
-    z = solve_bethe_roots(length, m).zeta
+    z = solve_bethe_roots(length, m)
     assert len(steps) == 1
     assert np.all(z.real == 0.0) and not np.any(np.signbit(z.real))
     nodes = steps[0][1]
@@ -762,15 +800,14 @@ def test_bethe_failed_polish_raises_with_last_iterate(nodes, jacobian, monkeypat
 def test_bethe_closed_form_property(data):
     length = data.draw(st.integers(2, 62))
     m = data.draw(st.integers(1, length // 2))
-    roots = solve_bethe_roots(length, m)
-    z = roots.zeta
+    z = solve_bethe_roots(length, m)
     assert z.shape == (m,)
     assert np.max(np.abs(_bethe_g(length, z.imag))) <= 1e-12
     assert np.all(z.real == 0.0) and not np.any(np.signbit(z.real))
     assert np.all(np.diff(z.imag) > 0.0)
     assert np.array_equal(z.imag, -z.imag[::-1])  # the exact set is odd
-    assert roots.sum_rule_linear <= 1e-12
-    assert roots.sum_rule_quadratic <= 1e-12 * max(1.0, m * m / length)
+    assert abs(np.sum(z)) <= 1e-12
+    assert abs(np.sum(z ** 2) + m * (m - 1) / (length - 1)) <= 1e-12 * max(1.0, m * m / length)
 
 
 # --- energies, gaps, response ----------------------------------------------------
@@ -861,7 +898,7 @@ def test_second_order_zero_map_against_ed(L, measured):
     assert apart.min() > 1e-3  # a distinct set
     dist = np.abs(np.subtract.outer(second, pairing.numeric))
     worst = dist[linear_sum_assignment(dist)].max()
-    assert worst < pairing.max_distance
+    assert worst < _worst_distance(pairing)
     assert worst <= 2.0 * measured
 
 
